@@ -6,13 +6,12 @@ from .backends import BACKEND, rational
 from .convergence import ConvergenceReport, LimitPrediction, analyze, cubic_limit_matrix, limit_ratio, rate_report
 from .errors import DomainError, RepApproxError, UsageError
 from .iterative import halley_step, newton_step, noor_step, run_method
-from .polynomial import CompanionMatrix, Polynomial, parse_polynomial
+from .polynomial import Polynomial, parse_polynomial
 from .powers import (
     ApproximationRecord,
     MatrixPower,
     accelerated_sequence,
     constant_ratio_check,
-    digit_count,
     mat_pow,
     ratio_sequence,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "BACKEND",
     "rational",
     "Polynomial",
-    "CompanionMatrix",
     "parse_polynomial",
     "Weights",
     "RegRepMatrix",
@@ -52,7 +50,6 @@ __all__ = [
     "ratio_sequence",
     "accelerated_sequence",
     "constant_ratio_check",
-    "digit_count",
     "ConvergenceReport",
     "LimitPrediction",
     "analyze",

@@ -6,9 +6,6 @@ is GMP's ``mpq``/``mpz``, which keeps the deep matrix powers and the huge
 iterative-method denominators fast; otherwise the stdlib ``fractions.Fraction``
 is used.  Both types share the operator protocol, so everything downstream is
 backend-agnostic.
-
-Run ``python -m repapprox.backends`` for a micro-benchmark of the two
-backends on this package's hot kernels.
 """
 
 import os
@@ -196,59 +193,3 @@ def mpf_to_rational(x):
         raise ValueError(f"cannot convert non-finite value {x!r}")
     v = rational(man << exp) if exp >= 0 else rational(man, 1 << -exp)
     return -v if sign else v
-
-
-def _bench():
-    import time
-
-    def mat_mul3(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
-    def mat_pow3(m, n):
-        r = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        b = m
-        while n:
-            if n & 1:
-                r = mat_mul3(r, b)
-            n >>= 1
-            if n:
-                b = mat_mul3(b, b)
-        return r
-
-    def newton(make, steps):
-        x = make(-2)
-        for _ in range(steps):
-            fx = x**3 + x**2 - 2 * x - 1
-            fpx = 3 * x**2 + 2 * x - 2
-            x = x - fx / fpx
-        return x
-
-    cases = [("fraction", Fraction)]
-    try:
-        from gmpy2 import mpq
-
-        cases.append(("gmpy2", mpq))
-    except ImportError:
-        pass
-
-    print(f"active backend: {BACKEND}")
-    print(f"{'backend':<10} {'matpow 3^8':>12} {'matpow 3^9':>12} {'newton x10':>12}")
-    base = [[69, -124, -223], [99, -179, -322], [-124, 223, 401]]
-    for name, make in cases:
-        m = [[make(e) for e in row] for row in base]
-        row = [name]
-        for n in (3**8, 3**9):
-            t0 = time.perf_counter()
-            mat_pow3(m, n)
-            row.append(f"{time.perf_counter() - t0:10.4f}s")
-        t0 = time.perf_counter()
-        newton(make, 10)
-        row.append(f"{time.perf_counter() - t0:10.4f}s")
-        print(f"{row[0]:<10} {row[1]} {row[2]} {row[3]}")
-
-
-if __name__ == "__main__":
-    _bench()

@@ -29,9 +29,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub):
+def _add_common(sub, output_format=False):
     sub.add_argument("--config", help="JSON file with default option values")
-    sub.add_argument("--format", choices=("csv", "pretty"), default=None)
+    if output_format:
+        sub.add_argument("--format", choices=("csv", "pretty"), default=None)
 
 
 def _build_parser():
@@ -41,13 +42,13 @@ def _build_parser():
     p = subs.add_parser("repr", help="print M(x,u)")
     p.add_argument("--poly", required=False)
     p.add_argument("--x", required=False)
-    _add_common(p)
+    _add_common(p, output_format=True)
 
     p = subs.add_parser("power", help="print M^n")
     p.add_argument("--poly")
     p.add_argument("--x")
     p.add_argument("--n", type=int)
-    _add_common(p)
+    _add_common(p, output_format=True)
 
     p = subs.add_parser("approx", help="approximation records")
     p.add_argument("--poly")
@@ -58,13 +59,13 @@ def _build_parser():
     p.add_argument("--n", help="comma-separated step indices")
     p.add_argument("--stride", type=int, default=None, help="repeated powering stride")
     p.add_argument("--steps", type=int, default=None, help="steps for --stride mode")
-    _add_common(p)
+    _add_common(p, output_format=True)
 
     p = subs.add_parser("c-ratio", help="dominance analysis")
     p.add_argument("--poly")
     p.add_argument("--x")
     p.add_argument("--precision", type=int, default=None, help="bits, >= 64")
-    _add_common(p)
+    _add_common(p, output_format=True)
 
     p = subs.add_parser("limits", help="limit predictions")
     p.add_argument("--poly")
@@ -107,7 +108,7 @@ def _apply_config(args):
                 attr = "table_id"
             if hasattr(args, attr) and getattr(args, attr) is None:
                 setattr(args, attr, value)
-    if getattr(args, "format", None) is None:
+    if hasattr(args, "format") and args.format is None:
         args.format = "csv"
     return args
 

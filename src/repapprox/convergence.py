@@ -26,7 +26,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .polynomial import Polynomial
-from .regrep import Weights
+from .regrep import Weights, _coerce_weights, constant_ratio_families
 from .roots import Enclosure, RootSet, all_roots
 
 
@@ -71,13 +71,6 @@ class RateSummary:
     points: int
 
 
-def _coerce(f, x):
-    w = x if isinstance(x, Weights) else Weights(x)
-    if len(w) != f.degree:
-        raise UsageError(f"expected {f.degree} weights, got {len(w)}")
-    return w
-
-
 def _gamma_with_bound(x, root):
     """gamma = sum x_i alpha^i with a rigorous modulus error bound."""
     alpha, r = root.center, root.radius
@@ -106,7 +99,7 @@ def analyze(f: Polynomial, x, precision_bits=256, ceiling_bits=None) -> Converge
     everything else, or the ceiling is hit (DominanceUndecidable).  Exact
     ties (element is a constant: only x_0 nonzero) fail immediately.
     """
-    w = _coerce(f, x)
+    w = _coerce_weights(f, x)
     if all(c == 0 for c in w.x[1:]):
         raise DominanceUndecidable(
             "element is rational: all gamma_j coincide, no strict dominance"
@@ -224,7 +217,7 @@ def limit_ratio(
         disc1 = a_l1 * b_k1 - a_k1 * b_l1
         disc2 = a_l2 * b_k2 - a_k2 * b_l2
         disc_bar = abs(disc1 - disc2) + eps * (1 + abs(a_l2 * b_k2) + abs(a_k2 * b_l2))
-        exact_degenerate = indices in {(m, m - 1, 1, m), (m, 1, 1, 2)} or (
+        exact_degenerate = indices in constant_ratio_families(m) or (
             indices[0] == indices[2] and indices[1] == indices[3]
         )
         degenerate = exact_degenerate or abs(disc2) <= 4 * disc_bar

@@ -5,8 +5,6 @@ terms of it); the full monic coefficient list is an input/output view.  All
 coefficient arithmetic is exact.
 """
 
-from dataclasses import dataclass
-
 from .backends import parse_rational, rational
 from .errors import DomainError, UsageError
 
@@ -85,7 +83,7 @@ class Polynomial:
         return Polynomial.from_monic_coefficients(coeffs)
 
     def companion(self):
-        """Companion matrix: 1s on the subdiagonal, last column u_m ... u_1."""
+        """Companion matrix rows: 1s on the subdiagonal, last column u_m ... u_1."""
         m = self.degree
         zero = rational(0)
         entries = [[zero] * m for _ in range(m)]
@@ -93,7 +91,7 @@ class Polynomial:
             entries[i][i - 1] = rational(1)
         for i in range(m):
             entries[i][m - 1] = self.u[m - 1 - i]
-        return CompanionMatrix(tuple(tuple(row) for row in entries), self)
+        return tuple(tuple(row) for row in entries)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.u == other.u
@@ -115,12 +113,6 @@ class Polynomial:
             var = "" if power == 0 else ("t" if power == 1 else f"t^{power}")
             terms.append(("- " if c > 0 else "+ ") + coeff + var)
         return " ".join(terms)
-
-
-@dataclass(frozen=True)
-class CompanionMatrix:
-    entries: tuple
-    source: Polynomial
 
 
 def parse_polynomial(text):

@@ -1,5 +1,8 @@
 """Exact matrix powers and the rational approximation sequences they yield.
 
+M^n is the matrix of g^n, so every power here is an element power in
+Q[t]/(f) (``regrep.power``), and entries are read from ``regrep.matrix_of``.
+
 A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
 Errors are measured exactly against a certified rational enclosure of the
@@ -11,10 +14,15 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from . import _linalg
 from .backends import decimal_digit_count, floor_log10, rational, to_mpf
 from .errors import UsageError, ZeroDenominator
-from .regrep import RegRepMatrix
+from .regrep import (
+    RegRepMatrix,
+    constant_ratio_families,
+    matrix_of,
+    multiply,
+    power,
+)
 from .roots import Enclosure, isolating_interval_for, refine_to_decimal_digits
 
 
@@ -47,15 +55,10 @@ class ApproximationRecord:
         return self.value is not None
 
 
-def digit_count(v):
-    """Decimal digit count of a nonzero exact integer."""
-    return decimal_digit_count(v)
-
-
 def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
     if n < 0:
         raise UsageError("matrix power requires n >= 0")
-    return MatrixPower(M, n, _linalg.mat_pow_entries(M.entries, n))
+    return MatrixPower(M, n, matrix_of(M.poly, power(M.poly, M.weights.x, n)))
 
 
 def _check_index(pair, m, label):
@@ -101,7 +104,7 @@ def error_reference(M: RegRepMatrix, num, den, offset=0, n_max=100, min_digits=3
     report = convergence.analyze(f, w)
     pred = convergence.limit_ratio(f, w, num, den, report)
 
-    if pred.degenerate and tuple(num) + tuple(den) in _constant_families(M.size):
+    if pred.degenerate and tuple(num) + tuple(den) in constant_ratio_families(M.size):
         # These ratios are exactly constant: A_t/B_t = 1/u_m for every t.
         return Enclosure(rational(1) / f.u[-1] + offset, rational(0))
 
@@ -127,10 +130,6 @@ def error_reference(M: RegRepMatrix, num, den, offset=0, n_max=100, min_digits=3
     return convergence.limit_enclosure(f, w, num, den, report, digits, offset)
 
 
-def _constant_families(m):
-    return {(m, m - 1, 1, m), (m, 1, 1, 2)}
-
-
 def ratio_sequence(
     M: RegRepMatrix, num, den, offset=0, n_list=(), target=None
 ) -> list:
@@ -152,16 +151,17 @@ def ratio_sequence(
     if target is None:
         target = error_reference(M, num, den, offset, n_max=ns[-1])
 
+    f, x = M.poly, M.weights.x
     records = []
-    current = _linalg.mat_pow_entries(M.entries, ns[0])
+    current = power(f, x, ns[0])
     prev_n = ns[0]
     for n in ns:
         if n != prev_n:
-            current = _linalg.mat_mul(
-                current, _linalg.mat_pow_entries(M.entries, n - prev_n)
-            )
+            current = multiply(f, current, power(f, x, n - prev_n))
             prev_n = n
-        records.append(_record_from_entries(current, n, num, den, offset, target))
+        records.append(
+            _record_from_entries(matrix_of(f, current), n, num, den, offset, target)
+        )
 
     records = _ensure_error_resolution(records, M, num, den, offset, ns[-1], target)
     if all(not r.available for r in records):
@@ -199,9 +199,10 @@ def accelerated_sequence(
 ) -> list:
     """Repeated stride-th powering: records at n = stride, stride^2, ...
 
-    Step k re-raises the previous matrix to the stride-th power, so six steps
-    at stride 3 reach M^729 with a handful of multiplications.  stride 1
-    degenerates to plain stepping (identical to ratio_sequence over 1..steps).
+    Step k re-raises the previous element power to the stride-th power, so
+    six steps at stride 3 reach M^729 with a handful of multiplications.
+    stride 1 degenerates to plain stepping (identical to ratio_sequence over
+    1..steps).
     """
     if stride < 1:
         raise UsageError("stride must be >= 1")
@@ -221,13 +222,16 @@ def accelerated_sequence(
         )
     if target is None:
         target = error_reference(M, num, den, offset, n_max=n_max)
+    f = M.poly
     records = []
-    current = _linalg.mat_pow_entries(M.entries, stride)
+    current = power(f, M.weights.x, stride)
     n = stride
     for step in range(1, steps + 1):
-        records.append(_record_from_entries(current, n, num, den, offset, target))
+        records.append(
+            _record_from_entries(matrix_of(f, current), n, num, den, offset, target)
+        )
         if step < steps:
-            current = _linalg.mat_pow_entries(current, stride)
+            current = power(f, current, stride)
             n *= stride
     records = _ensure_error_resolution(records, M, num, den, offset, n_max, target)
     return records
@@ -252,20 +256,22 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
     m = M.size
     if m < 2:
         raise UsageError("constant-ratio families need m >= 2")
-    families = [(m, m - 1, 1, m), (m, 1, 1, 2)]
+    f, x = M.poly, M.weights.x
+    families = constant_ratio_families(m)
     results = []
     for fam_idx, (i, j, p, q) in enumerate(families):
         duplicate = fam_idx == 1 and families[0] == families[1]
         values, checked, skipped = [], [], []
-        power = _linalg.identity(m)
+        g_n = power(f, x, 0)
         for n in range(1, int(n_max) + 1):
-            power = _linalg.mat_mul(power, M.entries)
-            d = power[p - 1][q - 1]
+            g_n = multiply(f, g_n, x)
+            entries = matrix_of(f, g_n)
+            d = entries[p - 1][q - 1]
             if d == 0:
                 skipped.append(n)
                 continue
             checked.append(n)
-            values.append(power[i - 1][j - 1] / d)
+            values.append(entries[i - 1][j - 1] / d)
         constant = values[0] if values else None
         holds = bool(values) and all(v == constant for v in values)
         results.append(

@@ -1,17 +1,21 @@
-"""Regular-representation matrices M(x, u).
+"""Regular-representation matrices M(x, u) and exact arithmetic in Q[t]/(f).
 
-M represents multiplication by x_0 + x_1*a + ... + x_{m-1}*a^(m-1) on the
-power basis of Q[t]/(f), where a is a root of f.  Two independent
-construction paths are kept public on purpose: ``build`` accumulates powers
-of the companion matrix (the production path), while ``entries_via_formula``
-goes through the explicit multinomial entry expansion and exists to
-cross-validate it.
+M represents multiplication by g = x_0 + x_1*a + ... + x_{m-1}*a^(m-1) on the
+power basis of Q[t]/(f), where a is a root of f.  So M^n is the matrix of
+g^n, and column j of the matrix of any element c holds the coordinates of
+a^j * c.  This module owns the one exact kernel built on that fact:
+``multiply`` and ``power`` work on coordinate vectors, and ``matrix_of``
+materializes a matrix from coordinates by shift-and-reduce; ``build`` is
+``matrix_of`` applied to the weights.
+
+Two independent construction paths are kept public to cross-validate it:
+``entries_via_formula`` goes through the explicit multinomial entry
+expansion, and ``build_cubic`` is the closed 3x3 form.
 """
 
 import math
 from dataclasses import dataclass
 
-from . import _linalg
 from .backends import rational
 from .errors import UsageError
 from .polynomial import Polynomial
@@ -60,19 +64,67 @@ def _coerce_weights(f, x):
     return w
 
 
-def build(f: Polynomial, x) -> RegRepMatrix:
-    """M = sum of x_n * A^n over n < m, with A the companion matrix of f.
+def multiply(f: Polynomial, a, b):
+    """Coordinates of a*b modulo f, for coordinate vectors a and b.
 
-    Horner-style accumulation: M = (...(x_{m-1} A + x_{m-2} I) A + ...) + x_0 I.
+    Schoolbook product, then a^k for k >= m is folded down from the top with
+    a^m = u_1 a^(m-1) + ... + u_m.
     """
-    w = _coerce_weights(f, x)
-    a = f.companion().entries
     m = f.degree
-    ident = _linalg.identity(m)
-    acc = _linalg.mat_scale(w.x[m - 1], ident)
-    for n in range(m - 2, -1, -1):
-        acc = _linalg.mat_add(_linalg.mat_mul(acc, a), _linalg.mat_scale(w.x[n], ident))
-    return RegRepMatrix(acc, w, f)
+    prod = [rational(0)] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        if c:
+            for s, u_s in enumerate(f.u):
+                prod[k - 1 - s] += c * u_s
+    return tuple(prod[:m])
+
+
+def power(f: Polynomial, c, n):
+    """Coordinates of c**n modulo f by square-and-multiply; n >= 0."""
+    result = (rational(1),) + (rational(0),) * (f.degree - 1)
+    base = tuple(c)
+    while n:
+        if n & 1:
+            result = multiply(f, result, base)
+        n >>= 1
+        if n:
+            base = multiply(f, base, base)
+    return result
+
+
+def matrix_of(f: Polynomial, c):
+    """Rows of the matrix of multiplication by c; column j is coords(a^j c).
+
+    Each column comes from the previous one by a shift (multiplication by a)
+    and one reduction of the a^m term.
+    """
+    m = f.degree
+    zero = rational(0)
+    col = tuple(c)
+    cols = [col]
+    for _ in range(m - 1):
+        top = col[-1]
+        col = tuple(
+            (col[i - 1] if i else zero) + top * f.u[m - 1 - i] for i in range(m)
+        )
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def constant_ratio_families(m):
+    """The (i, j, p, q) whose ratio M^n[i,j] / M^n[p,q] is 1/u_m for every n."""
+    return ((m, m - 1, 1, m), (m, 1, 1, 2))
+
+
+def build(f: Polynomial, x) -> RegRepMatrix:
+    """M(x, u): the matrix of multiplication by the element with coordinates x."""
+    w = _coerce_weights(f, x)
+    return RegRepMatrix(matrix_of(f, w.x), w, f)
 
 
 def build_cubic(p, q, r, x, y, z) -> RegRepMatrix:

@@ -1,6 +1,26 @@
-"""Tiny exact dense-matrix helpers (tuples of tuples of rationals)."""
+"""Dense exact-matrix oracle for the tests (tuples of tuples of rationals).
 
-from .backends import rational
+The package computes M(x, u) and its powers as element arithmetic in
+Q[t]/(f); these textbook matrix operations are the independent reference
+the tests compare it against.  ``elements`` draws the random inputs that
+the property tests feed to both sides.
+"""
+
+from hypothesis import strategies as st
+
+from repapprox.backends import rational
+from repapprox.polynomial import Polynomial
+
+_small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def elements(draw, max_degree=8):
+    """(f, x): a monic f of degree 1..max_degree and nonzero weights x."""
+    m = draw(st.integers(1, max_degree))
+    u = draw(st.lists(_small_rationals, min_size=m, max_size=m))
+    x = draw(st.lists(_small_rationals, min_size=m, max_size=m).filter(any))
+    return Polynomial(u), tuple(rational(c) for c in x)
 
 
 def identity(m):
@@ -38,7 +58,7 @@ def mat_pow_entries(a, n):
 
 
 def det(a):
-    """Exact determinant by fraction-free expansion (small m only)."""
+    """Exact determinant by cofactor expansion along the first row (small m only)."""
     m = len(a)
     if m == 1:
         return a[0][0]

@@ -146,6 +146,17 @@ class TestLimits:
         assert lines[2].endswith("true")
         assert "error bar" in err  # diagnostics stay off the data stream
 
+    def test_format_not_accepted(self, capsys):
+        # limits has one output layout, so it takes no --format
+        code, out, err = run_cli(
+            capsys,
+            "limits", "--poly", "c:1,1,-2,-1", "--x", "0,-1,1",
+            "--indices", "2,1,3,1", "--format", "pretty",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--format" in err
+
 
 class TestCompare:
     def test_schema_and_values(self, capsys):

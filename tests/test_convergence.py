@@ -137,7 +137,7 @@ class TestLimitRatio:
 class TestSpectralStructure:
     def test_diagonalization_residual(self, ramanujan):
         roots = all_roots(ramanujan, 192)
-        a = ramanujan.companion().entries
+        a = ramanujan.companion()
         with mp.workprec(roots.work_prec):
             m = ramanujan.degree
             v = mp.matrix(m, m)

@@ -1,21 +1,23 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repapprox as ra
-from repapprox import _linalg
-from repapprox.backends import rational, sci_string
+from repapprox.backends import decimal_digit_count, rational, sci_string
+from repapprox.bench import WEIGHT_VECTORS
 from repapprox.errors import UsageError, ZeroDenominator
 from repapprox.polynomial import Polynomial
 from repapprox.powers import (
     accelerated_sequence,
     constant_ratio_check,
-    digit_count,
     mat_pow,
     ratio_sequence,
 )
 from repapprox.regrep import build, build_cubic
 from repapprox.roots import Enclosure
+
+import dense
 
 
 @pytest.fixture(scope="module")
@@ -25,39 +27,43 @@ def m_ref(ramanujan):
 
 class TestMatPow:
     def test_zero_is_identity(self, m_ref):
-        assert mat_pow(m_ref, 0).entries == _linalg.identity(3)
+        assert mat_pow(m_ref, 0).entries == dense.identity(3)
 
     def test_one_is_matrix(self, m_ref):
         assert mat_pow(m_ref, 1).entries == m_ref.entries
 
     def test_reference_digit_count(self, m_ref):
         p5 = mat_pow(m_ref, 5)
-        assert digit_count(p5.entries[2][0]) == 3
+        assert decimal_digit_count(p5.entries[2][0]) == 3
 
     def test_negative_rejected(self, m_ref):
         with pytest.raises(UsageError):
             mat_pow(m_ref, -1)
 
-    def test_binary_equals_naive(self, m_ref):
-        acc = _linalg.identity(3)
-        for n in range(33):
-            assert mat_pow(m_ref, n).entries == acc
-            acc = _linalg.mat_mul(acc, m_ref.entries)
+    @given(dense.elements(), st.integers(0, 40))
+    @example((Polynomial((-1, 2, 1)), (0, -1, 1)), 32)
+    @settings(max_examples=25, deadline=None)
+    def test_binary_equals_naive(self, element, n):
+        m = build(*element)
+        acc = dense.identity(m.size)
+        for _ in range(n):
+            acc = dense.mat_mul(acc, m.entries)
+        assert mat_pow(m, n).entries == acc
 
     def test_exponent_addition(self, m_ref):
         rng = random.Random(3)
         for _ in range(10):
             a, b = rng.randint(0, 16), rng.randint(0, 16)
             lhs = mat_pow(m_ref, a + b).entries
-            rhs = _linalg.mat_mul(mat_pow(m_ref, a).entries, mat_pow(m_ref, b).entries)
+            rhs = dense.mat_mul(mat_pow(m_ref, a).entries, mat_pow(m_ref, b).entries)
             assert lhs == rhs
 
     def test_det_multiplicativity(self):
         for u, x in [((2, -1), (1, 2)), ((-1, 2, 1), (0, -1, 1)), ((1, 0, 1, 2), (1, 1, 0, 1))]:
             m = build(Polynomial(u), x)
-            d = _linalg.det(m.entries)
+            d = dense.det(m.entries)
             for n in (2, 3, 5):
-                assert _linalg.det(mat_pow(m, n).entries) == d**n
+                assert dense.det(mat_pow(m, n).entries) == d**n
 
 
 class TestRatioSequence:
@@ -94,6 +100,19 @@ class TestRatioSequence:
         records = ratio_sequence(b, (1, 1), (2, 1), 0, (1, 2, 3))
         assert not records[0].available
         assert records[1].available and records[2].available
+
+    @pytest.mark.parametrize("weights", WEIGHT_VECTORS)
+    def test_entries_match_dense_oracle(self, ramanujan, weights):
+        m = build(ramanujan, weights)
+        exact = Enclosure(rational(0), rational(0))  # radius 0: no re-refinement
+        plain = ratio_sequence(m, (2, 1), (3, 1), -1, (1, 2, 5, 9, 27), target=exact)
+        tower = accelerated_sequence(m, 3, 3, (2, 1), (3, 1), -1, target=exact)
+        for r in plain + tower:
+            p = dense.mat_pow_entries(m.entries, r.n)
+            if p[2][0] == 0:
+                assert not r.available
+            else:
+                assert r.value == p[1][0] / p[2][0] - 1
 
     def test_all_zero_denominators_rejected(self):
         b = build_cubic(0, 0, 2, 5, 0, 1)
@@ -180,16 +199,12 @@ class TestConstantRatios:
 class TestDigitCount:
     @pytest.mark.parametrize("v,expect", [(999, 3), (-1000, 4), (1, 1)])
     def test_basic(self, v, expect):
-        assert digit_count(v) == expect
+        assert decimal_digit_count(v) == expect
 
     def test_reference_entry(self, m_ref):
         p20 = mat_pow(m_ref, 20)
-        assert digit_count(p20.entries[2][0]) == 14
+        assert decimal_digit_count(p20.entries[2][0]) == 14
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            digit_count(0)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            digit_count(rational(1, 2))
+            decimal_digit_count(0)

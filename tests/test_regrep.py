@@ -1,10 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repapprox as ra
-from repapprox import _linalg
 from repapprox.backends import rational
 from repapprox.errors import UsageError
 from repapprox.polynomial import Polynomial
@@ -16,9 +15,11 @@ from repapprox.regrep import (
     entry_multinomial,
 )
 
+import dense
+
 
 def brute_power(f, n):
-    return _linalg.mat_pow_entries(f.companion().entries, n)
+    return dense.mat_pow_entries(f.companion(), n)
 
 
 class TestWeights:
@@ -47,7 +48,7 @@ class TestBuild:
 
     def test_identity_weights(self):
         f = Polynomial((4, -2, 7, 1))
-        assert build(f, (1, 0, 0, 0)).entries == _linalg.identity(4)
+        assert build(f, (1, 0, 0, 0)).entries == dense.identity(4)
 
     def test_first_column_is_weights(self):
         f = Polynomial((2, -3, 1))
@@ -71,7 +72,7 @@ class TestBuildCubic:
 
     def test_identity(self):
         m = build_cubic(9, 9, 9, 1, 0, 0)
-        assert m.entries == _linalg.identity(3)
+        assert m.entries == dense.identity(3)
 
     @given(st.lists(st.fractions(min_value=-4, max_value=4), min_size=6, max_size=6))
     @settings(max_examples=40)
@@ -92,7 +93,7 @@ class TestEntryFormula:
 
     def test_power_one_is_companion(self):
         f = Polynomial((2, 3, 5))
-        a = f.companion().entries
+        a = f.companion()
         for i in range(1, 4):
             for j in range(1, 4):
                 assert entry_multinomial(f, i, j, 1) == a[i - 1][j - 1]
@@ -136,7 +137,7 @@ class TestFormulaPath:
 
     def test_identity(self):
         f = Polynomial((1, 2, 3, 4, 5))
-        assert entries_via_formula(f, (1, 0, 0, 0, 0)).entries == _linalg.identity(5)
+        assert entries_via_formula(f, (1, 0, 0, 0, 0)).entries == dense.identity(5)
 
     @given(
         st.integers(2, 4),
@@ -185,7 +186,7 @@ class TestAlgebraicStructure:
                 x1[1] = 1
             if all(c == 0 for c in x2):
                 x2[1] = 1
-            product = _linalg.mat_mul(build(f, x1).entries, build(f, x2).entries)
+            product = dense.mat_mul(build(f, x1).entries, build(f, x2).entries)
             x12 = _multiply_mod_f(f, x1, x2)
             if all(c == 0 for c in x12):
                 continue  # zero divisors can occur for reducible f
@@ -207,19 +208,20 @@ class TestAlgebraicStructure:
             if all(c == 0 for c in combo):
                 continue
             lhs = build(f, combo).entries
-            rhs = _linalg.mat_add(
-                _linalg.mat_scale(a, build(f, x1).entries),
-                _linalg.mat_scale(b, build(f, x2).entries),
+            rhs = dense.mat_add(
+                dense.mat_scale(a, build(f, x1).entries),
+                dense.mat_scale(b, build(f, x2).entries),
             )
             assert lhs == rhs
 
-    def test_sum_of_companion_powers(self):
-        f = Polynomial((-1, 2, 1))
-        x = (rational(3), rational(-2), rational(5))
-        expected = _linalg.identity(3)
-        expected = _linalg.mat_scale(x[0], expected)
-        for n in (1, 2):
-            expected = _linalg.mat_add(
-                expected, _linalg.mat_scale(x[n], brute_power(f, n))
+    @given(dense.elements())
+    @example((Polynomial((-1, 2, 1)), (rational(3), rational(-2), rational(5))))
+    @settings(max_examples=40, deadline=None)
+    def test_sum_of_companion_powers(self, element):
+        f, x = element
+        expected = dense.mat_scale(x[0], dense.identity(f.degree))
+        for n in range(1, f.degree):
+            expected = dense.mat_add(
+                expected, dense.mat_scale(x[n], brute_power(f, n))
             )
         assert build(f, x).entries == expected
