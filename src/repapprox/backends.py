@@ -23,7 +23,7 @@ _requested = os.environ.get("REPAPPROX_BACKEND", "auto").lower()
 
 if _requested in ("auto", "gmpy2"):
     try:
-        from gmpy2 import mpq as _mpq, mpz as _mpz  # type: ignore
+        from gmpy2 import mpq as _mpq  # type: ignore
 
         BACKEND = "gmpy2"
     except ImportError:
@@ -42,17 +42,11 @@ if BACKEND == "gmpy2":
         """Exact rational, reduced, positive denominator."""
         return _mpq(num, den)
 
-    def integer(n):
-        return _mpz(n)
-
 else:
 
     def rational(num, den=1):
         """Exact rational, reduced, positive denominator."""
         return Fraction(num, den)
-
-    def integer(n):
-        return int(n)
 
 
 def as_int_pair(x):

@@ -18,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .backends import rational, sci_parts, sci_string
+from .backends import rational, sci_string
 from .errors import DomainError
 from .iterative import run_method, sweep_initial_conditions
 from .polynomial import parse_polynomial

@@ -9,6 +9,7 @@ stdout.
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -289,11 +290,7 @@ def _cmd_limits(args, out):
         i, j, p, q = (int(s) for s in parts)
         pred = convergence.limit_ratio(f, x, (i, j), (p, q), report)
         with mp.workprec(pred.work_prec):
-            l_str = (
-                mp.nstr(mp.re(pred.limit), 20)
-                if abs(mp.im(pred.limit)) <= pred.limit_error
-                else mp.nstr(pred.limit, 20)
-            )
+            l_str = mp.nstr(pred.limit, 20)
             rc = mp.nstr(pred.rate_constant, 10)
             bar = mp.nstr(pred.limit_error, 3)
         print(f"L[{i},{j},{p},{q}] error bar <= {bar}", file=sys.stderr)
@@ -392,9 +389,22 @@ _HANDLERS = {
 }
 
 
+def _join_negative_values(argv):
+    """Attach a value such as -1,1,1 or -3/2 to the option before it, since
+    argparse reads any '-' token but a plain negative number as an option."""
+    joined = []
+    for token in argv:
+        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and re.match(r"-\d", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_join_negative_values(argv))
         args = _apply_config(args)
         return _HANDLERS[args.command](args, sys.stdout)
     except UsageError as exc:

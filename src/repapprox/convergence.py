@@ -3,11 +3,14 @@
 Writing gamma_j for the value of the represented element at the j-th root,
 the eigenvalues of M are exactly the gamma_j.  If one of them strictly
 dominates in modulus (certified here against the root-oracle radii), the
-ratio of any two entries of M^n converges, the limit is a ratio of products
-of Vandermonde-matrix entries, and the error shrinks like (|gamma_l| /
-|gamma_k|)^n where l is the runner-up index.
+ratio of any two entries of M^n converges to V^-1[i,k] V[k,j] /
+(V^-1[p,k] V[k,q]), and the error shrinks like (|gamma_l| / |gamma_k|)^n
+where l is the runner-up index.
 
-Everything numeric runs in mpmath at an escalating working precision; the
+Dominance is decided in mpmath at an escalating working precision.  The
+limit is exact algebra: it equals N(alpha_k) / D(alpha_k) for two rational
+polynomials read off f, with alpha_k the real dominant root, so it is
+decided and enclosed in rational arithmetic on alpha_k's Sturm bracket.  The
 closed cubic forms are kept as an independent cross-check path.
 """
 
@@ -26,8 +29,11 @@ from .errors import (
     ZeroDenominator,
 )
 from .polynomial import Polynomial
-from .regrep import Weights, _coerce_weights, constant_ratio_families
-from .roots import Enclosure, RootSet, all_roots
+from .regrep import Weights, _coerce_weights
+from .roots import (
+    Enclosure, RootSet, _derivative, _eval_coeffs, _interval_horner, _poly_gcd, _poly_mod,
+    all_roots, isolating_interval_for, refine_real_root, refine_to_decimal_digits,
+)
 
 
 @dataclass(frozen=True)
@@ -48,14 +54,14 @@ class ConvergenceReport:
 @dataclass(frozen=True)
 class LimitPrediction:
     indices: tuple  # (i, j, p, q)
-    limit: object  # mpc: V^-1[i,k] V[k,j] / (V^-1[p,k] V[k,q])
+    limit: object  # mpf: centre of the certified enclosure of N(alpha_k) / D(alpha_k)
     a_k: object
     b_k: object
     a_l: object
     b_l: object
     rate_constant: object  # |a_l b_k - a_k b_l| / |b_k|^2
     degenerate: bool
-    limit_error: object  # error bar on `limit`
+    limit_error: object  # certified bound on |limit - true limit|
     work_prec: int
 
 
@@ -143,118 +149,126 @@ def analyze(f: Polynomial, x, precision_bits=256, ceiling_bits=None) -> Converge
     )
 
 
-def _vandermonde_data(f, prec, indices, k, l):
-    """(A_k, B_k, A_l, B_l, residual) at the given working precision."""
-    i, j, p, q = indices
-    roots = all_roots(f, prec)
-    m = f.degree
-    with mp.workprec(max(prec, roots.work_prec) + 16):
-        v = mp.matrix(m, m)
-        for t, est in enumerate(roots):
-            acc = mp.mpc(1)
-            for s in range(m):
-                v[t, s] = acc
-                acc *= est.center
-        try:
-            v_inv = v**-1
-        except ZeroDivisionError as exc:
-            raise RootSeparationError("Vandermonde matrix is numerically singular") from exc
-        resid = v * v_inv
-        residual = mp.mpf(0)
-        for a in range(m):
-            for b in range(m):
-                expect = 1 if a == b else 0
-                residual = max(residual, abs(resid[a, b] - expect))
-        if residual > mp.mpf(2) ** (-prec // 4):
-            raise RootSeparationError(
-                f"Vandermonde inversion residual {mp.nstr(residual, 5)} too large "
-                "(near-coincident roots)"
-            )
-        a_k = v_inv[i - 1, k] * v[k, j - 1]
-        b_k = v_inv[p - 1, k] * v[k, q - 1]
-        a_l = v_inv[i - 1, l] * v[l, j - 1]
-        b_l = v_inv[p - 1, l] * v[l, q - 1]
-        return a_k, b_k, a_l, b_l, residual
+def _poly_sum(*polys):
+    """Sum of coefficient tuples (highest degree first), aligned from the right."""
+    n = max(map(len, polys))
+    return tuple(map(sum, zip(*((0,) * (n - len(p)) + tuple(p) for p in polys))))
 
 
-def limit_ratio(
-    f: Polynomial, x, num, den, report: ConvergenceReport, precision_bits=None
-) -> LimitPrediction:
-    """Limit of M^n[num]/M^n[den] under certified dominance, plus rate data.
+def _root_in(h, bracket):
+    """Whether h, a divisor of f, vanishes in an isolating bracket of f."""
+    a, b = bracket
+    return len(h) > 1 and (_eval_coeffs(h, a) < 0) != (_eval_coeffs(h, b) < 0)
 
-    Computes the Vandermonde products at two precisions; their disagreement
-    supplies the error bar.  The two index families known to be exactly
-    degenerate are short-circuited; other degeneracies are decided from the
-    bars.
+
+def _constant_quotient(n_poly, d_poly, coeffs):
+    """c with N = c*D modulo f, so that the ratio is c at every n; else None."""
+    rn, rd = _poly_mod(n_poly, coeffs), _poly_mod(d_poly, coeffs)
+    c = rn[0] / rd[0] if len(rn) == len(rd) else rational(0)
+    return None if any(_poly_sum(rn, [-c * d for d in rd])) else c
+
+
+def _limit_data(f, num, den, report):
+    """(N, D, bracket): the limit is N(alpha_k) / D(alpha_k), alpha_k in bracket.
+
+    Column k of V^-1 holds the coefficients of f(t) / ((t - alpha_k)
+    f'(alpha_k)); by synthetic division its t^(i-1) coefficient is the top
+    m-i+1 coefficients of f evaluated at alpha_k, over f'(alpha_k).  So
+    A_k = N(alpha_k) / f'(alpha_k) with N = f[:m-i+1] * t^(j-1), B_k likewise
+    with D = f[:m-p+1] * t^(q-1), and f' cancels in A_k / B_k.  A certified
+    dominant alpha_k is real (a conjugate would tie it), so it has a Sturm
+    bracket, and B_k = 0 exactly when gcd(f, D) changes sign across it.
     """
     if not report.certified:
         raise DomainError("limit_ratio requires a certified dominance report")
     m = f.degree
-    i, j = num
-    p, q = den
-    for idx in (i, j, p, q):
+    indices = tuple(int(v) for v in (*num, *den))
+    for idx in indices:
         if not (1 <= idx <= m):
             raise UsageError(f"index {idx} out of range 1..{m}")
-    indices = (int(i), int(j), int(p), int(q))
-    k, l = report.dominant_index, report.runner_up_index
-
-    prec = max(report.work_prec, int(precision_bits or 0), 192)
-    a_k1, b_k1, a_l1, b_l1, _ = _vandermonde_data(f, prec, indices, k, l)
-    a_k2, b_k2, a_l2, b_l2, _ = _vandermonde_data(f, 2 * prec, indices, k, l)
-
-    with mp.workprec(2 * prec + 16):
-        eps = mp.mpf(2) ** (-prec // 2)
-        bar_bk = abs(b_k1 - b_k2) + eps * (1 + abs(b_k2))
-        if abs(b_k2) <= 4 * bar_bk:
-            raise ZeroDenominator(
-                f"denominator product B_k for indices {indices} is "
-                "indistinguishable from zero"
-            )
-        limit1 = a_k1 / b_k1
-        limit2 = a_k2 / b_k2
-        limit_error = abs(limit1 - limit2) + eps * (1 + abs(limit2))
-
-        disc1 = a_l1 * b_k1 - a_k1 * b_l1
-        disc2 = a_l2 * b_k2 - a_k2 * b_l2
-        disc_bar = abs(disc1 - disc2) + eps * (1 + abs(a_l2 * b_k2) + abs(a_k2 * b_l2))
-        exact_degenerate = indices in constant_ratio_families(m) or (
-            indices[0] == indices[2] and indices[1] == indices[3]
+    i, j, p, q = indices
+    coeffs = f.monic_coefficients()
+    zeros = (rational(0),) * m
+    n_poly = coeffs[: m - i + 1] + zeros[: j - 1]
+    d_poly = coeffs[: m - p + 1] + zeros[: q - 1]
+    bracket = isolating_interval_for(f, report.roots.roots[report.dominant_index])
+    if _root_in(_poly_gcd(coeffs, d_poly), bracket):
+        raise ZeroDenominator(
+            f"denominator product B_k for indices {indices} is indistinguishable from zero"
         )
-        degenerate = exact_degenerate or abs(disc2) <= 4 * disc_bar
-        rate_constant = mp.mpf(0) if exact_degenerate else abs(disc2) / abs(b_k2) ** 2
+    return n_poly, d_poly, bracket
 
+
+def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitPrediction:
+    """Limit of M^n[num]/M^n[den] under certified dominance, plus rate data.
+
+    `limit` and `limit_error` come from limit_enclosure at twice the report's
+    precision, so the error bar is certified.  A = N/f' and B = D/f' at the
+    dominant and runner-up roots are evaluated at the report's root centres
+    and only feed the rate constant.  A ratio that is constant in n (N = c*D
+    modulo f; this covers num == den and the two named families) is
+    degenerate exactly; other degeneracies are decided numerically.
+    """
+    n_poly, d_poly, _ = _limit_data(f, num, den, report)
+    indices = tuple(int(v) for v in (*num, *den))
+    prec = max(report.work_prec, 192)
+    work_prec = 2 * prec
+    enc = limit_enclosure(f, x, num, den, report, work_prec * 30103 // 100000 + 1)
+    roots = report.roots.roots
+    with mp.workprec(work_prec):
+        limit = to_mpf(enc.center, mp)
+        slack = enc.radius + abs(mpf_to_rational(limit) - enc.center)
+        limit_error = mp.fdiv(slack.numerator, slack.denominator, rounding="u")
+        coeffs = f.monic_coefficients()
+        exact = (n_poly, d_poly, _derivative(coeffs))
+        *polys, f_prime = [[to_mpf(c, mp) for c in p] for p in exact]
+        (a_k, b_k), (a_l, b_l) = (
+            [mp.polyval(p, z) / mp.polyval(f_prime, z) for p in polys]
+            for z in (roots[report.dominant_index].center, roots[report.runner_up_index].center)
+        )
+        eps = mp.mpf(2) ** (-prec // 2)
+        disc = a_l * b_k - a_k * b_l
+        disc_bar = eps * (1 + abs(a_l * b_k) + abs(a_k * b_l))
+        exact_degenerate = _constant_quotient(n_poly, d_poly, coeffs) is not None
+        degenerate = exact_degenerate or abs(disc) <= 4 * disc_bar
+        rate_constant = mp.mpf(0) if exact_degenerate else abs(disc) / abs(b_k) ** 2
     return LimitPrediction(
-        indices=indices,
-        limit=limit2,
-        a_k=a_k2,
-        b_k=b_k2,
-        a_l=a_l2,
-        b_l=b_l2,
-        rate_constant=rate_constant,
-        degenerate=degenerate,
-        limit_error=limit_error,
-        work_prec=2 * prec,
+        indices, limit, a_k, b_k, a_l, b_l, rate_constant, degenerate, limit_error, work_prec
     )
 
 
 def limit_enclosure(f, x, num, den, report, digits, offset=0) -> Enclosure:
-    """Rational enclosure of the limit value with radius <= 10**-digits.
+    """Certified enclosure of limit + offset with radius <= 10**-digits.
 
-    Used when the limit is not recognized as a plain real root; the radius
-    comes from cross-precision agreement rather than a sign-change bracket.
+    With N, D and the bracket of _limit_data, three exact cases in order:
+    N = c*D modulo f gives the constant c with radius 0; if alpha_k is a
+    root of gcd(f, N + (offset - t) D), limit + offset is alpha_k itself and
+    its bracket is refined; otherwise N and D are evaluated in rational
+    interval arithmetic on the bracket, refined until the quotient is narrow
+    enough.
     """
+    n_poly, d_poly, bracket = _limit_data(f, num, den, report)
     offset = rational(offset)
-    target = rational(1, 10 ** int(digits))
-    prec = max(report.work_prec, int(digits * 3.33) + 64)
-    for _ in range(20):
-        pred = limit_ratio(f, x, num, den, report, precision_bits=prec)
-        with mp.workprec(pred.work_prec):
-            bar = pred.limit_error + abs(mp.im(pred.limit))
-            if mpf_to_rational(bar) <= target:
-                center = mpf_to_rational(mp.re(pred.limit)) + offset
-                return Enclosure(center, mpf_to_rational(bar))
-        prec *= 2
-    raise DomainError(f"could not enclose the limit to {digits} digits")
+    coeffs = f.monic_coefficients()
+    c = _constant_quotient(n_poly, d_poly, coeffs)
+    if c is not None:
+        return Enclosure(c + offset, rational(0))
+    shifted = _poly_sum(n_poly, [offset * d for d in d_poly], [-d for d in d_poly + (0,)])
+    if _root_in(_poly_gcd(coeffs, shifted), bracket):
+        return refine_to_decimal_digits(f, bracket, digits)
+
+    target = eps = rational(1, 10 ** int(digits))
+    while True:
+        est = refine_real_root(f, bracket, eps)
+        bracket = (est.center - est.radius, est.center + est.radius)
+        n_lo, n_hi = _interval_horner(n_poly, *bracket)
+        d_lo, d_hi = _interval_horner(d_poly, *bracket)
+        if d_lo > 0 or d_hi < 0:
+            ends = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
+            lo, hi = min(ends), max(ends)
+            if hi - lo <= 2 * target:
+                return Enclosure((lo + hi) / 2 + offset, (hi - lo) / 2)
+        eps /= 1 << 16
 
 
 def cubic_limit_matrix(f: Polynomial, numerator, report: ConvergenceReport):

@@ -6,7 +6,8 @@ Q[t]/(f) (``regrep.power``), and entries are read from ``regrep.matrix_of``.
 A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
 Errors are measured exactly against a certified rational enclosure of the
-limit (normally a refined real root), so no floating-point noise enters the
+limit (an exact constant, a refined real root, or rational interval
+arithmetic on a root's bracket), so no floating-point noise enters the
 reported |value - limit| numbers.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .backends import decimal_digit_count, floor_log10, rational, to_mpf
+from .backends import decimal_digit_count, floor_log10, rational
 from .errors import UsageError, ZeroDenominator
 from .regrep import (
     RegRepMatrix,
@@ -23,7 +24,6 @@ from .regrep import (
     multiply,
     power,
 )
-from .roots import Enclosure, isolating_interval_for, refine_to_decimal_digits
 
 
 @dataclass(frozen=True)
@@ -90,43 +90,22 @@ def _record_from_entries(entries, n, num, den, offset, target):
 def error_reference(M: RegRepMatrix, num, den, offset=0, n_max=100, min_digits=30):
     """Certified enclosure of the limit of the (num, den, offset) sequence.
 
-    The dominance analysis predicts the limit L and the error decay rate;
-    the enclosure is then refined until its radius is at least ten decimal
-    digits below the smallest error expected within n <= n_max.  When L +
-    offset coincides with a real root of f the enclosure comes from the
-    certified real-root refinement; otherwise from the Vandermonde limit
-    evaluated at increasing precision.
+    The dominance analysis predicts the error decay rate, and the enclosure
+    from ``convergence.limit_enclosure`` (an exact constant, a refined Sturm
+    bracket of the dominant root, or rational interval arithmetic on that
+    bracket) is asked for a radius at least ten decimal digits below the
+    smallest error expected within n <= n_max.
     """
     from . import convergence  # deferred: convergence builds on this module's records
 
     f, w = M.poly, M.weights
-    offset = rational(offset)
     report = convergence.analyze(f, w)
     pred = convergence.limit_ratio(f, w, num, den, report)
-
-    if pred.degenerate and tuple(num) + tuple(den) in constant_ratio_families(M.size):
-        # These ratios are exactly constant: A_t/B_t = 1/u_m for every t.
-        return Enclosure(rational(1) / f.u[-1] + offset, rational(0))
-
     with mp.workprec(report.work_prec):
-        log_c = mp.log10(report.c_value)
+        expected = n_max * mp.log10(report.c_value)
         if pred.rate_constant > 0:
-            expected = int(mp.ceil(n_max * log_c - mp.log10(pred.rate_constant)))
-        else:
-            expected = int(mp.ceil(n_max * log_c))
-        digits = max(min_digits, expected + 10)
-        target_value = pred.limit + to_mpf(offset, mp)
-
-        for est in report.roots:
-            if not est.is_real:
-                continue
-            margin = 4 * (pred.limit_error + est.radius) + mp.mpf(2) ** (
-                -report.work_prec // 2
-            )
-            if abs(est.center - target_value) <= margin:
-                interval = isolating_interval_for(f, est)
-                return refine_to_decimal_digits(f, interval, digits)
-
+            expected -= mp.log10(pred.rate_constant)
+        digits = max(min_digits, int(mp.ceil(expected)) + 10)
     return convergence.limit_enclosure(f, w, num, den, report, digits, offset)
 
 

@@ -277,7 +277,7 @@ def refine_real_root(f: Polynomial, interval, eps) -> RootEstimate:
             na, nb = (c1, c2) if c1 <= c2 else (c2, c1)
             na, nb = max(na, a), min(nb, b)
             if na <= nb and nb - na <= width / 2:
-                granule = (nb - na + width / 1024) / 16
+                granule = (nb - na) / 16 or eps / 16
                 na, nb = _dyadic_out(na, nb, granule)
                 na, nb = max(na, a), min(nb, b)
                 fna, fnb = f.eval(na), f.eval(nb)
@@ -465,6 +465,7 @@ def _to_exact(v):
     return mpf_to_rational(v) if isinstance(v, mp.mpf) else rational(v)
 
 
+@lru_cache(maxsize=128)
 def isolating_interval_for(f: Polynomial, estimate: RootEstimate):
     """The isolating interval (from Sturm isolation) containing a real root."""
     if not estimate.is_real:
@@ -475,12 +476,3 @@ def isolating_interval_for(f: Polynomial, estimate: RootEstimate):
             return (a, b)
     raise DomainError("no isolating interval matches the given estimate")
 
-
-def vieta_checks(roots: RootSet):
-    """(sum of roots, product of roots) as mpc values, for oracle sanity tests."""
-    total = mp.mpc(0)
-    prod = mp.mpc(1)
-    for e in roots:
-        total += e.center
-        prod *= e.center
-    return total, prod

@@ -131,6 +131,13 @@ class TestCRatio:
         assert code == 1
         assert ">= 64" in err
 
+    def test_negative_leading_value(self, capsys):
+        # argparse alone reads "-1,1,1" as an option and has --x miss its value
+        spaced = run_cli(capsys, "c-ratio", "--poly", "c:1,1,-2,-1", "--x", "-1,1,1")
+        joined = run_cli(capsys, "c-ratio", "--poly", "c:1,1,-2,-1", "--x=-1,1,1")
+        assert spaced[0] == 0
+        assert spaced == joined
+
 
 class TestLimits:
     def test_quadruples(self, capsys):
@@ -159,6 +166,13 @@ class TestLimits:
 
 
 class TestCompare:
+    def test_negative_initial_condition(self, capsys):
+        argv = ["compare", "--poly", "c:1,1,-2,-1", "--methods", "newton", "--steps", "2"]
+        spaced = run_cli(capsys, *argv, "--x0", "-3/2")
+        joined = run_cli(capsys, *argv, "--x0=-3/2")
+        assert spaced[0] == 0
+        assert spaced == joined
+
     def test_schema_and_values(self, capsys):
         code, out, _ = run_cli(
             capsys,

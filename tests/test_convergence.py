@@ -1,3 +1,6 @@
+from functools import lru_cache
+from itertools import product
+
 import mpmath as mp
 import pytest
 
@@ -16,11 +19,50 @@ from repapprox.errors import (
     DomainError,
     DominanceUndecidable,
     UsageError,
+    ZeroDenominator,
 )
 from repapprox.polynomial import parse_polynomial
 from repapprox.powers import ratio_sequence
 from repapprox.regrep import build
-from repapprox.roots import all_roots
+from repapprox.roots import (
+    Enclosure,
+    all_roots,
+    isolating_interval_for,
+    refine_to_decimal_digits,
+)
+
+# f = (t - 3)(t - 1)(t + 1) with gamma = alpha: alpha_k = 3 is a root of the
+# denominator polynomial t - 3 of B_k for den (2, 1), so B_k = 0 exactly.
+ZERO_B_K = ("c:1,-3,-1,3", (0, 1, 0))
+
+LIMIT_CASES = {
+    "ramanujan": ("c:1,1,-2,-1", (0, -1, 1)),
+    "quintic": ("c:1,-2,-4,6,2,-1", (0, 1, 0, 0, 0)),
+}
+
+
+@lru_cache(maxsize=None)
+def _vandermonde(text, x, dps=150):
+    """(V, V^-1, k) at `dps` digits; k is the root with the largest |gamma|."""
+    f = parse_polynomial(text)
+    with mp.workdps(dps):
+        roots = mp.polyroots([to_mpf(c, mp) for c in f.monic_coefficients()],
+                             maxsteps=400, extraprec=4 * dps)
+        gam = [sum(c * r**e for e, c in enumerate(x)) for r in roots]
+        k = max(range(len(roots)), key=lambda t: abs(gam[t]))
+        m = len(roots)
+        v = mp.matrix(m, m)
+        for t, r in enumerate(roots):
+            for s in range(m):
+                v[t, s] = r**s
+        return v, v**-1, k
+
+
+def _limit_cases():
+    for label, (text, x) in LIMIT_CASES.items():
+        m = len(x)
+        for i, j, p, q in product(range(1, m + 1), repeat=4):
+            yield pytest.param(text, x, (i, j), (p, q), id=f"{label}-{i}{j}-{p}{q}")
 
 
 def _nstr(x, sig):
@@ -122,6 +164,13 @@ class TestLimitRatio:
         report = analyze(ramanujan, (0, -1, 1))
         with pytest.raises(UsageError):
             limit_ratio(ramanujan, (0, -1, 1), (4, 1), (3, 1), report)
+
+    def test_zero_denominator_refused_exactly(self):
+        text, x = ZERO_B_K
+        f = parse_polynomial(text)
+        report = analyze(f, x)
+        with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
+            limit_ratio(f, x, (1, 1), (2, 1), report)
 
     def test_measured_ratio_approaches_limit(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
@@ -253,17 +302,47 @@ class TestRateReport:
 
 
 class TestLimitEnclosure:
-    def test_non_root_limit(self, ramanujan):
-        # (1,1)/(3,1) converges to r/alpha + offset handling via the numeric path
+    @pytest.mark.parametrize("text,x,num,den", _limit_cases())
+    def test_non_root_limit(self, text, x, num, den):
+        # Every entry ratio, whichever exact case encloses it (a constant, the
+        # dominant root itself, or interval arithmetic on its bracket), must
+        # contain the Vandermonde limit computed independently in mpmath.
+        f = parse_polynomial(text)
+        report = analyze(f, x)
+        enc = limit_enclosure(f, x, num, den, report, digits=60)
+        assert enc.radius <= rational(1, 10**60)
+        v, vinv, k = _vandermonde(text, x)
+        (i, j), (p, q) = num, den
+        with mp.workdps(150):
+            limit = vinv[i - 1, k] * v[k, j - 1] / (vinv[p - 1, k] * v[k, q - 1])
+            assert abs(mp.im(limit)) < mp.mpf(10) ** -140
+            miss = abs(mp.re(limit) - to_mpf(enc.center, mp)) - to_mpf(enc.radius, mp)
+            assert miss <= mp.mpf(10) ** -140
+
+    @pytest.mark.parametrize("num,den,offset", [((2, 1), (3, 1), -1), ((2, 2), (2, 1), 0)])
+    def test_root_limit_is_the_refined_root(self, ramanujan, num, den, offset):
+        # limit + offset = alpha_k exactly, so the enclosure is the root's own
+        # refined Sturm bracket, as Tables 1-5 and 7 measure against.
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        enc = limit_enclosure(ramanujan, x, (1, 1), (3, 1), report, digits=60)
-        assert enc.radius <= rational(1, 10**60)
-        alpha = mp.re(report.roots.roots[report.dominant_index].center)
-        with mp.workprec(report.work_prec):
-            target = 1 / alpha  # r = 1
-            center = to_mpf(enc.center.numerator, mp) / to_mpf(enc.center.denominator, mp)
-            assert abs(center - target) < mp.mpf(10) ** -55
+        enc = limit_enclosure(ramanujan, x, num, den, report, 60, offset)
+        bracket = isolating_interval_for(ramanujan, report.roots.roots[report.dominant_index])
+        assert enc == refine_to_decimal_digits(ramanujan, bracket, 60)
+
+    def test_exact_constant_ratio(self):
+        # (1,3)/(3,2) is -4 at every n here: N = -4 D modulo f.
+        f = parse_polynomial("c:1,-3,-4,4")
+        x = (-1, 0, 3)
+        report = analyze(f, x)
+        enc = limit_enclosure(f, x, (1, 3), (3, 2), report, digits=60)
+        assert enc == Enclosure(rational(-4), rational(0))
+
+    def test_zero_denominator_refused_exactly(self):
+        text, x = ZERO_B_K
+        f = parse_polynomial(text)
+        report = analyze(f, x)
+        with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
+            limit_enclosure(f, x, (1, 1), (2, 1), report, digits=60)
 
 
 def test_find_certified_weights(ramanujan):

@@ -12,8 +12,17 @@ from repapprox.roots import (
     isolate_real_roots,
     refine_real_root,
     refine_to_decimal_digits,
-    vieta_checks,
 )
+
+
+def vieta_checks(roots):
+    """(sum of roots, product of roots) as mpc values."""
+    total = mp.mpc(0)
+    prod = mp.mpc(1)
+    for e in roots:
+        total += e.center
+        prod *= e.center
+    return total, prod
 
 
 class TestIsolation:
@@ -106,6 +115,25 @@ class TestRefinement:
         enc = refine_to_decimal_digits(ramanujan, interval, 500)
         assert enc.radius <= rational(1, 10**500)
         assert ramanujan.eval(enc.lo) * ramanujan.eval(enc.hi) < 0
+
+    def test_newton_contraction_is_quadratic(self, ramanujan):
+        # Bisection alone needs about 7650 halvings for 10^-2300; a linear
+        # Newton contraction needs over 1500 evaluations.  Quadratic
+        # convergence doubles the digits per step and needs a few dozen.
+        class Counting(Polynomial):
+            __slots__ = ("calls",)
+
+            def eval(self, t, derivative_order=0):
+                object.__setattr__(self, "calls", self.calls + 1)
+                return super().eval(t, derivative_order)
+
+        f = Counting(ramanujan.u)
+        object.__setattr__(f, "calls", 0)
+        interval = isolate_real_roots(ramanujan)[0]
+        enc = refine_to_decimal_digits(f, interval, 2300)
+        assert enc.radius <= rational(1, 10**2300)
+        assert f.eval(enc.lo) * f.eval(enc.hi) < 0
+        assert f.calls <= 100
 
 
 class TestAllRoots:
