@@ -85,7 +85,7 @@ def _build_parser():
     p = subs.add_parser("tables", help="reproduce published tables")
     p.add_argument("--id", dest="table_id", help="1..7 or 'all'")
     p.add_argument("--out", help="output directory (default: $REPAPPROX_OUT or .)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per table")
     p.add_argument("--time", action="store_true", help="report elapsed time per table")
     _add_common(p)
 
@@ -332,9 +332,12 @@ def _cmd_tables(args, out):
     for tid in ids:
         if not 1 <= tid <= 7:
             raise UsageError(f"--id must be within 1..7, got {tid}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    workers = min(args.jobs, len(ids))
     out_dir = args.out or os.environ.get("REPAPPROX_OUT") or "."
-    if args.jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(bench.reproduce_table, ids))
     else:
         results = [bench.reproduce_table(tid) for tid in ids]

@@ -19,7 +19,7 @@ from itertools import product as iter_product
 
 import mpmath as mp
 
-from .backends import mpf_to_rational, rational, to_mpf
+from .backends import floor_log10, mpf_to_rational, rational, to_mpf
 from .errors import (
     DegenerateRatio,
     DomainError,
@@ -238,17 +238,20 @@ def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitP
 
 
 def limit_enclosure(f, x, num, den, report, digits, offset=0) -> Enclosure:
-    """Certified enclosure of limit + offset with radius <= 10**-digits.
-
-    With N, D and the bracket of _limit_data, three exact cases in order:
-    N = c*D modulo f gives the constant c with radius 0; if alpha_k is a
-    root of gcd(f, N + (offset - t) D), limit + offset is alpha_k itself and
-    its bracket is refined; otherwise N and D are evaluated in rational
-    interval arithmetic on the bracket, refined until the quotient is narrow
-    enough.
-    """
+    """Certified enclosure of limit + offset with radius <= 10**-digits."""
     n_poly, d_poly, bracket = _limit_data(f, num, den, report)
-    offset = rational(offset)
+    return _enclose(f, n_poly, d_poly, bracket, digits, rational(offset))
+
+
+def _enclose(f, n_poly, d_poly, bracket, digits, offset):
+    """Enclosure of N(alpha)/D(alpha) + offset, alpha in bracket, radius <= 10**-digits.
+
+    Three exact cases in order: N = c*D modulo f gives the constant c with
+    radius 0; if alpha is a root of gcd(f, N + (offset - t) D), limit +
+    offset is alpha itself and its bracket is refined; otherwise N and D are
+    evaluated in rational interval arithmetic on the bracket, refined until
+    the quotient is narrow enough.
+    """
     coeffs = f.monic_coefficients()
     c = _constant_quotient(n_poly, d_poly, coeffs)
     if c is not None:
@@ -269,6 +272,37 @@ def limit_enclosure(f, x, num, den, report, digits, offset=0) -> Enclosure:
             if hi - lo <= 2 * target:
                 return Enclosure((lo + hi) / 2 + offset, (hi - lo) / 2)
         eps /= 1 << 16
+
+
+def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:
+    """Certified enclosure of limit + offset that resolves every value's error.
+
+    `limit` is (N, D, bracket) as from _limit_data: the limit is
+    N(alpha)/D(alpha) for the root alpha of f in bracket.  The first round
+    works at 30 digits; a value inside it that is exactly limit + offset
+    (alpha is a root of gcd(f, N + (offset - v) D)) is returned with radius
+    0, so its error is exactly 0.  Otherwise the digits grow until every
+    value lies at least 10**20 radii from the centre, so each |value - centre|
+    is its true error to about 20 significant digits.
+    """
+    n_poly, d_poly, bracket = limit
+    offset = rational(offset)
+    coeffs = f.monic_coefficients()
+    digits = 30
+    enc = _enclose(f, n_poly, d_poly, bracket, digits, offset)
+    for v in values:
+        if abs(v - enc.center) <= enc.radius:
+            shifted = _poly_sum(n_poly, [(offset - v) * d for d in d_poly])
+            if _root_in(_poly_gcd(coeffs, shifted), bracket):
+                return Enclosure(v, rational(0))
+    while True:
+        margin = enc.radius * 10**20
+        close = [e for e in (abs(v - enc.center) for v in values) if e < margin]
+        if not close:
+            return enc
+        smallest = min(close)
+        digits = max(2 * digits, -floor_log10(smallest) + 21 if smallest else 0)
+        enc = _enclose(f, n_poly, d_poly, bracket, digits, offset)
 
 
 def cubic_limit_matrix(f: Polynomial, numerator, report: ConvergenceReport):

@@ -8,13 +8,14 @@ meaningful.  A growth budget stops runs whose denominators would outgrow
 per step on a cubic).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .backends import decimal_digit_count, floor_log10, rational
+from .backends import decimal_digit_count, rational
+from .convergence import resolving_enclosure
 from .errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
 from .polynomial import Polynomial
 from .powers import ApproximationRecord
-from .roots import Enclosure, isolate_real_roots, refine_to_decimal_digits
+from .roots import Enclosure, isolate_real_roots
 
 METHODS = ("newton", "halley", "noor")
 
@@ -112,12 +113,12 @@ def _digit_records(states):
     ]
 
 
-def _resolve_target(f, x_final) -> Enclosure:
+def _resolve_target(f, values) -> Enclosure:
+    """Enclosure of the real root nearest the final value, resolving every error."""
     intervals = isolate_real_roots(f)
     if not intervals:
         raise DomainError("polynomial has no real root for the iteration to approach")
-    if f.eval(x_final) == 0:
-        return Enclosure(x_final, rational(0))
+    x_final = values[-1]
 
     def distance(iv):
         a, b = iv
@@ -126,54 +127,48 @@ def _resolve_target(f, x_final) -> Enclosure:
         return min(abs(x_final - a), abs(x_final - b))
 
     interval = min(intervals, key=distance)
-    digits = 30
-    while True:
-        enc = refine_to_decimal_digits(f, interval, digits)
-        err = abs(x_final - enc.center)
-        if err == 0:
-            return Enclosure(enc.center, enc.radius)  # iterate sits inside enclosure
-        if err > 10 * enc.radius:
-            return enc
-        digits = max(digits * 2, -floor_log10(err) + 20)
+    # The root is N(alpha)/D(alpha) with N = t and D = 1.
+    return resolving_enclosure(f, ((rational(1), rational(0)), (rational(1),), interval), values)
 
 
-def run_method(
-    method,
-    f: Polynomial,
-    x0,
-    steps,
-    target: Enclosure = None,
-    max_den_digits=150_000,
-    compute_errors=True,
-):
-    """Iterate `method` from x0, recording digits and exact errors per step.
+def iterate_records(method, f: Polynomial, x0, steps, max_den_digits=150_000):
+    """Iterate `method` from x0: one record per step, with digits but no errors.
 
-    The error reference is a certified enclosure of the real root nearest to
-    the final iterate, refined until every reported error dominates the
-    enclosure radius.  Runs stop early (records list shorter than `steps`)
-    when the next step would exceed the denominator budget.
+    Runs stop early (records list shorter than `steps`) when the next step
+    would exceed the denominator budget.
     """
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    states = _iterate(f, method, x0, steps, max_den_digits)
-    if not compute_errors:
-        return _digit_records(states)
-    if not states:
+    return _digit_records(_iterate(f, method, x0, steps, max_den_digits))
+
+
+def with_errors(f: Polynomial, records, target: Enclosure = None):
+    """records with abs_error against target, or the root they approach.
+
+    Without a target, the reference is the real root nearest the final
+    value, enclosed by ``convergence.resolving_enclosure``: a value proven
+    to be the root gets error 0, every other one lies at least 10**20 radii
+    from the centre.
+    """
+    if not records:
         return []
     if target is None:
-        target = _resolve_target(f, states[-1].x_n)
-    return [
-        ApproximationRecord(
-            n=s.n,
-            value=s.x_n,
-            abs_error=abs(s.x_n - target.center),
-            den_digits=decimal_digit_count(s.x_n.denominator),
-            reduced_den_digits=decimal_digit_count(s.x_n.denominator),
-        )
-        for s in states
-    ]
+        target = _resolve_target(f, [r.value for r in records])
+    return [replace(r, abs_error=abs(r.value - target.center)) for r in records]
+
+
+def run_method(
+    method, f: Polynomial, x0, steps, target: Enclosure = None, max_den_digits=150_000
+):
+    """Iterate `method` from x0, recording digits and exact errors per step.
+
+    iterate_records, then with_errors: every error is exactly 0 or resolved
+    to at least 10**20 radii of a certified enclosure of the nearest real
+    root.  Runs stop early when the next step would exceed the budget.
+    """
+    return with_errors(f, iterate_records(method, f, x0, steps, max_den_digits), target)
 
 
 @dataclass(frozen=True)
@@ -183,6 +178,7 @@ class SweepRow:
     measured: dict  # n -> denominator digits (None where unavailable)
     matches: int
     total: int
+    records: tuple  # the run's ApproximationRecords, without errors
 
 
 def sweep_initial_conditions(
@@ -203,16 +199,15 @@ def sweep_initial_conditions(
         max_n = max(want)
         for x0 in candidates:
             try:
-                records = run_method(
-                    method, f, x0, max_n,
-                    max_den_digits=max_den_digits, compute_errors=False,
-                )
+                records = iterate_records(method, f, x0, max_n, max_den_digits)
             except (IterationDiverged, ZeroDenominator):
                 records = []
             by_n = {r.n: r.den_digits for r in records}
             measured = {n: by_n.get(n) for n in sorted(want)}
             matches = sum(1 for n, d in want.items() if measured.get(n) == d)
-            rows.append(SweepRow(method, rational(x0), measured, matches, len(want)))
+            rows.append(
+                SweepRow(method, rational(x0), measured, matches, len(want), tuple(records))
+            )
     best = {}
     for row in rows:
         cur = best.get(row.method)

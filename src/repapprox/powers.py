@@ -5,17 +5,18 @@ Q[t]/(f) (``regrep.power``), and entries are read from ``regrep.matrix_of``.
 
 A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
-Errors are measured exactly against a certified rational enclosure of the
-limit (an exact constant, a refined real root, or rational interval
-arithmetic on a root's bracket), so no floating-point noise enters the
-reported |value - limit| numbers.
+Errors are measured exactly against one certified rational enclosure of
+the limit per sequence (an exact constant, a refined real root, or rational
+interval arithmetic on a root's bracket), from
+``convergence.resolving_enclosure``: a value proven equal to the limit gets
+error 0, and every other value lies at least 10**20 radii from the centre,
+so no floating-point noise enters the reported |value - limit| numbers.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import mpmath as mp
-
-from .backends import decimal_digit_count, floor_log10, rational
+from .backends import decimal_digit_count, rational
+from .convergence import _limit_data, analyze, resolving_enclosure
 from .errors import UsageError, ZeroDenominator
 from .regrep import (
     RegRepMatrix,
@@ -68,7 +69,7 @@ def _check_index(pair, m, label):
     return (int(i), int(j))
 
 
-def _record_from_entries(entries, n, num, den, offset, target):
+def _record_from_entries(entries, n, num, den, offset):
     e_num = entries[num[0] - 1][num[1] - 1]
     e_den = entries[den[0] - 1][den[1] - 1]
     if e_den == 0:
@@ -77,36 +78,23 @@ def _record_from_entries(entries, n, num, den, offset, target):
     unreduced_den = (
         abs(int(e_num.denominator) * int(e_den.numerator)) * int(offset.denominator)
     )
-    err = None if target is None else abs(value - target.center)
     return ApproximationRecord(
         n=n,
         value=value,
-        abs_error=err,
         den_digits=decimal_digit_count(unreduced_den),
         reduced_den_digits=decimal_digit_count(value.denominator),
     )
 
 
-def error_reference(M: RegRepMatrix, num, den, offset=0, n_max=100, min_digits=30):
-    """Certified enclosure of the limit of the (num, den, offset) sequence.
-
-    The dominance analysis predicts the error decay rate, and the enclosure
-    from ``convergence.limit_enclosure`` (an exact constant, a refined Sturm
-    bracket of the dominant root, or rational interval arithmetic on that
-    bracket) is asked for a radius at least ten decimal digits below the
-    smallest error expected within n <= n_max.
-    """
-    from . import convergence  # deferred: convergence builds on this module's records
-
-    f, w = M.poly, M.weights
-    report = convergence.analyze(f, w)
-    pred = convergence.limit_ratio(f, w, num, den, report)
-    with mp.workprec(report.work_prec):
-        expected = n_max * mp.log10(report.c_value)
-        if pred.rate_constant > 0:
-            expected -= mp.log10(pred.rate_constant)
-        digits = max(min_digits, int(mp.ceil(expected)) + 10)
-    return convergence.limit_enclosure(f, w, num, den, report, digits, offset)
+def _with_errors(records, f, limit, offset, target):
+    """records with abs_error against target, or against resolving_enclosure."""
+    if target is None:
+        values = [r.value for r in records if r.available]
+        target = resolving_enclosure(f, limit, values, offset)
+    return [
+        replace(r, abs_error=abs(r.value - target.center)) if r.available else r
+        for r in records
+    ]
 
 
 def ratio_sequence(
@@ -114,9 +102,11 @@ def ratio_sequence(
 ) -> list:
     """ApproximationRecords for value(n) = M^n[num]/M^n[den] + offset.
 
-    `target` is a certified Enclosure of the limit; if omitted it is resolved
-    automatically from the dominance analysis.  Zero denominator entries mark
-    the record unavailable instead of failing the run.
+    `target` is a certified Enclosure of the limit, used as given.  If
+    omitted, ``convergence.resolving_enclosure`` encloses the limit tightly
+    enough that every error is exactly 0 (a value proven equal to the limit)
+    or at least 10**20 radii.  Zero denominator entries mark the record
+    unavailable instead of failing the run.
     """
     m = M.size
     num = _check_index(num, m, "numerator")
@@ -127,10 +117,10 @@ def ratio_sequence(
         return []
     if ns[0] < 0:
         raise UsageError("sequence indices must be nonnegative")
-    if target is None:
-        target = error_reference(M, num, den, offset, n_max=ns[-1])
-
-    f, x = M.poly, M.weights.x
+    # Dominance and the limit are certified before any power is taken.
+    f = M.poly
+    limit = _limit_data(f, num, den, analyze(f, M.weights)) if target is None else None
+    x = M.weights.x
     records = []
     current = power(f, x, ns[0])
     prev_n = ns[0]
@@ -138,39 +128,13 @@ def ratio_sequence(
         if n != prev_n:
             current = multiply(f, current, power(f, x, n - prev_n))
             prev_n = n
-        records.append(
-            _record_from_entries(matrix_of(f, current), n, num, den, offset, target)
-        )
+        records.append(_record_from_entries(matrix_of(f, current), n, num, den, offset))
 
-    records = _ensure_error_resolution(records, M, num, den, offset, ns[-1], target)
     if all(not r.available for r in records):
         raise ZeroDenominator(
             f"denominator entry M^n[{den}] vanished at every requested n"
         )
-    return records
-
-
-def _ensure_error_resolution(records, M, num, den, offset, n_max, target):
-    """Re-refine the limit enclosure if any error is drowned by its radius."""
-    if target.radius == 0:
-        return records
-    nonzero = [r.abs_error for r in records if r.available and r.abs_error > 0]
-    if not nonzero or min(nonzero) > 10 * target.radius:
-        return records
-    err_digits = -floor_log10(min(nonzero)) + 20
-    better = error_reference(M, num, den, offset, n_max, min_digits=err_digits)
-    return [
-        r
-        if not r.available
-        else ApproximationRecord(
-            n=r.n,
-            value=r.value,
-            abs_error=abs(r.value - better.center),
-            den_digits=r.den_digits,
-            reduced_den_digits=r.reduced_den_digits,
-        )
-        for r in records
-    ]
+    return _with_errors(records, f, limit, offset, target)
 
 
 def accelerated_sequence(
@@ -181,7 +145,7 @@ def accelerated_sequence(
     Step k re-raises the previous element power to the stride-th power, so
     six steps at stride 3 reach M^729 with a handful of multiplications.
     stride 1 degenerates to plain stepping (identical to ratio_sequence over
-    1..steps).
+    1..steps).  Errors are resolved as in ratio_sequence.
     """
     if stride < 1:
         raise UsageError("stride must be >= 1")
@@ -199,21 +163,18 @@ def accelerated_sequence(
             f"stride**steps = {n_max} is beyond any tractable matrix power; "
             "reduce --steps"
         )
-    if target is None:
-        target = error_reference(M, num, den, offset, n_max=n_max)
+    # Dominance and the limit are certified before any power is taken.
     f = M.poly
+    limit = _limit_data(f, num, den, analyze(f, M.weights)) if target is None else None
     records = []
     current = power(f, M.weights.x, stride)
     n = stride
     for step in range(1, steps + 1):
-        records.append(
-            _record_from_entries(matrix_of(f, current), n, num, den, offset, target)
-        )
+        records.append(_record_from_entries(matrix_of(f, current), n, num, den, offset))
         if step < steps:
             current = power(f, current, stride)
             n *= stride
-    records = _ensure_error_resolution(records, M, num, den, offset, n_max, target)
-    return records
+    return _with_errors(records, f, limit, offset, target)
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,11 @@ def _poly_mod(a, b):
 
 
 def _poly_gcd(a, b):
+    """gcd over Q; a nonzero constant is returned as soon as one appears."""
     a, b = _trim(a), _trim(b)
     while b != (rational(0),):
+        if len(b) == 1:
+            return b
         a, b = b, _poly_mod(a, b)
     return a
 

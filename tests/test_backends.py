@@ -127,14 +127,19 @@ print("fallback ok")
 
 
 def test_stdlib_fraction_fallback():
-    # backend choice happens at import, so exercise it in a fresh interpreter
+    # backend choice happens at import, so exercise it in a fresh interpreter;
+    # it imports the package from wherever this process found it
     import os
     import subprocess
     import sys
 
+    import repapprox
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repapprox.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-c", _FALLBACK_SNIPPET],
-        env={**os.environ, "REPAPPROX_BACKEND": "python"},
+        env={**os.environ, "PYTHONPATH": path, "REPAPPROX_BACKEND": "python"},
         capture_output=True,
         text=True,
         timeout=120,

@@ -1,5 +1,7 @@
 import json
+import time
 
+from repapprox import cli
 from repapprox.cli import main
 
 
@@ -51,6 +53,32 @@ class TestApprox:
         assert lines[0] == "n,value_num,value_den,abs_error,den_digits,reduced_den_digits"
         assert lines[1].startswith("5,-1429,793,7.99187e-5,3,3")
         assert lines[2].endswith(",14,12")
+
+    def test_limit_reached_with_no_runner_up_prints_zero_errors(self, capsys):
+        # f = t(t-1)(t+2), g = t(t+2): g vanishes at two roots, so c is
+        # infinite and every ratio already equals the limit 1.
+        code, out, _ = run_cli(
+            capsys,
+            "approx", "--poly", "c:1,1,-2,0", "--x", "0,2,1",
+            "--num", "2,2", "--den", "2,1", "--n", "5,6",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["5,1,1,0,3,1", "6,1,1,0,3,1"]
+
+    def test_exact_non_dyadic_limit_returns_quickly(self, capsys):
+        # The limit 1/3 repeats at every n and no dyadic bracket end hits it,
+        # so only the exactness test can end the resolution.
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys,
+            "approx", "--poly", "c:1,5/3,-2/3,0", "--x", "0,2,1",
+            "--num", "2,2", "--den", "2,1", "--n", "5,6",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert [line.split(",")[1:4] for line in out.splitlines()[1:]] == [
+            ["1", "3", "0"], ["1", "3", "0"]
+        ]
 
     def test_auto_offset(self, capsys):
         code, out, err = run_cli(
@@ -185,6 +213,17 @@ class TestCompare:
         newton3 = next(l for l in lines if l.startswith("newton,3,"))
         assert newton3.split(",")[2:4] == ["-810791467", "449955054"]
 
+    def test_error_resolved_far_below_its_reference(self, capsys):
+        # |x_5 - alpha| = 6.2345772e-34 (mpmath, 400 digits); a reference
+        # only 10 radii below the error printed 6.23264e-34.
+        code, out, _ = run_cli(
+            capsys, "compare", "--poly", "c:1,-3,1,1", "--methods", "newton",
+            "--x0=-1/3", "--steps", "5",
+        )
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[:2] == ["newton", "5"]
+        assert out.splitlines()[-1].split(",")[4] == "6.23458e-34"
+
     def test_unknown_method(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", "--poly", "c:1,1,-2,-1", "--methods", "secant",
@@ -237,6 +276,37 @@ class TestTables:
         assert code == 0
         assert (tmp_path / "table1.csv").exists()
         assert (tmp_path / "table2.csv").exists()
+
+    def test_jobs_clamped_to_table_count(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        code, _, _ = run_cli(
+            capsys, "tables", "--id", "1,2", "--out", str(tmp_path), "--jobs", "64"
+        )
+        assert code == 0
+        assert seen == [2]
+
+    def test_jobs_below_one_refused(self, capsys, tmp_path):
+        for jobs in ("0", "-3"):
+            code, _, err = run_cli(
+                capsys, "tables", "--id", "1,2", "--out", str(tmp_path), "--jobs", jobs
+            )
+            assert code == 1
+            assert "--jobs must be >= 1" in err
 
 
 class TestConfigAndErrors:

@@ -7,12 +7,14 @@ import pytest
 import repapprox as ra
 from repapprox.backends import rational, to_mpf
 from repapprox.convergence import (
+    _limit_data,
     analyze,
     cubic_limit_matrix,
     find_certified_weights,
     limit_enclosure,
     limit_ratio,
     rate_report,
+    resolving_enclosure,
 )
 from repapprox.errors import (
     DegenerateRatio,
@@ -21,12 +23,14 @@ from repapprox.errors import (
     UsageError,
     ZeroDenominator,
 )
+from repapprox.iterative import run_method
 from repapprox.polynomial import parse_polynomial
 from repapprox.powers import ratio_sequence
 from repapprox.regrep import build
 from repapprox.roots import (
     Enclosure,
     all_roots,
+    isolate_real_roots,
     isolating_interval_for,
     refine_to_decimal_digits,
 )
@@ -343,6 +347,43 @@ class TestLimitEnclosure:
         report = analyze(f, x)
         with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
             limit_enclosure(f, x, (1, 1), (2, 1), report, digits=60)
+
+
+def _assert_resolved(enc, values):
+    # Each value is the exact limit (radius 0, value at the centre) or lies
+    # at least 10**20 radii from the centre, so its printed error is true.
+    for v in values:
+        exact = enc.radius == 0 and v == enc.center
+        assert exact or abs(v - enc.center) >= enc.radius * 10**20
+
+
+class TestResolvingEnclosure:
+    @pytest.mark.parametrize("x", [(0, 0, 1), (1, -1, 1), (0, -1, 1), (69, 99, -124)])
+    def test_table1_sequences_resolved(self, ramanujan, x):
+        matrix = build(ramanujan, [rational(c) for c in x])
+        values = [r.value for r in ratio_sequence(matrix, (2, 1), (3, 1), -1, range(5, 101))]
+        limit = _limit_data(ramanujan, (2, 1), (3, 1), analyze(ramanujan, x))
+        enc = resolving_enclosure(ramanujan, limit, values, -1)
+        assert enc.radius > 0
+        _assert_resolved(enc, values)
+
+    def test_newton_run_resolved(self, ramanujan):
+        values = [r.value for r in run_method("newton", ramanujan, rational(-2), 10)]
+        bracket = next(
+            (a, b) for a, b in isolate_real_roots(ramanujan) if a <= values[-1] <= b
+        )
+        t, one = (rational(1), rational(0)), (rational(1),)
+        enc = resolving_enclosure(ramanujan, (t, one, bracket), values)
+        assert enc.radius > 0
+        _assert_resolved(enc, values)
+
+    def test_exact_value_gives_radius_zero(self):
+        # f = t(t + 2)(t - 1/3), g = t(t + 2): the ratio is 1/3 at every n.
+        f = parse_polynomial("c:1,5/3,-2/3,0")
+        x = (0, 2, 1)
+        values = [r.value for r in ratio_sequence(build(f, x), (2, 2), (2, 1), 0, (5, 6))]
+        enc = resolving_enclosure(f, _limit_data(f, (2, 2), (2, 1), analyze(f, x)), values)
+        assert enc == Enclosure(rational(1, 3), rational(0))
 
 
 def test_find_certified_weights(ramanujan):

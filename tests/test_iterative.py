@@ -5,6 +5,7 @@ from repapprox.errors import DomainError, IterationDiverged, UsageError, ZeroDen
 from repapprox.iterative import (
     IterativeState,
     halley_step,
+    iterate_records,
     newton_step,
     noor_step,
     run_method,
@@ -84,16 +85,14 @@ class TestRunMethod:
         ]
 
     def test_noor_budget_truncation(self, ramanujan):
-        records = run_method(
-            "noor", ramanujan, rational(-2), 6, max_den_digits=5000, compute_errors=False
-        )
+        records = iterate_records("noor", ramanujan, rational(-2), 6, max_den_digits=5000)
         assert 0 < len(records) < 6
         assert records[-1].den_digits <= 5000
 
     def test_divergence_detected(self):
         f = parse_polynomial("c:1,0,1")  # no real roots
         with pytest.raises(IterationDiverged) as info:
-            run_method("halley", f, rational(1, 2), 25, compute_errors=False)
+            iterate_records("halley", f, rational(1, 2), 25)
         assert info.value.records  # partial digit records attached
 
     def test_no_real_root_for_reference(self):
@@ -132,12 +131,12 @@ class TestOrders:
         assert started
 
     def test_denominator_growth_factors(self, ramanujan):
-        newton = run_method("newton", ramanujan, rational(-2), 10, compute_errors=False)
+        newton = iterate_records("newton", ramanujan, rational(-2), 10)
         ratios = [
             b.den_digits / a.den_digits for a, b in zip(newton[4:], newton[5:])
         ]
         assert all(r >= 2 for r in ratios)
-        halley = run_method("halley", ramanujan, rational(-2), 6, compute_errors=False)
+        halley = iterate_records("halley", ramanujan, rational(-2), 6)
         ratios = [
             b.den_digits / a.den_digits for a, b in zip(halley[2:], halley[3:])
         ]
