@@ -15,16 +15,14 @@ closed cubic forms are kept as an independent cross-check path.
 """
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import mpmath as mp
 
-from .backends import floor_log10, mpf_to_rational, rational, to_mpf
+from .backends import floor_log10, format_rational, mpf_to_rational, rational, to_mpf
 from .errors import (
     DegenerateRatio,
     DomainError,
     DominanceUndecidable,
-    RootSeparationError,
     UsageError,
     ZeroDenominator,
 )
@@ -144,7 +142,8 @@ def analyze(f: Polynomial, x, precision_bits=256, ceiling_bits=None) -> Converge
                 )
         prec *= 2
     raise DominanceUndecidable(
-        f"no strictly dominant gamma certifiable for x={tuple(w.x)} up to "
+        f"no strictly dominant gamma certifiable for "
+        f"x=({','.join(map(format_rational, w.x))}) up to "
         f"{ceiling} bits (tied moduli?)"
     )
 
@@ -339,7 +338,9 @@ def rate_report(prediction: LimitPrediction, report: ConvergenceReport, measured
     """Compare the measured log10-error slope with the predicted -log10(c).
 
     Uses the tail half of the usable records (available, nonzero error) and a
-    least-squares fit of log10 |error| against n.
+    least-squares fit of log10 |error| against n.  Public API (exported from
+    the package): it is how a user checks the paper's rate claim on a
+    sequence, and the acceptance tests use it for exactly that.
     """
     if prediction.degenerate:
         raise DegenerateRatio(
@@ -381,24 +382,3 @@ def rate_report(prediction: LimitPrediction, report: ConvergenceReport, measured
         points=len(tail),
     )
 
-
-def find_certified_weights(f: Polynomial, target_index, bound=3, precision_bits=256):
-    """Search small integer weights giving certified dominance at a root index.
-
-    Brute force over x in {-bound..bound}^m; returns (weights, c) pairs
-    sorted by decreasing c.  No completeness claim: this is a convenience
-    for choosing which root the powers of M will approximate.
-    """
-    m = f.degree
-    found = []
-    for xs in iter_product(range(-bound, bound + 1), repeat=m):
-        if all(c == 0 for c in xs) or all(c == 0 for c in xs[1:]):
-            continue
-        try:
-            report = analyze(f, xs, precision_bits, ceiling_bits=precision_bits * 4)
-        except (DominanceUndecidable, RootSeparationError):
-            continue
-        if report.dominant_index == target_index:
-            found.append((xs, report.c_value))
-    found.sort(key=lambda pair: (-pair[1], pair[0]))
-    return found

@@ -6,14 +6,23 @@ digit-count-versus-accuracy comparison against matrix-power sequences
 meaningful.  A growth budget stops runs whose denominators would outgrow
 `max_den_digits` (the Noor corrector multiplies digit counts by roughly 21
 per step on a cubic).
+
+The kernel is integer arithmetic.  For an iterate x = p/q and a form
+F(p, q) = sum c_i p^(k-i) q^i, F, F1 and F2 are the homogenised L f, L f'
+and L f'' (L the common denominator of f's coefficients, see
+``Polynomial.integer_forms``), each evaluated by integer Horner.  Every
+update formula is then one quotient of ints, reduced once, so each step
+takes one gcd, the one the reduced digit count needs.  Residual growth
+|f(x_n)| > |f(x_n-1)| is decided on |F| and q by bit lengths or
+cross-multiplication, with no gcd at all.
 """
 
 from dataclasses import dataclass, replace
 
-from .backends import decimal_digit_count, rational
+from .backends import as_int_pair, decimal_digit_count, rational
 from .convergence import resolving_enclosure
 from .errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
-from .polynomial import Polynomial
+from .polynomial import Polynomial, homogeneous_eval
 from .powers import ApproximationRecord
 from .roots import Enclosure, isolate_real_roots
 
@@ -29,36 +38,42 @@ class IterativeState:
 
 
 def newton_step(f: Polynomial, x):
-    """x - f(x)/f'(x), reduced."""
-    x = rational(x)
-    d = f.eval(x, 1)
+    """x - f(x)/f'(x), reduced: (p F1 - F) / (q F1) for x = p/q."""
+    p, q = as_int_pair(x)
+    lf, lf1, _ = f.integer_forms()
+    d = homogeneous_eval(lf1, p, q)
     if d == 0:
-        raise ZeroDenominator(f"f'({x}) = 0 in a Newton step")
-    return x - f.eval(x) / d
+        raise ZeroDenominator(f"f'({rational(x)}) = 0 in a Newton step")
+    return rational(p * d - homogeneous_eval(lf, p, q), q * d)
 
 
 def halley_step(f: Polynomial, x):
-    """x - 2 f f' / (2 f'^2 - f f''), reduced."""
-    x = rational(x)
-    fx, dfx, ddfx = f.eval(x), f.eval(x, 1), f.eval(x, 2)
-    denom = 2 * dfx * dfx - fx * ddfx
-    if denom == 0:
-        raise ZeroDenominator(f"Halley denominator vanished at {x}")
-    return x - 2 * fx * dfx / denom
+    """x - 2 f f' / (2 f'^2 - f f''), reduced: (p H - 2 F F1) / (q H).
+
+    H = 2 F1^2 - F F2 at x = p/q.
+    """
+    p, q = as_int_pair(x)
+    fx, dfx, ddfx = (homogeneous_eval(c, p, q) for c in f.integer_forms())
+    h = 2 * dfx * dfx - fx * ddfx
+    if h == 0:
+        raise ZeroDenominator(f"Halley denominator vanished at {rational(x)}")
+    return rational(p * h - 2 * fx * dfx, q * h)
 
 
 def noor_step(f: Polynomial, x):
     """Predictor-corrector pair (y, next x).
 
     y is a Newton step; the corrector subtracts the next Newton increment and
-    a second-order term f(y)^2 f''(y) / (2 f'(y)^3), all evaluated at y.
+    a second-order term f(y)^2 f''(y) / (2 f'(y)^3), all evaluated at y = p/q:
+    next x = (2 p F1^3 - 2 F F1^2 - F^2 F2) / (2 q F1^3).
     """
     y = newton_step(f, x)
-    fy, dfy, ddfy = f.eval(y), f.eval(y, 1), f.eval(y, 2)
+    p, q = as_int_pair(y)
+    fy, dfy, ddfy = (homogeneous_eval(c, p, q) for c in f.integer_forms())
     if dfy == 0:
         raise ZeroDenominator(f"f'({y}) = 0 in a Noor corrector")
-    nxt = y - fy / dfy - fy * fy * ddfy / (2 * dfy**3)
-    return y, nxt
+    dfy2 = dfy * dfy
+    return y, rational(2 * dfy2 * (p * dfy - fy) - fy * fy * ddfy, 2 * q * dfy2 * dfy)
 
 
 def step(f: Polynomial, state: IterativeState) -> IterativeState:
@@ -78,10 +93,32 @@ def _growth_factor(method, m):
     return {"newton": m, "halley": 2 * m - 1, "noor": m * (2 * m + 1)}[method]
 
 
+def _residual_grew(cur, prev, m):
+    """|F_n| / q_n^m > |F_n-1| / q_n-1^m for residual pairs (|F|, q), exactly.
+
+    |f(x)| = |F(p, q)| / (L q^m).  Bit lengths put each log2 |F| / q^m in an
+    interval of width m + 1, which settles almost every step; only when the
+    intervals overlap are the sides cross-multiplied.  No gcd is taken.
+    """
+    (fc, qc), (fp, qp) = cur, prev
+    if fc and fp:
+        lc = fc.bit_length() - m * qc.bit_length()
+        lp = fp.bit_length() - m * qp.bit_length()
+        if lc + m < lp - 1 or lp + m < lc - 1:
+            return lc > lp
+    return fc * qp**m > fp * qc**m
+
+
 def _iterate(f, method, x0, steps, max_den_digits):
+    lf = f.integer_forms()[0]
+
+    def residual(x):
+        p, q = as_int_pair(x)
+        return abs(homogeneous_eval(lf, p, q)), q
+
     state = IterativeState(method, rational(x0), 0)
     states = []
-    residuals = [abs(f.eval(state.x_n))]
+    prev = residual(state.x_n)
     grew = 0
     factor = _growth_factor(method, f.degree)
     for _ in range(steps):
@@ -90,8 +127,9 @@ def _iterate(f, method, x0, steps, max_den_digits):
             break  # next step would blow the budget; stop with what we have
         state = step(f, state)
         states.append(state)
-        residuals.append(abs(f.eval(state.x_n)))
-        grew = grew + 1 if residuals[-1] > residuals[-2] else 0
+        cur = residual(state.x_n)
+        grew = grew + 1 if _residual_grew(cur, prev, f.degree) else 0
+        prev = cur
         if grew >= 3:
             raise IterationDiverged(
                 f"{method} residual |f(x_n)| grew for 3 consecutive steps "
@@ -102,15 +140,13 @@ def _iterate(f, method, x0, steps, max_den_digits):
 
 
 def _digit_records(states):
-    return [
-        ApproximationRecord(
-            n=s.n,
-            value=s.x_n,
-            den_digits=decimal_digit_count(s.x_n.denominator),
-            reduced_den_digits=decimal_digit_count(s.x_n.denominator),
+    records = []
+    for s in states:
+        digits = decimal_digit_count(s.x_n.denominator)  # reduced already
+        records.append(
+            ApproximationRecord(n=s.n, value=s.x_n, den_digits=digits, reduced_den_digits=digits)
         )
-        for s in states
-    ]
+    return records
 
 
 def _resolve_target(f, values) -> Enclosure:

@@ -5,8 +5,10 @@ terms of it); the full monic coefficient list is an input/output view.  All
 coefficient arithmetic is exact.
 """
 
-from .backends import parse_rational, rational
-from .errors import DomainError, UsageError
+from math import lcm
+
+from .backends import as_int_pair, parse_rational, rational
+from .errors import UsageError
 
 
 class Polynomial:
@@ -54,44 +56,18 @@ class Polynomial:
             acc = acc * t + c
         return acc
 
-    def reflect(self):
-        """Monic polynomial whose roots are the reciprocals of this one's.
+    def integer_forms(self):
+        """(L f, L f', L f'') as int coefficient tuples, highest degree first.
 
-        Coefficients reverse and renormalize; requires a nonzero constant
-        term (zero must not be a root).
+        L is the lcm of the coefficients' denominators, so every form is
+        integral; with homogeneous_eval they give L q^(m-d) f^(d)(p/q) for
+        x = p/q without building a rational.
         """
-        if self.u[-1] == 0:
-            raise DomainError("cannot reflect: constant term is zero (0 is a root)")
-        rev = tuple(reversed(self.monic_coefficients()))
-        lead = rev[0]
-        return Polynomial.from_monic_coefficients(tuple(c / lead for c in rev))
-
-    def shift(self, c):
-        """Monic g with g(t) = f(t - c), i.e. roots moved by +c.
-
-        Computed by repeated synthetic division at -c (Taylor shift), which
-        keeps the big-integer multiplication count low.
-        """
-        c = rational(c)
-        coeffs = list(self.monic_coefficients())
-        m = len(coeffs) - 1
-        # After pass k, coeffs[m-k:] holds the expansion coefficients b_0..b_k
-        # of f(t) = sum b_k (t + c)^k; those are the coefficients of f(t - c).
-        for k in range(m):
-            for i in range(1, m + 1 - k):
-                coeffs[i] += -c * coeffs[i - 1]
-        return Polynomial.from_monic_coefficients(coeffs)
-
-    def companion(self):
-        """Companion matrix rows: 1s on the subdiagonal, last column u_m ... u_1."""
-        m = self.degree
-        zero = rational(0)
-        entries = [[zero] * m for _ in range(m)]
-        for i in range(1, m):
-            entries[i][i - 1] = rational(1)
-        for i in range(m):
-            entries[i][m - 1] = self.u[m - 1 - i]
-        return tuple(tuple(row) for row in entries)
+        forms = [integer_multiple(self.monic_coefficients())]
+        for _ in range(2):
+            deg = len(forms[-1]) - 1
+            forms.append(tuple(c * (deg - i) for i, c in enumerate(forms[-1][:-1])))
+        return tuple(forms)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.u == other.u
@@ -113,6 +89,29 @@ class Polynomial:
             var = "" if power == 0 else ("t" if power == 1 else f"t^{power}")
             terms.append(("- " if c > 0 else "+ ") + coeff + var)
         return " ".join(terms)
+
+
+def integer_multiple(coeffs):
+    """The rational coefficients times the lcm of their denominators, as ints."""
+    pairs = [as_int_pair(c) for c in coeffs]
+    scale = lcm(*(d for _, d in pairs))
+    return tuple(n * (scale // d) for n, d in pairs)
+
+
+def homogeneous_eval(coeffs, p, q):
+    """sum c_i p^(k-i) q^i for int coefficients c_0..c_k, highest degree first.
+
+    This is q^k c(p/q), computed by Horner on ints: no gcd is taken, so it
+    is the cheap way to read the sign of, or test for zero, a polynomial at
+    a rational with a huge denominator.  The empty form is 0.
+    """
+    if not coeffs:
+        return 0
+    acc, q_i = coeffs[0], 1
+    for c in coeffs[1:]:
+        q_i *= q
+        acc = acc * p + c * q_i
+    return acc
 
 
 def parse_polynomial(text):

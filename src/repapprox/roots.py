@@ -15,9 +15,9 @@ from functools import cmp_to_key, lru_cache
 
 import mpmath as mp
 
-from .backends import mpf_to_rational, rational, to_mpf
+from .backends import as_int_pair, mpf_to_rational, rational, to_mpf
 from .errors import DomainError, NotSquarefree, RootSeparationError, UsageError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, homogeneous_eval, integer_multiple
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,20 @@ def _poly_mod(a, b):
 
 
 def _poly_gcd(a, b):
-    """gcd over Q; a nonzero constant is returned as soon as one appears."""
+    """gcd over Q; a nonzero constant is returned as soon as one appears.
+
+    A linear b0 t + b1 divides a iff a(-b1/b0) = 0, which is decided on the
+    integer homogeneous form of a at (-b1, b0), with no rational reduced: the
+    gcd is then b, or else the constant 1.
+    """
     a, b = _trim(a), _trim(b)
     while b != (rational(0),):
         if len(b) == 1:
             return b
+        if len(b) == 2:
+            (n0, d0), (n1, d1) = map(as_int_pair, b)
+            root_form = homogeneous_eval(integer_multiple(a), -n1 * d0, d1 * n0)
+            return b if root_form == 0 else (rational(1),)
         a, b = b, _poly_mod(a, b)
     return a
 

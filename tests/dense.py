@@ -3,12 +3,14 @@
 The package computes M(x, u) and its powers as element arithmetic in
 Q[t]/(f); these textbook matrix operations are the independent reference
 the tests compare it against.  ``elements`` draws the random inputs that
-the property tests feed to both sides.
+the property tests feed to both sides.  ``companion``, ``reflect`` and
+``shift`` are the polynomial transforms only the tests use.
 """
 
 from hypothesis import strategies as st
 
 from repapprox.backends import rational
+from repapprox.errors import DomainError
 from repapprox.polynomial import Polynomial
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -69,3 +71,44 @@ def det(a):
         total += sign * a[0][col] * det(minor)
         sign = -sign
     return total
+
+
+def companion(f: Polynomial):
+    """Companion matrix rows: 1s on the subdiagonal, last column u_m ... u_1."""
+    m = f.degree
+    zero = rational(0)
+    entries = [[zero] * m for _ in range(m)]
+    for i in range(1, m):
+        entries[i][i - 1] = rational(1)
+    for i in range(m):
+        entries[i][m - 1] = f.u[m - 1 - i]
+    return tuple(tuple(row) for row in entries)
+
+
+def reflect(f: Polynomial):
+    """Monic polynomial whose roots are the reciprocals of f's.
+
+    Coefficients reverse and renormalize; requires a nonzero constant
+    term (zero must not be a root).
+    """
+    if f.u[-1] == 0:
+        raise DomainError("cannot reflect: constant term is zero (0 is a root)")
+    rev = tuple(reversed(f.monic_coefficients()))
+    lead = rev[0]
+    return Polynomial.from_monic_coefficients(tuple(c / lead for c in rev))
+
+
+def shift(f: Polynomial, c):
+    """Monic g with g(t) = f(t - c), i.e. roots moved by +c.
+
+    Computed by repeated synthetic division at -c (Taylor shift).
+    """
+    c = rational(c)
+    coeffs = list(f.monic_coefficients())
+    m = len(coeffs) - 1
+    # After pass k, coeffs[m-k:] holds the expansion coefficients b_0..b_k
+    # of f(t) = sum b_k (t + c)^k; those are the coefficients of f(t - c).
+    for k in range(m):
+        for i in range(1, m + 1 - k):
+            coeffs[i] += -c * coeffs[i - 1]
+    return Polynomial.from_monic_coefficients(coeffs)

@@ -152,6 +152,13 @@ class TestCRatio:
         assert code == 2
         assert "domain error" in err
 
+    def test_tie_refusal_prints_readable_weights(self, capsys):
+        # gamma = 3 sqrt(21) and -3 sqrt(21) tie in modulus
+        code, out, err = run_cli(capsys, "c-ratio", "--poly=c:1,0,-21", "--x=0,3")
+        assert (code, out) == (2, "")
+        assert "no strictly dominant gamma certifiable" in err
+        assert "x=(0,3)" in err
+
     def test_precision_floor(self, capsys):
         code, _, err = run_cli(
             capsys, "c-ratio", "--poly", "c:1,1,-2,-1", "--x", "0,0,1", "--precision", "32"

@@ -10,7 +10,6 @@ from repapprox.convergence import (
     _limit_data,
     analyze,
     cubic_limit_matrix,
-    find_certified_weights,
     limit_enclosure,
     limit_ratio,
     rate_report,
@@ -20,6 +19,7 @@ from repapprox.errors import (
     DegenerateRatio,
     DomainError,
     DominanceUndecidable,
+    RootSeparationError,
     UsageError,
     ZeroDenominator,
 )
@@ -34,6 +34,8 @@ from repapprox.roots import (
     isolating_interval_for,
     refine_to_decimal_digits,
 )
+
+import dense
 
 # f = (t - 3)(t - 1)(t + 1) with gamma = alpha: alpha_k = 3 is a root of the
 # denominator polynomial t - 3 of B_k for den (2, 1), so B_k = 0 exactly.
@@ -98,7 +100,7 @@ class TestAnalyze:
 
     def test_reflected_polynomial_target(self, ramanujan):
         # dominance lands on 1/alpha_2 for the reciprocal-root polynomial
-        reflected = ramanujan.reflect()
+        reflected = dense.reflect(ramanujan)
         report = analyze(reflected, (-3, 1, -1))
         assert report.certified
         assert _nstr(report.c_value, 3) == "2.67"
@@ -190,7 +192,7 @@ class TestLimitRatio:
 class TestSpectralStructure:
     def test_diagonalization_residual(self, ramanujan):
         roots = all_roots(ramanujan, 192)
-        a = ramanujan.companion()
+        a = dense.companion(ramanujan)
         with mp.workprec(roots.work_prec):
             m = ramanujan.degree
             v = mp.matrix(m, m)
@@ -384,6 +386,28 @@ class TestResolvingEnclosure:
         values = [r.value for r in ratio_sequence(build(f, x), (2, 2), (2, 1), 0, (5, 6))]
         enc = resolving_enclosure(f, _limit_data(f, (2, 2), (2, 1), analyze(f, x)), values)
         assert enc == Enclosure(rational(1, 3), rational(0))
+
+
+def find_certified_weights(f, target_index, bound=3, precision_bits=256):
+    """Search small integer weights giving certified dominance at a root index.
+
+    Brute force over x in {-bound..bound}^m; returns (weights, c) pairs
+    sorted by decreasing c.  No completeness claim: this is a convenience
+    for choosing which root the powers of M will approximate.
+    """
+    m = f.degree
+    found = []
+    for xs in product(range(-bound, bound + 1), repeat=m):
+        if all(c == 0 for c in xs) or all(c == 0 for c in xs[1:]):
+            continue
+        try:
+            report = analyze(f, xs, precision_bits, ceiling_bits=precision_bits * 4)
+        except (DominanceUndecidable, RootSeparationError):
+            continue
+        if report.dominant_index == target_index:
+            found.append((xs, report.c_value))
+    found.sort(key=lambda pair: (-pair[1], pair[0]))
+    return found
 
 
 def test_find_certified_weights(ramanujan):

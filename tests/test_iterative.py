@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from repapprox.backends import floor_log10, rational, sci_string
+from repapprox.backends import as_int_pair, floor_log10, rational, sci_string
 from repapprox.errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
 from repapprox.iterative import (
     IterativeState,
+    _residual_grew,
     halley_step,
     iterate_records,
     newton_step,
@@ -12,9 +14,106 @@ from repapprox.iterative import (
     step,
     sweep_initial_conditions,
 )
-from repapprox.polynomial import Polynomial, parse_polynomial
+from repapprox.polynomial import Polynomial, homogeneous_eval, parse_polynomial
+from repapprox.roots import is_squarefree
 
 SQRT2 = parse_polynomial("c:1,0,-2")
+
+
+# Fraction-Horner reference versions of the three steps and of the residual
+# test: the integer kernels must equal them exactly.
+
+
+def oracle_newton(f, x):
+    x = rational(x)
+    d = f.eval(x, 1)
+    if d == 0:
+        raise ZeroDenominator(f"f'({x}) = 0 in a Newton step")
+    return x - f.eval(x) / d
+
+
+def oracle_halley(f, x):
+    x = rational(x)
+    fx, dfx, ddfx = f.eval(x), f.eval(x, 1), f.eval(x, 2)
+    denom = 2 * dfx * dfx - fx * ddfx
+    if denom == 0:
+        raise ZeroDenominator(f"Halley denominator vanished at {x}")
+    return x - 2 * fx * dfx / denom
+
+
+def oracle_noor(f, x):
+    y = oracle_newton(f, x)
+    fy, dfy, ddfy = f.eval(y), f.eval(y, 1), f.eval(y, 2)
+    if dfy == 0:
+        raise ZeroDenominator(f"f'({y}) = 0 in a Noor corrector")
+    return y, y - fy / dfy - fy * fy * ddfy / (2 * dfy**3)
+
+
+def oracle_residual_grew(f, x_new, x_old):
+    return abs(f.eval(x_new)) > abs(f.eval(x_old))
+
+
+@st.composite
+def squarefree_polynomials(draw):
+    """Squarefree f of degree 1..8, half with integer u, half with rational u."""
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        coeff = st.integers(-9, 9)
+    else:
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    f = Polynomial(draw(st.lists(coeff, min_size=m, max_size=m)))
+    assume(is_squarefree(f))
+    return f
+
+
+_points = st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
+
+
+class TestIntegerKernels:
+    @given(squarefree_polynomials(), _points)
+    @settings(max_examples=200, deadline=None)
+    @example(SQRT2, rational(0))  # f'(0) = 0: Newton and Noor refuse
+    @example(parse_polynomial("c:1,0,0,-2"), rational(0))  # f' = f'' = 0: Halley too
+    @example(parse_polynomial("c:1,0,-3,7"), rational(2))  # Newton lands on f'(1) = 0
+    @example(parse_polynomial("u:5/3"), rational(-7, 2))  # linear: f'' is empty
+    @example(parse_polynomial("u:1/2,-1/3,3/4"), rational(-5, 3))  # L = 12
+    def test_steps_equal_fraction_oracle(self, f, x):
+        for kernel, oracle in (
+            (newton_step, oracle_newton),
+            (halley_step, oracle_halley),
+            (noor_step, oracle_noor),
+        ):
+            try:
+                want = oracle(f, x)
+            except ZeroDenominator as refused:
+                with pytest.raises(ZeroDenominator) as info:
+                    kernel(f, x)
+                assert str(info.value) == str(refused)
+            else:
+                assert kernel(f, x) == want
+
+    @given(squarefree_polynomials(), _points, _points)
+    @settings(max_examples=200, deadline=None)
+    @example(SQRT2, rational(3, 2), rational(3, 2))  # a tie is not growth
+    @example(SQRT2, rational(577, 408), rational(17, 12))  # shrinking by 10 bits
+    @example(SQRT2, rational(17, 12), rational(577, 408))
+    def test_residual_comparison_equals_fraction_oracle(self, f, x_new, x_old):
+        lf = f.integer_forms()[0]
+
+        def pair(x):
+            p, q = as_int_pair(x)
+            return abs(homogeneous_eval(lf, p, q)), q
+
+        grew = _residual_grew(pair(x_new), pair(x_old), f.degree)
+        assert grew == oracle_residual_grew(f, x_new, x_old)
+
+    def test_iterations_run_without_fraction_horner(self, ramanujan, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Polynomial.eval called in the iteration loop")
+
+        monkeypatch.setattr(Polynomial, "eval", refuse)
+        for method, steps in (("newton", 10), ("halley", 6), ("noor", 3)):
+            assert len(iterate_records(method, ramanujan, rational(-2), steps)) == steps
 
 
 class TestSteps:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 import repapprox as ra
 from repapprox.backends import rational
 from repapprox.errors import DomainError, UsageError
-from repapprox.polynomial import Polynomial, parse_polynomial
+from repapprox.polynomial import Polynomial, homogeneous_eval, parse_polynomial
 
 import dense
 
@@ -63,43 +63,63 @@ class TestEval:
             assert abs(cdiff - self.f.eval(t, 1)) <= h * h
 
 
+class TestIntegerForms:
+    def test_scaled_by_common_denominator(self):
+        f = parse_polynomial("u:1/2,-1/3,3/4")  # t^3 - t^2/2 + t/3 - 3/4, L = 12
+        assert f.integer_forms() == ((12, -6, 4, -9), (36, -12, 4), (72, -12))
+
+    @given(
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1, max_size=8),
+        st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+    )
+    @settings(max_examples=100)
+    def test_homogeneous_form_is_scaled_value(self, u, x):
+        f = Polynomial(u)
+        lf = f.integer_forms()
+        scale = lf[0][0]  # L: the monic leading coefficient times L
+        p, q = x.numerator, x.denominator
+        for d in range(3):
+            want = scale * q ** (f.degree - d) * f.eval(x, d) if f.degree >= d else 0
+            assert homogeneous_eval(lf[d], p, q) == want
+
+
 class TestReflect:
     def test_ramanujan(self):
         f = parse_polynomial("c:1,1,-2,-1")
-        assert f.reflect().monic_coefficients() == (1, 2, -1, -1)
+        assert dense.reflect(f).monic_coefficients() == (1, 2, -1, -1)
 
     def test_quadratic(self):
         f = parse_polynomial("c:1,0,-2")
-        assert f.reflect().monic_coefficients() == (1, 0, rational(-1, 2))
+        assert dense.reflect(f).monic_coefficients() == (1, 0, rational(-1, 2))
 
     def test_palindromic_fixed_point(self):
         f = parse_polynomial("c:1,-3,1")
-        assert f.reflect() == f
+        assert dense.reflect(f) == f
 
     def test_zero_constant_term(self):
         with pytest.raises(DomainError):
-            parse_polynomial("u:1,0").reflect()
+            dense.reflect(parse_polynomial("u:1,0"))
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
     def test_involution(self, u):
         if u[-1] == 0:
             u[-1] = 1
         f = Polynomial(u)
-        assert f.reflect().reflect() == f
+        assert dense.reflect(dense.reflect(f)) == f
 
 
 class TestShift:
     def test_ramanujan_plus_one(self):
         f = parse_polynomial("c:1,1,-2,-1")
-        assert f.shift(1).monic_coefficients() == (1, -2, -1, 1)
+        assert dense.shift(f, 1).monic_coefficients() == (1, -2, -1, 1)
 
     def test_identity(self):
         f = parse_polynomial("c:1,4,-3")
-        assert f.shift(0) == f
+        assert dense.shift(f, 0) == f
 
     def test_quadratic(self):
         f = parse_polynomial("c:1,0,-2")
-        assert f.shift(3).monic_coefficients() == (1, -6, 7)
+        assert dense.shift(f, 3).monic_coefficients() == (1, -6, 7)
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -108,7 +128,7 @@ class TestShift:
     @settings(max_examples=50)
     def test_shift_roundtrip(self, u, c):
         f = Polynomial(u)
-        assert f.shift(c).shift(-c) == f
+        assert dense.shift(dense.shift(f, c), -c) == f
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -118,24 +138,24 @@ class TestShift:
     @settings(max_examples=50)
     def test_shift_is_evaluation_shift(self, u, c, t):
         f = Polynomial(u)
-        assert f.shift(c).eval(t) == f.eval(rational(t) - rational(c))
+        assert dense.shift(f, c).eval(t) == f.eval(rational(t) - rational(c))
 
 
 class TestCompanion:
     def test_cubic_layout(self):
         f = Polynomial((7, 11, 13))  # u = (p, q, r)
-        assert f.companion() == (
+        assert dense.companion(f) == (
             (0, 0, 13),
             (1, 0, 11),
             (0, 1, 7),
         )
 
     def test_degree_one(self):
-        assert Polynomial((5,)).companion() == ((5,),)
+        assert dense.companion(Polynomial((5,))) == ((5,),)
 
     def test_quartic_last_column(self):
         f = Polynomial((1, 2, 3, 4))
-        a = f.companion()
+        a = dense.companion(f)
         assert [row[3] for row in a] == [4, 3, 2, 1]
         assert all(a[i + 1][i] == 1 for i in range(3))
 
@@ -146,7 +166,7 @@ class TestCompanion:
         # det(tI - A) agrees with f at degree+1 sample points, so the monic
         # characteristic polynomial equals f exactly.
         f = Polynomial(u)
-        a = f.companion()
+        a = dense.companion(f)
         m = f.degree
         for k in range(m + 2):
             t = rational(k, 2)
@@ -162,7 +182,7 @@ def test_shift_moves_roots():
     import mpmath as mp
 
     f = ra.parse_polynomial("c:1,1,-2,-1")
-    g = f.shift(1)
+    g = dense.shift(f, 1)
     base = ra.all_roots(f, 128)
     moved = ra.all_roots(g, 128)
     with mp.workprec(moved.work_prec):

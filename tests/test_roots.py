@@ -1,11 +1,15 @@
 import mpmath as mp
 import pytest
+from hypothesis import example, given, strategies as st
 
 import repapprox as ra
+from repapprox import roots
 from repapprox.backends import mpf_to_rational, rational
 from repapprox.errors import DomainError, NotSquarefree
+from repapprox.iterative import iterate_records
 from repapprox.polynomial import Polynomial, parse_polynomial
 from repapprox.roots import (
+    _poly_gcd,
     all_roots,
     count_real_roots,
     is_squarefree,
@@ -13,6 +17,8 @@ from repapprox.roots import (
     refine_real_root,
     refine_to_decimal_digits,
 )
+
+import dense
 
 
 def vieta_checks(roots):
@@ -76,6 +82,38 @@ class TestIsolation:
         assert abs(centers[0] + 3) < 1e-30
         assert abs(centers[1] - 1) < 1e-30
         assert abs(centers[2] - float(1025 / 1024)) < 1e-6
+
+
+_coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+class TestLinearGcd:
+    def test_decided_without_polynomial_division(self, ramanujan, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_poly_mod called for a linear divisor")
+
+        v = iterate_records("newton", ramanujan, rational(-2), 10)[-1].value  # 19352 digits
+        monkeypatch.setattr(roots, "_poly_mod", refuse)
+        assert _poly_gcd(parse_polynomial("c:1,-5,6").monic_coefficients(), (1, -2)) == (1, -2)
+        assert len(_poly_gcd(ramanujan.monic_coefficients(), (1, -v))) == 1
+
+    @given(
+        st.lists(_coefficients, min_size=1, max_size=9),
+        _coefficients.filter(bool),
+        _coefficients,
+        st.booleans(),
+    )
+    @example([rational(0)], rational(2), rational(1), False)  # gcd(0, b) = b
+    @example([rational(3)], rational(2), rational(1), False)  # a nonzero constant
+    def test_degree_matches_synthetic_division(self, a, b0, b1, divisible):
+        root = -b1 / b0
+        if divisible:  # a * (t - root)
+            a = [c - root * prev for c, prev in zip(a + [0], [0] + a)]
+        remainder = rational(0)
+        for c in a:
+            remainder = remainder * root + c
+        expected = 1 if remainder == 0 else 0
+        assert len(_poly_gcd(tuple(a), (b0, b1))) - 1 == expected
 
 
 class TestRefinement:
@@ -160,7 +198,7 @@ class TestAllRoots:
         assert [e.index for e in roots] == [0, 1, 2]
 
     def test_shifted_roots_match(self, ramanujan):
-        shifted = all_roots(ramanujan.shift(1), 128)
+        shifted = all_roots(dense.shift(ramanujan, 1), 128)
         base = all_roots(ramanujan, 128)
         with mp.workprec(shifted.work_prec):
             for e_shift in shifted:
