@@ -6,8 +6,18 @@ is GMP's ``mpq``/``mpz``, which keeps the deep matrix powers and the huge
 iterative-method denominators fast; otherwise the stdlib ``fractions.Fraction``
 is used.  Both types share the operator protocol, so everything downstream is
 backend-agnostic.
+
+Every integer the package prints goes through ``decimal_str``, which equals
+``str(n)``.  CPython before 3.12 converts an int to decimal in time
+quadratic in its length, which made printing the entries of a deep ``M^n``
+cost several times more than computing them.  Above ``_STR_CUTOFF_BITS``
+the converter splits n at a power-of-two bit position and recombines the
+halves in the C ``decimal`` module, whose multiplication is subquadratic
+(Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.7.2; the
+method of CPython 3.12's ``Lib/_pylong.py``).
 """
 
+import decimal
 import os
 import sys
 from fractions import Fraction
@@ -92,9 +102,62 @@ def parse_rational_vector(text):
     return tuple(parse_rational(p) for p in items)
 
 
+# Measured on CPython 3.11 (2 CPUs): below 2**15 bits (about 9.9k digits)
+# the split runs at 0.97-1.05x the speed of str(n), so str(n) is kept
+# there; above it the split wins, 1.5x at 10k digits, 2.3x at 25k and
+# 10x at 200k.  Leaves of 1024, 2048 or 4096 bits time the same.
+_STR_CUTOFF_BITS = 1 << 15
+_LEAF_BITS = 2048
+# Every arithmetic step in _to_decimal is exact; Inexact would mean a bug.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+)
+# k -> Decimal(2 ** 2 ** k): one entry per split width, so at most
+# log2(bits) entries for the largest integer ever printed.
+_POW2 = {}
+
+
+def _pow2(k):
+    p = _POW2.get(k)
+    if p is None:
+        w = 1 << k
+        if w <= _LEAF_BITS:
+            p = decimal.Decimal(1 << w)
+        else:
+            p = _EXACT.multiply(_pow2(k - 1), _pow2(k - 1))
+        _POW2[k] = p
+    return p
+
+
+def _to_decimal(n):
+    """Decimal(n) for an int n >= 0, by recursive splitting.
+
+    n = hi * 2**w + lo with w = 2**k the power of two nearest half of n's
+    bit length, so each half holds a third to two thirds of the bits.
+    """
+    b = n.bit_length()
+    if b <= _LEAF_BITS:
+        return decimal.Decimal(n)
+    k = (b // 2).bit_length() - 1  # 2**k <= b/2 < 2**(k+1)
+    if 3 << k < b:  # b/2 is nearer 2**(k+1)
+        k += 1
+    hi = n >> (1 << k)
+    lo = n - (hi << (1 << k))
+    return _EXACT.add(_EXACT.multiply(_to_decimal(hi), _pow2(k)), _to_decimal(lo))
+
+
+def decimal_str(n):
+    """str(n) for an int n, in subquadratic time once n is large."""
+    if n.bit_length() <= _STR_CUTOFF_BITS:
+        return str(n)
+    digits = str(_to_decimal(abs(n)))  # a Decimal prints in linear time
+    return "-" + digits if n < 0 else digits
+
+
 def format_rational(x):
+    """'n' or 'n/d' for a rational-like value, digits by decimal_str."""
     n, d = as_int_pair(x)
-    return str(n) if d == 1 else f"{n}/{d}"
+    return decimal_str(n) if d == 1 else f"{decimal_str(n)}/{decimal_str(d)}"
 
 
 # log10(2) under-approximation used to seed digit counts; the loop below

@@ -177,6 +177,11 @@ def _resolve_auto_offset(f, num, den):
     return None
 
 
+def _num_den(value):
+    """'value_num,value_den' CSV cells of a rational."""
+    return f"{format_rational(value.numerator)},{format_rational(value.denominator)}"
+
+
 def _records_csv(records, out):
     print("n,value_num,value_den,abs_error,den_digits,reduced_den_digits", file=out)
     for r in records:
@@ -185,8 +190,7 @@ def _records_csv(records, out):
             continue
         err = "" if r.abs_error is None else sci_string(r.abs_error, 6)
         print(
-            f"{r.n},{r.value.numerator},{r.value.denominator},{err},"
-            f"{r.den_digits},{r.reduced_den_digits}",
+            f"{r.n},{_num_den(r.value)},{err},{r.den_digits},{r.reduced_den_digits}",
             file=out,
         )
 
@@ -315,8 +319,7 @@ def _cmd_compare(args, out):
     for method, r in all_records:
         err = "" if r.abs_error is None else sci_string(r.abs_error, 6)
         print(
-            f"{method},{r.n},{r.value.numerator},{r.value.denominator},{err},"
-            f"{r.den_digits},{r.reduced_den_digits}",
+            f"{method},{r.n},{_num_den(r.value)},{err},{r.den_digits},{r.reduced_den_digits}",
             file=out,
         )
     return 0

@@ -17,7 +17,7 @@ takes one gcd, the one the reduced digit count needs.  Residual growth
 cross-multiplication, with no gcd at all.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .backends import as_int_pair, decimal_digit_count, rational
 from .convergence import resolving_enclosure
@@ -35,16 +35,45 @@ class IterativeState:
     x_n: object
     n: int
     y_n: object = None  # Noor's intermediate predictor value
+    # F(p, q) at x_n = p/q when the caller has it already (``_iterate`` does,
+    # from its residual check); ``step`` then skips that evaluation.
+    fx: int | None = field(default=None, compare=False, repr=False)
+
+
+def _newton(f, p, q, fx=None):
+    lf, lf1, _ = f.integer_forms()
+    d = homogeneous_eval(lf1, p, q)
+    if d == 0:
+        raise ZeroDenominator(f"f'({rational(p, q)}) = 0 in a Newton step")
+    if fx is None:
+        fx = homogeneous_eval(lf, p, q)
+    return rational(p * d - fx, q * d)
+
+
+def _halley(f, p, q, fx=None):
+    lf, lf1, lf2 = f.integer_forms()
+    if fx is None:
+        fx = homogeneous_eval(lf, p, q)
+    dfx, ddfx = homogeneous_eval(lf1, p, q), homogeneous_eval(lf2, p, q)
+    h = 2 * dfx * dfx - fx * ddfx
+    if h == 0:
+        raise ZeroDenominator(f"Halley denominator vanished at {rational(p, q)}")
+    return rational(p * h - 2 * fx * dfx, q * h)
+
+
+def _noor(f, p, q, fx=None):
+    y = _newton(f, p, q, fx)
+    p, q = as_int_pair(y)
+    fy, dfy, ddfy = (homogeneous_eval(c, p, q) for c in f.integer_forms())
+    if dfy == 0:
+        raise ZeroDenominator(f"f'({y}) = 0 in a Noor corrector")
+    dfy2 = dfy * dfy
+    return y, rational(2 * dfy2 * (p * dfy - fy) - fy * fy * ddfy, 2 * q * dfy2 * dfy)
 
 
 def newton_step(f: Polynomial, x):
     """x - f(x)/f'(x), reduced: (p F1 - F) / (q F1) for x = p/q."""
-    p, q = as_int_pair(x)
-    lf, lf1, _ = f.integer_forms()
-    d = homogeneous_eval(lf1, p, q)
-    if d == 0:
-        raise ZeroDenominator(f"f'({rational(x)}) = 0 in a Newton step")
-    return rational(p * d - homogeneous_eval(lf, p, q), q * d)
+    return _newton(f, *as_int_pair(x))
 
 
 def halley_step(f: Polynomial, x):
@@ -52,12 +81,7 @@ def halley_step(f: Polynomial, x):
 
     H = 2 F1^2 - F F2 at x = p/q.
     """
-    p, q = as_int_pair(x)
-    fx, dfx, ddfx = (homogeneous_eval(c, p, q) for c in f.integer_forms())
-    h = 2 * dfx * dfx - fx * ddfx
-    if h == 0:
-        raise ZeroDenominator(f"Halley denominator vanished at {rational(x)}")
-    return rational(p * h - 2 * fx * dfx, q * h)
+    return _halley(f, *as_int_pair(x))
 
 
 def noor_step(f: Polynomial, x):
@@ -67,22 +91,17 @@ def noor_step(f: Polynomial, x):
     a second-order term f(y)^2 f''(y) / (2 f'(y)^3), all evaluated at y = p/q:
     next x = (2 p F1^3 - 2 F F1^2 - F^2 F2) / (2 q F1^3).
     """
-    y = newton_step(f, x)
-    p, q = as_int_pair(y)
-    fy, dfy, ddfy = (homogeneous_eval(c, p, q) for c in f.integer_forms())
-    if dfy == 0:
-        raise ZeroDenominator(f"f'({y}) = 0 in a Noor corrector")
-    dfy2 = dfy * dfy
-    return y, rational(2 * dfy2 * (p * dfy - fy) - fy * fy * ddfy, 2 * q * dfy2 * dfy)
+    return _noor(f, *as_int_pair(x))
 
 
 def step(f: Polynomial, state: IterativeState) -> IterativeState:
+    p, q = as_int_pair(state.x_n)
     if state.method == "newton":
-        return IterativeState("newton", newton_step(f, state.x_n), state.n + 1)
+        return IterativeState("newton", _newton(f, p, q, state.fx), state.n + 1)
     if state.method == "halley":
-        return IterativeState("halley", halley_step(f, state.x_n), state.n + 1)
+        return IterativeState("halley", _halley(f, p, q, state.fx), state.n + 1)
     if state.method == "noor":
-        y, nxt = noor_step(f, state.x_n)
+        y, nxt = _noor(f, p, q, state.fx)
         return IterativeState("noor", nxt, state.n + 1, y_n=y)
     raise UsageError(f"unknown method {state.method!r}; choose from {METHODS}")
 
@@ -110,42 +129,38 @@ def _residual_grew(cur, prev, m):
 
 
 def _iterate(f, method, x0, steps, max_den_digits):
+    """One digit record per step.
+
+    Each iterate's F(p, q) and denominator digit count are computed once:
+    F serves the residual check and then the next step's kernel, the count
+    the budget check and the record.
+    """
     lf = f.integer_forms()[0]
-
-    def residual(x):
-        p, q = as_int_pair(x)
-        return abs(homogeneous_eval(lf, p, q)), q
-
-    state = IterativeState(method, rational(x0), 0)
-    states = []
-    prev = residual(state.x_n)
-    grew = 0
     factor = _growth_factor(method, f.degree)
+    state = IterativeState(method, rational(x0), 0)
+    p, q = as_int_pair(state.x_n)
+    fx, digits = homogeneous_eval(lf, p, q), decimal_digit_count(q)
+    records = []
+    grew = 0
     for _ in range(steps):
-        den_digits = decimal_digit_count(state.x_n.denominator)
-        if den_digits * factor > max_den_digits:
+        if digits * factor > max_den_digits:
             break  # next step would blow the budget; stop with what we have
-        state = step(f, state)
-        states.append(state)
-        cur = residual(state.x_n)
-        grew = grew + 1 if _residual_grew(cur, prev, f.degree) else 0
-        prev = cur
+        prev = abs(fx), q
+        state = step(f, replace(state, fx=fx))
+        p, q = as_int_pair(state.x_n)
+        fx, digits = homogeneous_eval(lf, p, q), decimal_digit_count(q)  # reduced already
+        records.append(
+            ApproximationRecord(
+                n=state.n, value=state.x_n, den_digits=digits, reduced_den_digits=digits
+            )
+        )
+        grew = grew + 1 if _residual_grew((abs(fx), q), prev, f.degree) else 0
         if grew >= 3:
             raise IterationDiverged(
                 f"{method} residual |f(x_n)| grew for 3 consecutive steps "
                 f"from x0={x0}",
-                records=_digit_records(states),
+                records=records,
             )
-    return states
-
-
-def _digit_records(states):
-    records = []
-    for s in states:
-        digits = decimal_digit_count(s.x_n.denominator)  # reduced already
-        records.append(
-            ApproximationRecord(n=s.n, value=s.x_n, den_digits=digits, reduced_den_digits=digits)
-        )
     return records
 
 
@@ -177,7 +192,7 @@ def iterate_records(method, f: Polynomial, x0, steps, max_den_digits=150_000):
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    return _digit_records(_iterate(f, method, x0, steps, max_den_digits))
+    return _iterate(f, method, x0, steps, max_den_digits)
 
 
 def with_errors(f: Polynomial, records, target: Enclosure = None):

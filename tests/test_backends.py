@@ -1,8 +1,12 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repapprox import backends
 from repapprox.backends import (
     decimal_digit_count,
+    decimal_str,
     floor_log10,
     format_rational,
     mpf_to_rational,
@@ -39,6 +43,84 @@ def test_parse_vector():
 def test_format_rational():
     assert format_rational(rational(-3, 7)) == "-3/7"
     assert format_rational(rational(4)) == "4"
+
+
+def test_format_rational_both_parts_above_cutoff():
+    p, q = 3**30_000, 2**40_000 + 1  # coprime: q = 2 mod 3
+    assert min(p.bit_length(), q.bit_length()) > backends._STR_CUTOFF_BITS
+    assert format_rational(rational(p, q)) == f"{p}/{q}"
+    assert format_rational(rational(-p, q)) == f"-{p}/{q}"
+
+
+def _random_int(bits, seed, negative):
+    """A random int of exactly `bits` bits."""
+    n = random.Random(seed).getrandbits(bits) | 1 << bits >> 1
+    return -n if negative else n
+
+
+CUT, LEAF = backends._STR_CUTOFF_BITS, backends._LEAF_BITS
+
+
+@given(st.builds(_random_int, st.integers(0, 90_000), st.integers(0, 2**32), st.booleans()))
+@settings(max_examples=60, deadline=None)
+@example(0)
+@example(2**LEAF - 1)
+@example(2**LEAF)
+@example(-(2**LEAF + 1))
+@example(2**CUT - 1)
+@example(-(2**CUT))
+@example(2**CUT + 1)
+@example(2 ** (2 * CUT) - 1)  # every split piece is all ones
+@example(10**9864)  # just below 2**CUT
+@example(-(10**9865))  # just above
+@example(10**20_000 - 1)
+def test_decimal_str_equals_str(n):
+    assert decimal_str(n) == str(n)
+    # the split path on its own, below the cutoff too, so that the leaf
+    # boundaries are crossed at every size
+    assert str(backends._to_decimal(abs(n))) == str(abs(n))
+
+
+def _parse(s):
+    """int(s) by halving the string: an oracle independent of str(int)."""
+    if len(s) <= 2000:
+        return int(s)
+    k = len(s) // 2
+    return _parse(s[:-k]) * 10**k + _parse(s[-k:])
+
+
+# Drawn as (bits, seed, sign) so that no example is printed whole.
+@given(st.integers(90_000, 3_321_929), st.integers(0, 2**32), st.booleans())  # to 10**6 digits
+@settings(max_examples=4, deadline=None)
+@example(3_321_929, 0, True)
+def test_decimal_str_equals_str_up_to_a_million_digits(bits, seed, negative):
+    # str(n) itself takes about 20 s at 10**6 digits on CPython 3.11; a
+    # canonical decimal string that parses back to n is the string str(n).
+    n = _random_int(bits, seed, negative)
+    s = decimal_str(n)
+    digits = s[1:] if negative else s
+    assert digits.isdigit() and digits[0] != "0"
+    parses_back = _parse(digits) == abs(n)  # no assertion repr of n: that is str(n)
+    assert parses_back
+
+
+@pytest.mark.parametrize("k", [9864, 9865, 123_457, 10**6])
+def test_decimal_str_powers_of_ten(k):
+    assert decimal_str(10**k) == "1" + "0" * k
+    assert decimal_str(-(10**k)) == "-1" + "0" * k
+    assert decimal_str(10**k - 1) == "9" * k
+
+
+def test_power_cache_stays_logarithmic(monkeypatch):
+    monkeypatch.setattr(backends, "_POW2", {})
+    rng = random.Random(7)
+    top = 600_000
+    for bits in range(CUT + 1, top, 14_983):  # 38 different sizes
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert decimal_str(n)[-6:] == str(n % 10**6).zfill(6)
+    # one entry per split width 2**k, each between LEAF/4 and the largest size
+    assert all(LEAF // 4 < 1 << k < top for k in backends._POW2)
+    assert len(backends._POW2) <= top.bit_length() - LEAF.bit_length() + 2
 
 
 @pytest.mark.parametrize(

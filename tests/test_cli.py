@@ -2,7 +2,12 @@ import json
 import time
 
 from repapprox import cli
+from repapprox.backends import parse_rational_vector, rational
 from repapprox.cli import main
+from repapprox.iterative import iterate_records
+from repapprox.polynomial import parse_polynomial
+from repapprox.powers import mat_pow
+from repapprox.regrep import build
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +44,58 @@ class TestPower:
     def test_zero_power(self, capsys):
         code, out, _ = run_cli(capsys, "power", "--poly", "u:1,1", "--x", "1,1", "--n", "0")
         assert out == "1,0\n0,1\n"
+
+
+class TestBigIntegerOutput:
+    """Printed integers are the bytes of str() on the exact values.
+
+    Results are compared as one bool, so that a failure does not make
+    pytest print, or diff, strings of 10**5 digits.
+    """
+
+    def test_power_entries_above_100k_digits(self, capsys):
+        poly, x, n = "c:1,0,-2", "1,1", 270_000
+        code, out, _ = run_cli(capsys, "power", "--poly", poly, "--x", x, "--n", str(n))
+        entries = mat_pow(build(parse_polynomial(poly), parse_rational_vector(x)), n).entries
+        assert code == 0
+        assert min(abs(e) for row in entries for e in row) > 10**100_000
+        same = out == "".join(",".join(str(e) for e in row) + "\n" for row in entries)
+        assert same
+
+    def test_compare_at_table6_sizes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--poly", "c:1,1,-2,-1", "--methods", "noor,halley",
+            "--x0", "-2", "--steps", "7",
+        )
+        ramanujan = parse_polynomial("c:1,1,-2,-1")
+        want = [
+            [method, str(r.n), str(r.value.numerator), str(r.value.denominator)]
+            for method in ("noor", "halley")
+            for r in iterate_records(method, ramanujan, rational(-2), 7)
+        ]
+        got = [line.split(",")[:4] for line in out.splitlines()[1:]]
+        assert code == 0
+        assert max(len(row[3]) for row in want) > 40_000  # Noor at n = 6
+        same = got == want
+        assert same
+
+    def test_approx_at_large_n(self, capsys):
+        ns = (20_000, 24_000)
+        code, out, _ = run_cli(
+            capsys, "approx", "--poly", "c:1,1,-2,-1", "--x", "0,-1,1",
+            "--num", "2,1", "--den", "3,1", "--offset", "-1", "--n", ",".join(map(str, ns)),
+        )
+        matrix = build(parse_polynomial("c:1,1,-2,-1"), parse_rational_vector("0,-1,1"))
+        want = []
+        for n in ns:
+            e = mat_pow(matrix, n).entries
+            value = e[1][0] / e[2][0] - 1
+            want.append([str(n), str(value.numerator), str(value.denominator)])
+        got = [line.split(",")[:3] for line in out.splitlines()[1:]]
+        assert code == 0
+        assert min(len(want[0][1]), len(want[0][2])) > 9865  # both above the cutoff
+        same = got == want
+        assert same
 
 
 class TestApprox:

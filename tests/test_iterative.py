@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from repapprox import iterative
 from repapprox.backends import as_int_pair, floor_log10, rational, sci_string
 from repapprox.errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
 from repapprox.iterative import (
@@ -114,6 +117,30 @@ class TestIntegerKernels:
         monkeypatch.setattr(Polynomial, "eval", refuse)
         for method, steps in (("newton", 10), ("halley", 6), ("noor", 3)):
             assert len(iterate_records(method, ramanujan, rational(-2), steps)) == steps
+
+
+    @pytest.mark.parametrize(
+        "method,per_step",
+        # F at every iterate serves its residual check and the next step;
+        # besides it a step evaluates F1 (Newton), F1 and F2 (Halley), or
+        # F1 at x_n and F, F1, F2 at the predictor y (Noor).
+        [("newton", {"F": 1, "F1": 1}), ("halley", {"F": 1, "F1": 1, "F2": 1}),
+         ("noor", {"F": 2, "F1": 2, "F2": 1})],
+    )
+    def test_one_evaluation_of_f_per_iterate(self, ramanujan, monkeypatch, method, per_step):
+        names = dict(zip(ramanujan.integer_forms(), ("F", "F1", "F2")))
+        calls = Counter()
+
+        def counting(coeffs, p, q):
+            calls[names[coeffs]] += 1
+            return homogeneous_eval(coeffs, p, q)
+
+        monkeypatch.setattr(iterative, "homogeneous_eval", counting)
+        steps = 3
+        assert len(iterate_records(method, ramanujan, rational(-2), steps)) == steps
+        want = Counter({form: k * steps for form, k in per_step.items()})
+        want["F"] += 1  # the residual of x_0
+        assert calls == want
 
 
 class TestSteps:
