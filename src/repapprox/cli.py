@@ -23,6 +23,8 @@ from .regrep import build
 from .roots import all_roots
 
 DEFAULT_PRECISION = 256
+# analyze's default precision ceiling, and the largest --precision accepted.
+MAX_PRECISION = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,14 +67,14 @@ def _build_parser():
     p = subs.add_parser("c-ratio", help="dominance analysis")
     p.add_argument("--poly")
     p.add_argument("--x")
-    p.add_argument("--precision", type=int, default=None, help="bits, >= 64")
+    p.add_argument("--precision", type=int, default=None, help=f"bits, 64..{MAX_PRECISION}")
     _add_common(p, output_format=True)
 
     p = subs.add_parser("limits", help="limit predictions")
     p.add_argument("--poly")
     p.add_argument("--x")
     p.add_argument("--indices", help="i,j,p,q[;i,j,p,q...]")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=int, default=None, help=f"bits, 64..{MAX_PRECISION}")
     _add_common(p)
 
     p = subs.add_parser("compare", help="iterative baselines")
@@ -91,7 +93,7 @@ def _build_parser():
 
     p = subs.add_parser("roots", help="certified roots")
     p.add_argument("--poly")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=int, default=None, help=f"bits, 64..{MAX_PRECISION}")
     _add_common(p)
 
     return parser
@@ -125,6 +127,8 @@ def _precision(args):
     bits = int(bits)
     if bits < 64:
         raise UsageError(f"--precision must be >= 64 bits, got {bits}")
+    if bits > MAX_PRECISION:
+        raise UsageError(f"--precision must be <= MAX_PRECISION = {MAX_PRECISION} bits, got {bits}")
     return bits
 
 

@@ -15,6 +15,7 @@ closed cubic forms are kept as an independent cross-check path.
 """
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import mpmath as mp
 
@@ -26,11 +27,11 @@ from .errors import (
     UsageError,
     ZeroDenominator,
 )
-from .polynomial import Polynomial
+from .polynomial import Polynomial, integer_multiple
 from .regrep import Weights, _coerce_weights
 from .roots import (
-    Enclosure, RootSet, _derivative, _eval_coeffs, _interval_horner, _poly_gcd, _poly_mod,
-    all_roots, isolating_interval_for, refine_real_root, refine_to_decimal_digits,
+    Enclosure, RootSet, _bracket, _derivative, _eval_coeffs, _interval_horner, _poly_gcd,
+    _poly_mod, _refine, all_roots, isolating_interval_for, refine_to_decimal_digits,
 )
 
 
@@ -242,6 +243,10 @@ def limit_enclosure(f, x, num, den, report, digits, offset=0) -> Enclosure:
     return _enclose(f, n_poly, d_poly, bracket, digits, rational(offset))
 
 
+# n/d pairs with d > 0, ordered by value
+_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 def _enclose(f, n_poly, d_poly, bracket, digits, offset):
     """Enclosure of N(alpha)/D(alpha) + offset, alpha in bracket, radius <= 10**-digits.
 
@@ -258,19 +263,37 @@ def _enclose(f, n_poly, d_poly, bracket, digits, offset):
     shifted = _poly_sum(n_poly, [offset * d for d in d_poly], [-d for d in d_poly + (0,)])
     if _root_in(_poly_gcd(coeffs, shifted), bracket):
         return refine_to_decimal_digits(f, bracket, digits)
+    return _enclose_interval(f, n_poly, d_poly, bracket, digits, offset)
 
-    target = eps = rational(1, 10 ** int(digits))
+
+def _enclose_interval(f, n_poly, d_poly, bracket, digits, offset):
+    """_enclose's interval case: refine until N/D on the bracket is narrow enough.
+
+    It runs on ints: the bracket is (lo, hi, q) as in roots._refine, N and
+    D are scaled by one common integer, which leaves N/D as it is, and every
+    quotient below is n/d times kn/kd = q^dD / q^dN.  Each round asks the
+    refinement for 2^16 times more than the last.  D must not vanish at
+    the root, or no round is narrow enough.
+    """
+    forms = f.integer_forms()[:2]
+    both = integer_multiple(n_poly + d_poly)
+    n_int, d_int = both[: len(n_poly)], both[len(n_poly) :]
+    lo, hi, q = _bracket(*bracket)
+    tol_den = ed = 10 ** int(digits)  # the radius target is 1/tol_den
     while True:
-        est = refine_real_root(f, bracket, eps)
-        bracket = (est.center - est.radius, est.center + est.radius)
-        n_lo, n_hi = _interval_horner(n_poly, *bracket)
-        d_lo, d_hi = _interval_horner(d_poly, *bracket)
+        lo, hi, q = _refine(forms, lo, hi, q, (1, ed))
+        n_lo, n_hi = _interval_horner(n_int, lo, hi, q)
+        d_lo, d_hi = _interval_horner(d_int, lo, hi, q)
         if d_lo > 0 or d_hi < 0:
-            ends = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
-            lo, hi = min(ends), max(ends)
-            if hi - lo <= 2 * target:
-                return Enclosure((lo + hi) / 2 + offset, (hi - lo) / 2)
-        eps /= 1 << 16
+            e = len(d_int) - len(n_int)
+            kn, kd = q ** max(e, 0), q ** max(-e, 0)
+            ends = [(n, d) if d > 0 else (-n, -d) for n in (n_lo, n_hi) for d in (d_lo, d_hi)]
+            (ln, ld), (hn, hd) = min(ends, key=_by_value), max(ends, key=_by_value)
+            spread, den = (hn * ld - ln * hd) * kn, ld * hd * kd
+            if spread * tol_den <= 2 * den:
+                center = rational((ln * hd + hn * ld) * kn, 2 * den)
+                return Enclosure(center + offset, rational(spread, 2 * den))
+        ed <<= 16
 
 
 def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:

@@ -1,10 +1,17 @@
 """Certified root oracle.
 
 Real roots: Sturm-sequence isolation and bisection/interval-Newton refinement
-in exact rational arithmetic; the returned radius is certified by a sign
-change of f across the enclosure.  All complex roots: Aberth simultaneous
-iteration in mpmath with residual inclusion radii m*|f(z)/f'(z)|, guarded by
-pairwise disjointness and cross-checked against the exact real-root count.
+in exact arithmetic; the returned radius is certified by a sign change of f
+across the enclosure.  All complex roots: Aberth simultaneous iteration in
+mpmath with residual inclusion radii m*|f(z)/f'(z)|, guarded by pairwise
+disjointness and cross-checked against the exact real-root count.
+
+The three hot loops avoid per-operation objects.  The Sturm chain is one
+cached chain of primitive int polynomials per f; refinement holds ints
+over a common denominator and reduces nothing but the Newton granule; the
+Aberth sweep runs on raw mpmath tuples through the libmp functions that the
+mpc operators call.  Their results are bit-identical to the Fraction and mpc
+versions of the same loops, which tests/dense.py keeps as oracles.
 
 Root ordering everywhere: descending modulus, ties broken by descending real
 part, then descending imaginary part.
@@ -12,8 +19,13 @@ part, then descending imaginary part.
 
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
+from math import gcd, lcm
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mpf_div, mpc_mul, mpc_neg,
+    mpc_sub, mpf_gt, mpf_lt, mpf_pos,
+)
 
 from .backends import as_int_pair, mpf_to_rational, rational, to_mpf
 from .errors import DomainError, NotSquarefree, RootSeparationError, UsageError
@@ -118,10 +130,52 @@ def _poly_gcd(a, b):
     return a
 
 
+def _primitive(coeffs):
+    """An int polynomial divided by its (positive) content."""
+    g = gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+def _pseudo_remainder(a, b):
+    """r with deg r < deg b and c a = q b + r for some int q and c > 0.
+
+    Each elimination multiplies by |lc(b)|, not lc(b), so the scale c is a
+    positive power of |lc(b)| and r has the sign of the rational remainder
+    wherever it is evaluated.
+    """
+    a = list(a)
+    lb, sign = abs(b[0]), 1 if b[0] > 0 else -1
+    while len(a) >= len(b):
+        lead = a[0] * sign
+        if lead:
+            a = [lb * x - lead * y for x, y in zip(a, b + (0,) * (len(a) - len(b)))]
+        a.pop(0)
+    return _trim(tuple(a))
+
+
+@lru_cache(maxsize=128)
+def _sturm_chain(f):
+    """f's Sturm chain on ints, each entry a positive multiple of the classical one.
+
+    The classical chain is f, f', then minus the remainder of the two
+    entries before, over Q.  Here every entry is a primitive int polynomial:
+    minus a pseudo-remainder with a positive scale, divided by its content.
+    So each entry has its classical counterpart's sign at every point, and
+    sign variations count real roots as usual.  The chain ends at gcd(f, f')
+    up to scale: in a constant exactly when f is squarefree.
+    """
+    forms = f.integer_forms()
+    chain = [_primitive(forms[0]), _primitive(forms[1])]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if not any(rem):
+            break
+        chain.append(_primitive(tuple(-c for c in rem)))
+    return tuple(chain)
+
+
 def is_squarefree(f: Polynomial) -> bool:
-    coeffs = f.monic_coefficients()
-    g = _poly_gcd(coeffs, _derivative(coeffs))
-    return len(g) == 1
+    return len(_sturm_chain(f)[-1]) == 1
 
 
 def _require_squarefree(f):
@@ -139,43 +193,33 @@ def root_bound(f: Polynomial):
 # ---------------------------------------------------------------------------
 
 
-def _sturm_chain(coeffs):
-    chain = [coeffs, _derivative(coeffs)]
-    while len(chain[-1]) > 1:
-        rem = _poly_mod(chain[-2], chain[-1])
-        if rem == (rational(0),):
-            break  # nontrivial gcd; caller has rejected this via squarefree check
-        lead = abs(rem[0])
-        chain.append(tuple(-c / lead for c in rem))
-    return chain
+def _sign(coeffs, t):
+    """Sign (-1, 0 or 1) of an int polynomial at a rational t."""
+    v = homogeneous_eval(coeffs, *as_int_pair(t))
+    return (v > 0) - (v < 0)
 
 
 def _variations(chain, t):
-    signs = []
-    for p in chain:
-        v = _eval_coeffs(p, t)
-        if v != 0:
-            signs.append(v > 0)
+    signs = [s for s in (_sign(p, t) for p in chain) if s]
     return sum(1 for s, s2 in zip(signs, signs[1:]) if s != s2)
 
 
 def count_real_roots(f: Polynomial, lo=None, hi=None) -> int:
     """Exact number of distinct real roots in (lo, hi]; whole line by default."""
     _require_squarefree(f)
-    coeffs = f.monic_coefficients()
-    chain = _sturm_chain(coeffs)
+    chain = _sturm_chain(f)
     bound = root_bound(f)
     lo = rational(lo) if lo is not None else -bound
     hi = rational(hi) if hi is not None else bound
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _nonroot_midpoint(f, a, b):
-    """A point near the middle of (a, b) where f does not vanish."""
+def _nonroot_midpoint(form, a, b):
+    """A point near the middle of (a, b) where the int form does not vanish."""
     width = b - a
     mid = (a + b) / 2
     k = 7
-    while f.eval(mid) == 0:
+    while _sign(form, mid) == 0:
         mid = (a + b) / 2 + width / k
         k *= 7
         if mid >= b:  # cannot happen before running out of roots, but be safe
@@ -186,7 +230,8 @@ def _nonroot_midpoint(f, a, b):
 def isolate_real_roots(f: Polynomial):
     """Disjoint rational intervals, one simple real root in each."""
     _require_squarefree(f)
-    chain = _sturm_chain(f.monic_coefficients())
+    chain = _sturm_chain(f)
+    form = chain[0]
     bound = root_bound(f)
     lo, hi = -bound, bound
     total = _variations(chain, lo) - _variations(chain, hi)
@@ -197,7 +242,7 @@ def isolate_real_roots(f: Polynomial):
         if count == 1:
             out.append((a, b))
             continue
-        mid = _nonroot_midpoint(f, a, b)
+        mid = _nonroot_midpoint(form, a, b)
         left = _variations(chain, a) - _variations(chain, mid)
         if left:
             stack.append((a, mid, left))
@@ -208,49 +253,167 @@ def isolate_real_roots(f: Polynomial):
     # closures are pairwise disjoint.
     for i in range(len(out) - 1):
         while out[i][1] >= out[i + 1][0]:
-            out[i] = _halve_bracket(f, *out[i])
+            out[i] = _halve_bracket(form, *out[i])
     return out
 
 
-def _halve_bracket(f, a, b):
-    fa = f.eval(a)
+def _halve_bracket(form, a, b):
     mid = (a + b) / 2
-    fm = f.eval(mid)
-    if fm == 0:
+    sm = _sign(form, mid)
+    if sm == 0:
         # Exact root hit: return a strict sub-bracket around it.
         delta = (b - a) / 8
-        while f.eval(mid - delta) == 0 or f.eval(mid + delta) == 0:
+        while _sign(form, mid - delta) == 0 or _sign(form, mid + delta) == 0:
             delta /= 2
         return (mid - delta, mid + delta)
-    if (fa < 0) != (fm < 0):
+    if (_sign(form, a) < 0) != (sm < 0):
         return (a, mid)
     return (mid, b)
 
 
 # ---------------------------------------------------------------------------
-# certified real refinement: bisection + interval Newton
+# certified real refinement: bisection + interval Newton, on ints
 # ---------------------------------------------------------------------------
+#
+# A bracket is (lo, hi, q): the interval [lo/q, hi/q] with ints lo <= hi and
+# q > 0, not reduced.  These are the steps of the rational algorithm kept in
+# tests/dense.py, value for value; signs come from homogeneous_eval on the
+# int form of f, and the only reduction is the Newton granule's.
 
 
-def _interval_horner(coeffs, lo, hi):
-    """Interval extension of a polynomial over [lo, hi] (exact rationals)."""
-    alo = ahi = rational(0)
-    for c in coeffs:
+def _bracket(a, b):
+    """Rationals a <= b as a bracket over their least common denominator."""
+    (an, ad), (bn, bd) = as_int_pair(a), as_int_pair(b)
+    q = lcm(ad, bd)
+    return an * (q // ad), bn * (q // bd), q
+
+
+def _interval_horner(coeffs, lo, hi, q):
+    """Interval extension of an int polynomial over [lo/q, hi/q], times q^deg.
+
+    Returns ints (vlo, vhi): the rational interval Horner's bounds, each
+    multiplied by q^deg, so min and max pick the same products.
+    """
+    alo = ahi = coeffs[0]
+    qk = 1
+    for c in coeffs[1:]:
+        qk *= q
         products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(products) + c, max(products) + c
+        cq = c * qk
+        alo, ahi = min(products) + cq, max(products) + cq
     return alo, ahi
 
 
-def _dyadic_out(lo, hi, granule):
-    """Round [lo, hi] outward to a dyadic grid no coarser than `granule`."""
-    gn, gd = granule.numerator, granule.denominator
-    k = max(0, int(gd).bit_length() - int(gn).bit_length() + 1)
-    scale = 1 << k
-    ln, ld = lo.numerator, lo.denominator
-    hn, hd = hi.numerator, hi.denominator
-    return rational(int(ln) * scale // int(ld), scale), rational(
-        -((-int(hn) * scale) // int(hd)), scale
-    )
+def _twos(n):
+    """The exponent of 2 in a nonzero int."""
+    return (n & -n).bit_length() - 1
+
+
+def _grid_bits(num, den):
+    """log2 of the dyadic grid for a granule num/den > 0, given reduced."""
+    return max(0, den.bit_length() - num.bit_length() + 1)
+
+
+def _newton_step(forms, lo, hi, q, mid, F_mid, eps_bits):
+    """One interval-Newton step from mid/(2q), or None to bisect instead.
+
+    Returns the new bracket and whether F is negative at its low end; the
+    ends are equal when one of them is an exact root.
+    """
+    F, dF = forms
+    d_lo, d_hi = _interval_horner(dF, lo, hi, q)
+    if d_lo <= 0 <= d_hi:
+        return None
+    # At x = mid/(2q), x - f(x)/(d/q^(m-1)) is (mid 2^(m-1) d - F_mid) /
+    # (2^m q d) for each bound d: the scale of the int forms cancels.
+    m = len(F) - 1
+    cands = []
+    for d in (d_lo, d_hi):
+        num, den = ((mid * d) << (m - 1)) - F_mid, (q * d) << m
+        cands.append((-num, -den) if den < 0 else (num, den))
+    (na, da), (nb, db) = cands
+    if na * db > nb * da:
+        (na, da), (nb, db) = (nb, db), (na, da)
+    if lo * da > na * q:
+        na, da = lo, q
+    if hi * db < nb * q:
+        nb, db = hi, q
+    diff, dd = nb * da - na * db, da * db
+    width = hi - lo
+    if diff < 0 or 2 * diff * q > width * dd:
+        return None
+    if diff:
+        # The granule diff / (16 dd), reduced.  Powers of two (most of q) go
+        # by shifts, so the gcd runs on the odd parts only.
+        twos = min(_twos(diff), _twos(dd) + 4)
+        g = gcd(diff >> _twos(diff), dd >> _twos(dd))
+        k = _grid_bits((diff >> twos) // g, ((dd << 4) >> twos) // g)
+    else:
+        k = eps_bits
+    # Round outward to the grid 2^-k, then clamp to [lo/q, hi/q] again.
+    na, nb = (na << k) // da, -((-nb << k) // db)
+    at_lo, at_hi = lo << k > na * q, hi << k < nb * q
+    if at_lo and at_hi:
+        return None  # the bracket itself: no narrower
+    if at_lo or at_hi:  # over lcm(q, 2^k)
+        shift = max(0, k - _twos(q))
+        scale = q << shift
+        if at_lo:
+            na, nb = lo << shift, nb * (scale >> k)
+        else:
+            na, nb = na * (scale >> k), hi << shift
+    else:
+        scale = 1 << k
+    F_na, F_nb = homogeneous_eval(F, na, scale), homogeneous_eval(F, nb, scale)
+    if F_na == 0:
+        return na, na, scale, False
+    if F_nb == 0:
+        return nb, nb, scale, False
+    if (F_na < 0) != (F_nb < 0) and 2 * (nb - na) * q <= width * scale:
+        return na, nb, scale, F_na < 0
+    return None
+
+
+def _refine(forms, lo, hi, q, eps):
+    """Shrink the bracket (lo, hi, q) of a root of forms[0] to width <= 2 eps.
+
+    forms is (F, F'), F an int multiple of f; eps = (en, ed) is a positive
+    reduced fraction.  Bisection is the fallback; when F' on the bracket
+    excludes zero the step is interval Newton, eventually quadratic, and its
+    ends are rounded outward to a dyadic grid so the ints stay proportional
+    to the precision.  Returns the final bracket, with lo == hi when an
+    exact root was hit.
+    """
+    F = forms[0]
+    en, ed = eps
+    F_lo, F_hi = homogeneous_eval(F, lo, q), homogeneous_eval(F, hi, q)
+    if F_lo == 0:
+        return lo, lo, q
+    if F_hi == 0:
+        return hi, hi, q
+    lo_neg = F_lo < 0
+    if lo_neg == (F_hi < 0):
+        raise DomainError(f"no sign change on [{rational(lo, q)}, {rational(hi, q)}]")
+    g = gcd(en, 16)
+    eps_bits = _grid_bits(en // g, (ed << 4) // g)  # the grid of eps/16
+
+    while (hi - lo) * ed > 2 * en * q:
+        mid = lo + hi  # over 2q
+        F_mid = homogeneous_eval(F, mid, q << 1)
+        if F_mid == 0:
+            return mid, mid, q << 1
+        step = _newton_step(forms, lo, hi, q, mid, F_mid, eps_bits)
+        if step is None:
+            if lo_neg != (F_mid < 0):
+                lo, hi = lo << 1, mid
+            else:
+                lo, hi, lo_neg = mid, hi << 1, F_mid < 0
+            q <<= 1
+        else:
+            lo, hi, q, lo_neg = step
+            if lo == hi:
+                return lo, hi, q
+    return lo, hi, q
 
 
 def refine_real_root(f: Polynomial, interval, eps) -> RootEstimate:
@@ -260,6 +423,7 @@ def refine_real_root(f: Polynomial, interval, eps) -> RootEstimate:
     excludes zero the step switches to interval Newton, whose contraction is
     eventually quadratic.  Endpoints are rounded outward to dyadics so
     representation size stays proportional to the requested precision.
+    The loop runs on ints (_refine); only the result is made rational.
     """
     a, b = rational(interval[0]), rational(interval[1])
     if a > b:
@@ -267,46 +431,8 @@ def refine_real_root(f: Polynomial, interval, eps) -> RootEstimate:
     eps = rational(eps)
     if eps <= 0:
         raise UsageError("eps must be positive")
-    fa, fb = f.eval(a), f.eval(b)
-    if fa == 0:
-        return RootEstimate(a, rational(0), True)
-    if fb == 0:
-        return RootEstimate(b, rational(0), True)
-    if (fa < 0) == (fb < 0):
-        raise DomainError(f"no sign change on [{a}, {b}]")
-    deriv = _derivative(f.monic_coefficients())
-
-    while b - a > 2 * eps:
-        width = b - a
-        mid = (a + b) / 2
-        fmid = f.eval(mid)
-        if fmid == 0:
-            return RootEstimate(mid, rational(0), True)
-        dlo, dhi = _interval_horner(deriv, a, b)
-        stepped = False
-        if dlo > 0 or dhi < 0:
-            c1, c2 = mid - fmid / dlo, mid - fmid / dhi
-            na, nb = (c1, c2) if c1 <= c2 else (c2, c1)
-            na, nb = max(na, a), min(nb, b)
-            if na <= nb and nb - na <= width / 2:
-                granule = (nb - na) / 16 or eps / 16
-                na, nb = _dyadic_out(na, nb, granule)
-                na, nb = max(na, a), min(nb, b)
-                fna, fnb = f.eval(na), f.eval(nb)
-                if fna == 0:
-                    return RootEstimate(na, rational(0), True)
-                if fnb == 0:
-                    return RootEstimate(nb, rational(0), True)
-                if (fna < 0) != (fnb < 0) and nb - na <= width / 2:
-                    a, b, fa, fb = na, nb, fna, fnb
-                    stepped = True
-        if not stepped:
-            if (fa < 0) != (fmid < 0):
-                b, fb = mid, fmid
-            else:
-                a, fa = mid, fmid
-
-    return RootEstimate((a + b) / 2, (b - a) / 2, True)
+    lo, hi, q = _refine(f.integer_forms()[:2], *_bracket(a, b), as_int_pair(eps))
+    return RootEstimate(rational(lo + hi, q << 1), rational(hi - lo, q << 1), True)
 
 
 def refine_to_decimal_digits(f: Polynomial, interval, digits) -> Enclosure:
@@ -320,42 +446,76 @@ def refine_to_decimal_digits(f: Polynomial, interval, digits) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _horner_mpc(coeffs, z):
-    acc = mp.mpc(0)
-    for c in coeffs:
-        acc = acc * z + c
+# The sweep runs on raw mpmath tuples and calls the libmp functions that the
+# mpc operators of tests/dense.py dispatch to, with the same (prec, rounding),
+# so it returns the same bits without building an mpc per operation.
+_CZERO, _CONE = (fzero, fzero), (fone, fzero)
+
+
+def _horner(coeffs, z, prec, rnd):
+    """acc*z + c over raw mpf coefficients c, from acc = 0, as mpc does it.
+
+    The first product, 0*z, is exactly 0 for a finite z and is skipped.
+    """
+    acc = mpc_add_mpf(_CZERO, coeffs[0], prec, rnd)
+    for c in coeffs[1:]:
+        acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
     return acc
 
 
 def _aberth_pass(coeffs_mp, dcoeffs_mp, zs, iterations, tol):
+    """Aberth-Ehrlich sweeps from the mpc starts zs; returns the new mpc list.
+
+    1/(z_i - z_j) is computed once per pair and sweep and negated for
+    (j, i), which round-to-nearest makes exact.  A start with f'(z_i) = 0
+    is moved by tol, and its pairs are then computed again from the moved
+    z_i.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    coeffs = [c._mpf_ for c in coeffs_mp]
+    dcoeffs = [c._mpf_ for c in dcoeffs_mp]
+    zs = [z._mpc_ for z in zs]
+    tol = tol._mpf_
+    bump = mpf_pos(tol, prec, rnd)
     m = len(zs)
     for _ in range(iterations):
+        inv = [[None] * m for _ in range(m)]
         corrections = []
         for i in range(m):
-            pz = _horner_mpc(coeffs_mp, zs[i])
-            dpz = _horner_mpc(dcoeffs_mp, zs[i])
-            if dpz == 0:
-                zs[i] += mp.mpf(tol)
-                dpz = _horner_mpc(dcoeffs_mp, zs[i])
-            w = pz / dpz
-            s = mp.mpc(0)
+            zi = zs[i]
+            pz = _horner(coeffs, zi, prec, rnd)
+            dpz = _horner(dcoeffs, zi, prec, rnd)
+            bumped = dpz == _CZERO
+            if bumped:
+                zs[i] = zi = mpc_add_mpf(zi, bump, prec, rnd)
+                dpz = _horner(dcoeffs, zi, prec, rnd)
+            w = mpc_div(pz, dpz, prec, rnd)
+            row, s = inv[i], _CZERO
             for j in range(m):
-                if j != i:
-                    s += 1 / (zs[i] - zs[j])
-            denom = 1 - w * s
-            corrections.append(w if denom == 0 else w / denom)
-        moved = mp.mpf(0)
+                if j == i:
+                    continue
+                r = row[j]
+                if r is None or bumped:
+                    r = mpc_mpf_div(fone, mpc_sub(zi, zs[j], prec, rnd), prec, rnd)
+                    inv[j][i] = mpc_neg(r)
+                s = mpc_add(s, r, prec, rnd)
+            denom = mpc_sub(_CONE, mpc_mul(w, s, prec, rnd), prec, rnd)
+            corrections.append(w if denom == _CZERO else mpc_div(w, denom, prec, rnd))
+        moved = fzero
         for i in range(m):
-            zs[i] -= corrections[i]
-            moved = max(moved, abs(corrections[i]))
-        if moved < tol:
+            zs[i] = mpc_sub(zs[i], corrections[i], prec, rnd)
+            size = mpc_abs(corrections[i], prec, rnd)
+            if mpf_gt(size, moved):
+                moved = size
+        if mpf_lt(moved, tol):
             break
-    return zs
+    return [mp.make_mpc(z) for z in zs]
 
 
 def _residual_radius(coeffs_mp, dcoeffs_mp, z, m):
-    dpz = _horner_mpc(dcoeffs_mp, z)
-    if dpz == 0:
+    prec, rnd = mp.mp._prec_rounding
+    dpz = _horner([c._mpf_ for c in dcoeffs_mp], z._mpc_, prec, rnd)
+    if dpz == _CZERO:
         return mp.inf
     # |f(z)| cannot be trusted below the Horner roundoff at working precision;
     # fold that floor in so the radius never understates the uncertainty.
@@ -364,7 +524,8 @@ def _residual_radius(coeffs_mp, dcoeffs_mp, z, m):
     for c in coeffs_mp:
         noise = noise * az + abs(c)
     noise *= (m + 2) * mp.mpf(2) ** (4 - mp.mp.prec)
-    return m * (abs(_horner_mpc(coeffs_mp, z)) + noise) / abs(dpz)
+    pz = _horner([c._mpf_ for c in coeffs_mp], z._mpc_, prec, rnd)
+    return m * (mp.make_mpf(mpc_abs(pz, prec, rnd)) + noise) / mp.make_mpf(mpc_abs(dpz, prec, rnd))
 
 
 def _compare_estimates(a, b):

@@ -5,13 +5,23 @@ Q[t]/(f); these textbook matrix operations are the independent reference
 the tests compare it against.  ``elements`` draws the random inputs that
 the property tests feed to both sides.  ``companion``, ``reflect`` and
 ``shift`` are the polynomial transforms only the tests use.
+
+The second half holds the root loops as they were written first, on
+``Fraction`` and ``mpc`` operators: Sturm chains and isolation, certified
+refinement, the interval case of ``convergence._enclose`` and the Aberth
+sweep.  ``repapprox.roots`` runs the same loops on ints and raw mpmath
+tuples, and the tests check that both give the same bits.
 """
 
+import mpmath as mp
 from hypothesis import strategies as st
 
 from repapprox.backends import rational
-from repapprox.errors import DomainError
+from repapprox.errors import DomainError, NotSquarefree, UsageError
 from repapprox.polynomial import Polynomial
+from repapprox.roots import (
+    Enclosure, RootEstimate, _derivative, _eval_coeffs, _poly_gcd, _poly_mod, root_bound,
+)
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -112,3 +122,233 @@ def shift(f: Polynomial, c):
         for i in range(1, m + 1 - k):
             coeffs[i] += -c * coeffs[i - 1]
     return Polynomial.from_monic_coefficients(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Fraction / mpc oracles for the root loops.  repapprox.roots runs these on
+# ints and raw mpmath tuples; the tests check the results bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def sturm_chain(coeffs):
+    """Classical Sturm chain over Q: f, f', then -rem normalised to |lead| 1."""
+    chain = [coeffs, _derivative(coeffs)]
+    while len(chain[-1]) > 1:
+        rem = _poly_mod(chain[-2], chain[-1])
+        if rem == (rational(0),):
+            break
+        lead = abs(rem[0])
+        chain.append(tuple(-c / lead for c in rem))
+    return chain
+
+
+def variations(chain, t):
+    signs = []
+    for p in chain:
+        v = _eval_coeffs(p, t)
+        if v != 0:
+            signs.append(v > 0)
+    return sum(1 for s, s2 in zip(signs, signs[1:]) if s != s2)
+
+
+def is_squarefree(f):
+    coeffs = f.monic_coefficients()
+    return len(_poly_gcd(coeffs, _derivative(coeffs))) == 1
+
+
+def _require_squarefree(f):
+    if not is_squarefree(f):
+        raise NotSquarefree(f"gcd(f, f') is nonconstant for {f}")
+
+
+def count_real_roots(f, lo=None, hi=None):
+    _require_squarefree(f)
+    chain = sturm_chain(f.monic_coefficients())
+    bound = root_bound(f)
+    lo = rational(lo) if lo is not None else -bound
+    hi = rational(hi) if hi is not None else bound
+    return variations(chain, lo) - variations(chain, hi)
+
+
+def _nonroot_midpoint(f, a, b):
+    width = b - a
+    mid = (a + b) / 2
+    k = 7
+    while f.eval(mid) == 0:
+        mid = (a + b) / 2 + width / k
+        k *= 7
+        if mid >= b:
+            raise DomainError("could not find a non-root split point")
+    return mid
+
+
+def _halve_bracket(f, a, b):
+    fa = f.eval(a)
+    mid = (a + b) / 2
+    fm = f.eval(mid)
+    if fm == 0:
+        delta = (b - a) / 8
+        while f.eval(mid - delta) == 0 or f.eval(mid + delta) == 0:
+            delta /= 2
+        return (mid - delta, mid + delta)
+    if (fa < 0) != (fm < 0):
+        return (a, mid)
+    return (mid, b)
+
+
+def isolate_real_roots(f):
+    _require_squarefree(f)
+    chain = sturm_chain(f.monic_coefficients())
+    bound = root_bound(f)
+    lo, hi = -bound, bound
+    total = variations(chain, lo) - variations(chain, hi)
+    out = []
+    stack = [(lo, hi, total)] if total else []
+    while stack:
+        a, b, count = stack.pop()
+        if count == 1:
+            out.append((a, b))
+            continue
+        mid = _nonroot_midpoint(f, a, b)
+        left = variations(chain, a) - variations(chain, mid)
+        if left:
+            stack.append((a, mid, left))
+        if count - left:
+            stack.append((mid, b, count - left))
+    out.sort(key=lambda iv: (iv[0], iv[1]))
+    for i in range(len(out) - 1):
+        while out[i][1] >= out[i + 1][0]:
+            out[i] = _halve_bracket(f, *out[i])
+    return out
+
+
+def interval_horner(coeffs, lo, hi):
+    """Interval extension of a polynomial over [lo, hi] (exact rationals)."""
+    alo = ahi = rational(0)
+    for c in coeffs:
+        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(products) + c, max(products) + c
+    return alo, ahi
+
+
+def dyadic_out(lo, hi, granule):
+    gn, gd = granule.numerator, granule.denominator
+    k = max(0, int(gd).bit_length() - int(gn).bit_length() + 1)
+    scale = 1 << k
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    return rational(int(ln) * scale // int(ld), scale), rational(
+        -((-int(hn) * scale) // int(hd)), scale
+    )
+
+
+def refine_real_root(f, interval, eps):
+    """Bisection plus interval Newton on Fractions, dyadic outward rounding."""
+    a, b = rational(interval[0]), rational(interval[1])
+    if a > b:
+        a, b = b, a
+    eps = rational(eps)
+    if eps <= 0:
+        raise UsageError("eps must be positive")
+    fa, fb = f.eval(a), f.eval(b)
+    if fa == 0:
+        return RootEstimate(a, rational(0), True)
+    if fb == 0:
+        return RootEstimate(b, rational(0), True)
+    if (fa < 0) == (fb < 0):
+        raise DomainError(f"no sign change on [{a}, {b}]")
+    deriv = _derivative(f.monic_coefficients())
+
+    while b - a > 2 * eps:
+        width = b - a
+        mid = (a + b) / 2
+        fmid = f.eval(mid)
+        if fmid == 0:
+            return RootEstimate(mid, rational(0), True)
+        dlo, dhi = interval_horner(deriv, a, b)
+        stepped = False
+        if dlo > 0 or dhi < 0:
+            c1, c2 = mid - fmid / dlo, mid - fmid / dhi
+            na, nb = (c1, c2) if c1 <= c2 else (c2, c1)
+            na, nb = max(na, a), min(nb, b)
+            if na <= nb and nb - na <= width / 2:
+                granule = (nb - na) / 16 or eps / 16
+                na, nb = dyadic_out(na, nb, granule)
+                na, nb = max(na, a), min(nb, b)
+                fna, fnb = f.eval(na), f.eval(nb)
+                if fna == 0:
+                    return RootEstimate(na, rational(0), True)
+                if fnb == 0:
+                    return RootEstimate(nb, rational(0), True)
+                if (fna < 0) != (fnb < 0) and nb - na <= width / 2:
+                    a, b, fa, fb = na, nb, fna, fnb
+                    stepped = True
+        if not stepped:
+            if (fa < 0) != (fmid < 0):
+                b, fb = mid, fmid
+            else:
+                a, fa = mid, fmid
+
+    return RootEstimate((a + b) / 2, (b - a) / 2, True)
+
+
+def enclose_interval(f, n_poly, d_poly, bracket, digits, offset):
+    """The rational-interval case of convergence._enclose, on Fractions."""
+    target = eps = rational(1, 10 ** int(digits))
+    while True:
+        est = refine_real_root(f, bracket, eps)
+        bracket = (est.center - est.radius, est.center + est.radius)
+        n_lo, n_hi = interval_horner(n_poly, *bracket)
+        d_lo, d_hi = interval_horner(d_poly, *bracket)
+        if d_lo > 0 or d_hi < 0:
+            ends = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
+            lo, hi = min(ends), max(ends)
+            if hi - lo <= 2 * target:
+                return Enclosure((lo + hi) / 2 + offset, (hi - lo) / 2)
+        eps /= 1 << 16
+
+
+def horner_mpc(coeffs, z):
+    acc = mp.mpc(0)
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def aberth_pass(coeffs_mp, dcoeffs_mp, zs, iterations, tol):
+    """Aberth-Ehrlich sweeps with mpc operators."""
+    m = len(zs)
+    for _ in range(iterations):
+        corrections = []
+        for i in range(m):
+            pz = horner_mpc(coeffs_mp, zs[i])
+            dpz = horner_mpc(dcoeffs_mp, zs[i])
+            if dpz == 0:
+                zs[i] += mp.mpf(tol)
+                dpz = horner_mpc(dcoeffs_mp, zs[i])
+            w = pz / dpz
+            s = mp.mpc(0)
+            for j in range(m):
+                if j != i:
+                    s += 1 / (zs[i] - zs[j])
+            denom = 1 - w * s
+            corrections.append(w if denom == 0 else w / denom)
+        moved = mp.mpf(0)
+        for i in range(m):
+            zs[i] -= corrections[i]
+            moved = max(moved, abs(corrections[i]))
+        if moved < tol:
+            break
+    return zs
+
+
+def residual_radius(coeffs_mp, dcoeffs_mp, z, m):
+    dpz = horner_mpc(dcoeffs_mp, z)
+    if dpz == 0:
+        return mp.inf
+    az = abs(z)
+    noise = mp.mpf(0)
+    for c in coeffs_mp:
+        noise = noise * az + abs(c)
+    noise *= (m + 2) * mp.mpf(2) ** (4 - mp.mp.prec)
+    return m * (abs(horner_mpc(coeffs_mp, z)) + noise) / abs(dpz)

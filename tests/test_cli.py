@@ -223,6 +223,23 @@ class TestCRatio:
         assert code == 1
         assert ">= 64" in err
 
+    def test_precision_cap_refused_before_any_root_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("all_roots called for a refused --precision")
+
+        for module in (cli, cli.convergence):
+            monkeypatch.setattr(module, "all_roots", refuse)
+        huge = str(10**9)
+        for argv in (
+            ("roots", "--poly", "c:1,1,-2,-1"),
+            ("c-ratio", "--poly", "c:1,1,-2,-1", "--x", "0,0,1"),
+            ("limits", "--poly", "c:1,1,-2,-1", "--x", "0,0,1", "--indices", "2,1,3,1"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--precision", huge)
+            assert (code, out) == (1, "")
+            assert f"MAX_PRECISION = {cli.MAX_PRECISION}" in err and huge in err
+        assert cli.MAX_PRECISION == 1 << 16
+
     def test_negative_leading_value(self, capsys):
         # argparse alone reads "-1,1,1" as an option and has --x miss its value
         spaced = run_cli(capsys, "c-ratio", "--poly", "c:1,1,-2,-1", "--x", "-1,1,1")
