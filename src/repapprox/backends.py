@@ -1,11 +1,14 @@
 """Exact-rational arithmetic backend and number formatting.
 
-All exact arithmetic in this package goes through ``rational()``.  When gmpy2
-is importable (and not disabled via ``REPAPPROX_BACKEND=python``) the backend
-is GMP's ``mpq``/``mpz``, which keeps the deep matrix powers and the huge
-iterative-method denominators fast; otherwise the stdlib ``fractions.Fraction``
-is used.  Both types share the operator protocol, so everything downstream is
-backend-agnostic.
+Every exact rational the package stores or returns is made by
+``rational()``: polynomial and weight coefficients, matrix entries, sequence
+values and errors, enclosure ends.  When gmpy2 is importable (and not
+disabled via ``REPAPPROX_BACKEND=python``) that is GMP's ``mpq``; otherwise
+the stdlib ``fractions.Fraction``.  Both types share the operator protocol,
+so everything downstream is backend-agnostic.  Three loops run on plain
+ints instead and make a rational only of their result: the iterative step
+kernels, root refinement and the polynomial algebra of ``polynomial``
+(Sturm chains, remainders and gcds).
 
 Every integer the package prints goes through ``decimal_str``, which equals
 ``str(n)``.  CPython before 3.12 converts an int to decimal in time

@@ -7,6 +7,7 @@ stdout.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -25,6 +26,8 @@ from .roots import all_roots
 DEFAULT_PRECISION = 256
 # analyze's default precision ceiling, and the largest --precision accepted.
 MAX_PRECISION = 1 << 16
+# Options are None unless given, so --config can fill them; then these apply.
+_DEFAULTS = {"offset": "0", "methods": "newton,halley,noor", "jobs": 1, "time": False, "format": "csv"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,10 +38,12 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub, output_format=False):
     sub.add_argument("--config", help="JSON file with default option values")
     if output_format:
-        sub.add_argument("--format", choices=("csv", "pretty"), default=None)
+        sub.add_argument("--format", choices=("csv", "pretty"))
 
 
+@functools.cache
 def _build_parser():
+    """The parser and its subcommand parsers by name, built once per process."""
     parser = _Parser(prog="repapprox", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -58,28 +63,28 @@ def _build_parser():
     p.add_argument("--x")
     p.add_argument("--num", help="numerator entry i,j")
     p.add_argument("--den", help="denominator entry p,q")
-    p.add_argument("--offset", default="0", help="rational or 'auto'")
+    p.add_argument("--offset", help="rational or 'auto'")
     p.add_argument("--n", help="comma-separated step indices")
-    p.add_argument("--stride", type=int, default=None, help="repeated powering stride")
-    p.add_argument("--steps", type=int, default=None, help="steps for --stride mode")
+    p.add_argument("--stride", type=int, help="repeated powering stride")
+    p.add_argument("--steps", type=int, help="steps for --stride mode")
     _add_common(p, output_format=True)
 
     p = subs.add_parser("c-ratio", help="dominance analysis")
     p.add_argument("--poly")
     p.add_argument("--x")
-    p.add_argument("--precision", type=int, default=None, help=f"bits, 64..{MAX_PRECISION}")
+    p.add_argument("--precision", type=int, help=f"bits, 64..{MAX_PRECISION}")
     _add_common(p, output_format=True)
 
     p = subs.add_parser("limits", help="limit predictions")
     p.add_argument("--poly")
     p.add_argument("--x")
     p.add_argument("--indices", help="i,j,p,q[;i,j,p,q...]")
-    p.add_argument("--precision", type=int, default=None, help=f"bits, 64..{MAX_PRECISION}")
+    p.add_argument("--precision", type=int, help=f"bits, 64..{MAX_PRECISION}")
     _add_common(p)
 
     p = subs.add_parser("compare", help="iterative baselines")
     p.add_argument("--poly")
-    p.add_argument("--methods", default="newton,halley,noor")
+    p.add_argument("--methods")
     p.add_argument("--x0", help="rational initial condition")
     p.add_argument("--steps", type=int)
     _add_common(p)
@@ -87,33 +92,48 @@ def _build_parser():
     p = subs.add_parser("tables", help="reproduce published tables")
     p.add_argument("--id", dest="table_id", help="1..7 or 'all'")
     p.add_argument("--out", help="output directory (default: $REPAPPROX_OUT or .)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per table")
-    p.add_argument("--time", action="store_true", help="report elapsed time per table")
+    p.add_argument("--jobs", type=int, help="worker processes, at most one per table")
+    p.add_argument("--time", action="store_true", default=None, help="report elapsed time per table")
     _add_common(p)
 
     p = subs.add_parser("roots", help="certified roots")
     p.add_argument("--poly")
-    p.add_argument("--precision", type=int, default=None, help=f"bits, 64..{MAX_PRECISION}")
+    p.add_argument("--precision", type=int, help=f"bits, 64..{MAX_PRECISION}")
     _add_common(p)
 
-    return parser
+    return parser, subs.choices
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
-            raise UsageError("--config must contain a JSON object")
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if attr == "id":
-                attr = "table_id"
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, value)
-    if hasattr(args, "format") and args.format is None:
-        args.format = "csv"
+def _parse(argv):
+    """Options from the command line, else from --config, else _DEFAULTS."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(argv + _config_argv(args, commands[args.command]))
+    for dest, value in _DEFAULTS.items():
+        if getattr(args, dest, False) is None:
+            setattr(args, dest, value)
     return args
+
+
+def _config_argv(args, sub):
+    """The --config options not on the command line, as argv for argparse to check."""
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--config {args.config}: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError("--config must contain a JSON object")
+    extra = []
+    for key, value in config.items():
+        option = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(option)
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"--config: {args.command} has no option {option}")
+        if getattr(args, action.dest) is None:
+            extra += ([option] if value else []) if action.nargs == 0 else [f"{option}={value}"]
+    return extra
 
 
 def _require(args, *names):
@@ -132,14 +152,15 @@ def _precision(args):
     return bits
 
 
-def _parse_pair(text, label):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--{label} expects 'i,j', got {text!r}")
+def _ints(text, flag, count=None):
+    """The comma-separated integers of an option value; errors name --flag."""
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"--{label} expects integers: {text!r}") from exc
+        values = [int(s) for s in str(text).split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"--{flag} expects comma-separated integers, got {text!r}") from None
+    if not values or count and len(values) != count:
+        raise UsageError(f"--{flag} expects {count or 'at least one'} integers, got {text!r}")
+    return values
 
 
 def _matrix(args):
@@ -232,8 +253,8 @@ def _cmd_power(args, out):
 def _cmd_approx(args, out):
     _require(args, "poly", "x", "num", "den")
     matrix = _matrix(args)
-    num = _parse_pair(args.num, "num")
-    den = _parse_pair(args.den, "den")
+    num = tuple(_ints(args.num, "num", 2))
+    den = tuple(_ints(args.den, "den", 2))
     if str(args.offset).strip() == "auto":
         offset = _resolve_auto_offset(matrix.poly, num, den)
         if offset is None:
@@ -252,10 +273,7 @@ def _cmd_approx(args, out):
         )
     else:
         _require(args, "n")
-        ns = [int(s) for s in str(args.n).split(",") if s.strip()]
-        if not ns:
-            raise UsageError("--n must list at least one index")
-        records = powers.ratio_sequence(matrix, num, den, offset, ns)
+        records = powers.ratio_sequence(matrix, num, den, offset, _ints(args.n, "n"))
     (_records_pretty if args.format == "pretty" else _records_csv)(records, out)
     return 0
 
@@ -289,13 +307,10 @@ def _cmd_limits(args, out):
     _require(args, "poly", "x", "indices")
     f = parse_polynomial(args.poly)
     x = parse_rational_vector(args.x)
+    quads = [_ints(text, "indices", 4) for text in args.indices.split(";")]
     report = convergence.analyze(f, x, precision_bits=_precision(args))
     print("i,j,p,q,L,rate_constant,degenerate", file=out)
-    for quad_text in args.indices.split(";"):
-        parts = [s for s in quad_text.split(",") if s.strip()]
-        if len(parts) != 4:
-            raise UsageError(f"--indices quadruple must be i,j,p,q: {quad_text!r}")
-        i, j, p, q = (int(s) for s in parts)
+    for i, j, p, q in quads:
         pred = convergence.limit_ratio(f, x, (i, j), (p, q), report)
         with mp.workprec(pred.work_prec):
             l_str = mp.nstr(pred.limit, 20)
@@ -334,7 +349,7 @@ def _cmd_tables(args, out):
     ids = (
         list(range(1, 8))
         if str(args.table_id).strip() == "all"
-        else [int(s) for s in str(args.table_id).split(",")]
+        else _ints(args.table_id, "id")
     )
     for tid in ids:
         if not 1 <= tid <= 7:
@@ -414,8 +429,7 @@ def _join_negative_values(argv):
 def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = _build_parser().parse_args(_join_negative_values(argv))
-        args = _apply_config(args)
+        args = _parse(_join_negative_values(argv))
         return _HANDLERS[args.command](args, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

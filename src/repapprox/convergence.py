@@ -8,18 +8,20 @@ ratio of any two entries of M^n converges to V^-1[i,k] V[k,j] /
 where l is the runner-up index.
 
 Dominance is decided in mpmath at an escalating working precision.  The
-limit is exact algebra: it equals N(alpha_k) / D(alpha_k) for two rational
-polynomials read off f, with alpha_k the real dominant root, so it is
-decided and enclosed in rational arithmetic on alpha_k's Sturm bracket.  The
-closed cubic forms are kept as an independent cross-check path.
+limit is exact algebra: it equals N(alpha_k) / D(alpha_k) for two int
+polynomials read off f, with alpha_k the real dominant root.  B_k = 0, a
+value equal to the limit and a limit equal to alpha_k are each decided by
+the integer remainder sequence of f and one polynomial, a ratio constant
+in n by two pseudo-remainders, and the limit is enclosed on ints over
+alpha_k's Sturm bracket.  The closed cubic forms are kept as an
+independent cross-check path.
 """
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import mpmath as mp
 
-from .backends import floor_log10, format_rational, mpf_to_rational, rational, to_mpf
+from .backends import as_int_pair, floor_log10, format_rational, mpf_to_rational, rational, to_mpf
 from .errors import (
     DegenerateRatio,
     DomainError,
@@ -27,11 +29,11 @@ from .errors import (
     UsageError,
     ZeroDenominator,
 )
-from .polynomial import Polynomial, integer_multiple
+from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
 from .regrep import Weights, _coerce_weights
 from .roots import (
-    Enclosure, RootSet, _bracket, _derivative, _eval_coeffs, _interval_horner, _poly_gcd,
-    _poly_mod, _refine, all_roots, isolating_interval_for, refine_to_decimal_digits,
+    Enclosure, RootSet, all_roots, enclose_quotient, isolating_interval_for,
+    refine_to_decimal_digits,
 )
 
 
@@ -155,17 +157,26 @@ def _poly_sum(*polys):
     return tuple(map(sum, zip(*((0,) * (n - len(p)) + tuple(p) for p in polys))))
 
 
-def _root_in(h, bracket):
-    """Whether h, a divisor of f, vanishes in an isolating bracket of f."""
-    a, b = bracket
-    return len(h) > 1 and (_eval_coeffs(h, a) < 0) != (_eval_coeffs(h, b) < 0)
+def _shares_root(F, g, bracket):
+    """Whether g vanishes at F's root in an isolating bracket: gcd(F, g) changes sign there."""
+    h = remainder_sequence(F, g)[-1]
+    return len(h) > 1 and (sign_at(h, bracket[0]) < 0) != (sign_at(h, bracket[1]) < 0)
 
 
-def _constant_quotient(n_poly, d_poly, coeffs):
-    """c with N = c*D modulo f, so that the ratio is c at every n; else None."""
-    rn, rd = _poly_mod(n_poly, coeffs), _poly_mod(d_poly, coeffs)
-    c = rn[0] / rd[0] if len(rn) == len(rd) else rational(0)
-    return None if any(_poly_sum(rn, [-c * d for d in rd])) else c
+def _constant_quotient(n, d, F):
+    """c with N = c*D modulo F, so that the ratio is c at every n; else None.
+
+    Padded to one length, N and D have pseudo-remainders of one scale.
+    """
+    k = max(len(n), len(d))
+    rn, rd = (pseudo_remainder((0,) * (k - len(p)) + tuple(p), F) for p in (n, d))
+    if not rd or len(rn) not in (0, len(rd)):
+        return None
+    if not rn:
+        return rational(0)
+    if any(x * rd[0] != y * rn[0] for x, y in zip(rn, rd)):
+        return None
+    return rational(rn[0], rd[0])
 
 
 def _limit_data(f, num, den, report):
@@ -175,9 +186,11 @@ def _limit_data(f, num, den, report):
     f'(alpha_k)); by synthetic division its t^(i-1) coefficient is the top
     m-i+1 coefficients of f evaluated at alpha_k, over f'(alpha_k).  So
     A_k = N(alpha_k) / f'(alpha_k) with N = f[:m-i+1] * t^(j-1), B_k likewise
-    with D = f[:m-p+1] * t^(q-1), and f' cancels in A_k / B_k.  A certified
-    dominant alpha_k is real (a conjugate would tie it), so it has a Sturm
-    bracket, and B_k = 0 exactly when gcd(f, D) changes sign across it.
+    with D = f[:m-p+1] * t^(q-1), and f' cancels in A_k / B_k.  N and D are
+    read off the int form L f, so both carry the factor L, which cancels
+    too.  A certified dominant alpha_k is real (a conjugate would tie it),
+    so it has a Sturm bracket, and B_k = 0 exactly when gcd(f, D) changes
+    sign across it.
     """
     if not report.certified:
         raise DomainError("limit_ratio requires a certified dominance report")
@@ -187,16 +200,15 @@ def _limit_data(f, num, den, report):
         if not (1 <= idx <= m):
             raise UsageError(f"index {idx} out of range 1..{m}")
     i, j, p, q = indices
-    coeffs = f.monic_coefficients()
-    zeros = (rational(0),) * m
-    n_poly = coeffs[: m - i + 1] + zeros[: j - 1]
-    d_poly = coeffs[: m - p + 1] + zeros[: q - 1]
+    F = f.integer_forms()[0]
+    n = F[: m - i + 1] + (0,) * (j - 1)
+    d = F[: m - p + 1] + (0,) * (q - 1)
     bracket = isolating_interval_for(f, report.roots.roots[report.dominant_index])
-    if _root_in(_poly_gcd(coeffs, d_poly), bracket):
+    if _shares_root(F, d, bracket):
         raise ZeroDenominator(
             f"denominator product B_k for indices {indices} is indistinguishable from zero"
         )
-    return n_poly, d_poly, bracket
+    return n, d, bracket
 
 
 def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitPrediction:
@@ -209,7 +221,7 @@ def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitP
     modulo f; this covers num == den and the two named families) is
     degenerate exactly; other degeneracies are decided numerically.
     """
-    n_poly, d_poly, _ = _limit_data(f, num, den, report)
+    n, d, _ = _limit_data(f, num, den, report)
     indices = tuple(int(v) for v in (*num, *den))
     prec = max(report.work_prec, 192)
     work_prec = 2 * prec
@@ -219,9 +231,8 @@ def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitP
         limit = to_mpf(enc.center, mp)
         slack = enc.radius + abs(mpf_to_rational(limit) - enc.center)
         limit_error = mp.fdiv(slack.numerator, slack.denominator, rounding="u")
-        coeffs = f.monic_coefficients()
-        exact = (n_poly, d_poly, _derivative(coeffs))
-        *polys, f_prime = [[to_mpf(c, mp) for c in p] for p in exact]
+        F, F_prime = f.integer_forms()[:2]
+        *polys, f_prime = [[to_mpf(c, mp) for c in p] for p in (n, d, F_prime)]
         (a_k, b_k), (a_l, b_l) = (
             [mp.polyval(p, z) / mp.polyval(f_prime, z) for p in polys]
             for z in (roots[report.dominant_index].center, roots[report.runner_up_index].center)
@@ -229,7 +240,7 @@ def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitP
         eps = mp.mpf(2) ** (-prec // 2)
         disc = a_l * b_k - a_k * b_l
         disc_bar = eps * (1 + abs(a_l * b_k) + abs(a_k * b_l))
-        exact_degenerate = _constant_quotient(n_poly, d_poly, coeffs) is not None
+        exact_degenerate = _constant_quotient(n, d, F) is not None
         degenerate = exact_degenerate or abs(disc) <= 4 * disc_bar
         rate_constant = mp.mpf(0) if exact_degenerate else abs(disc) / abs(b_k) ** 2
     return LimitPrediction(
@@ -239,61 +250,29 @@ def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitP
 
 def limit_enclosure(f, x, num, den, report, digits, offset=0) -> Enclosure:
     """Certified enclosure of limit + offset with radius <= 10**-digits."""
-    n_poly, d_poly, bracket = _limit_data(f, num, den, report)
-    return _enclose(f, n_poly, d_poly, bracket, digits, rational(offset))
+    n, d, bracket = _limit_data(f, num, den, report)
+    return _enclose(f, n, d, bracket, digits, rational(offset))
 
 
-# n/d pairs with d > 0, ordered by value
-_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-
-
-def _enclose(f, n_poly, d_poly, bracket, digits, offset):
+def _enclose(f, n, d, bracket, digits, offset):
     """Enclosure of N(alpha)/D(alpha) + offset, alpha in bracket, radius <= 10**-digits.
 
     Three exact cases in order: N = c*D modulo f gives the constant c with
     radius 0; if alpha is a root of gcd(f, N + (offset - t) D), limit +
-    offset is alpha itself and its bracket is refined; otherwise N and D are
-    evaluated in rational interval arithmetic on the bracket, refined until
-    the quotient is narrow enough.
+    offset is alpha itself and its bracket is refined; otherwise
+    roots.enclose_quotient evaluates N and D in interval arithmetic on the
+    bracket, refined until the quotient is narrow enough.
     """
-    coeffs = f.monic_coefficients()
-    c = _constant_quotient(n_poly, d_poly, coeffs)
+    F = f.integer_forms()[0]
+    c = _constant_quotient(n, d, F)
     if c is not None:
         return Enclosure(c + offset, rational(0))
-    shifted = _poly_sum(n_poly, [offset * d for d in d_poly], [-d for d in d_poly + (0,)])
-    if _root_in(_poly_gcd(coeffs, shifted), bracket):
+    a, b = as_int_pair(offset)  # N + (a/b - t) D, times b
+    shifted = _poly_sum([b * v for v in n], [a * v for v in d], [-b * v for v in d + (0,)])
+    if _shares_root(F, shifted, bracket):
         return refine_to_decimal_digits(f, bracket, digits)
-    return _enclose_interval(f, n_poly, d_poly, bracket, digits, offset)
-
-
-def _enclose_interval(f, n_poly, d_poly, bracket, digits, offset):
-    """_enclose's interval case: refine until N/D on the bracket is narrow enough.
-
-    It runs on ints: the bracket is (lo, hi, q) as in roots._refine, N and
-    D are scaled by one common integer, which leaves N/D as it is, and every
-    quotient below is n/d times kn/kd = q^dD / q^dN.  Each round asks the
-    refinement for 2^16 times more than the last.  D must not vanish at
-    the root, or no round is narrow enough.
-    """
-    forms = f.integer_forms()[:2]
-    both = integer_multiple(n_poly + d_poly)
-    n_int, d_int = both[: len(n_poly)], both[len(n_poly) :]
-    lo, hi, q = _bracket(*bracket)
-    tol_den = ed = 10 ** int(digits)  # the radius target is 1/tol_den
-    while True:
-        lo, hi, q = _refine(forms, lo, hi, q, (1, ed))
-        n_lo, n_hi = _interval_horner(n_int, lo, hi, q)
-        d_lo, d_hi = _interval_horner(d_int, lo, hi, q)
-        if d_lo > 0 or d_hi < 0:
-            e = len(d_int) - len(n_int)
-            kn, kd = q ** max(e, 0), q ** max(-e, 0)
-            ends = [(n, d) if d > 0 else (-n, -d) for n in (n_lo, n_hi) for d in (d_lo, d_hi)]
-            (ln, ld), (hn, hd) = min(ends, key=_by_value), max(ends, key=_by_value)
-            spread, den = (hn * ld - ln * hd) * kn, ld * hd * kd
-            if spread * tol_den <= 2 * den:
-                center = rational((ln * hd + hn * ld) * kn, 2 * den)
-                return Enclosure(center + offset, rational(spread, 2 * den))
-        ed <<= 16
+    enc = enclose_quotient(f, n, d, bracket, digits)
+    return Enclosure(enc.center + offset, enc.radius)
 
 
 def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:
@@ -307,15 +286,17 @@ def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:
     value lies at least 10**20 radii from the centre, so each |value - centre|
     is its true error to about 20 significant digits.
     """
-    n_poly, d_poly, bracket = limit
+    n, d, bracket = limit
     offset = rational(offset)
-    coeffs = f.monic_coefficients()
+    F = f.integer_forms()[0]
+    a, b = as_int_pair(offset)
     digits = 30
-    enc = _enclose(f, n_poly, d_poly, bracket, digits, offset)
+    enc = _enclose(f, n, d, bracket, digits, offset)
     for v in values:
         if abs(v - enc.center) <= enc.radius:
-            shifted = _poly_sum(n_poly, [(offset - v) * d for d in d_poly])
-            if _root_in(_poly_gcd(coeffs, shifted), bracket):
+            p, q = as_int_pair(v)  # N + (a/b - p/q) D, times bq
+            shifted = _poly_sum([b * q * w for w in n], [(a * q - p * b) * w for w in d])
+            if _shares_root(F, shifted, bracket):
                 return Enclosure(v, rational(0))
     while True:
         margin = enc.radius * 10**20
@@ -324,7 +305,7 @@ def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:
             return enc
         smallest = min(close)
         digits = max(2 * digits, -floor_log10(smallest) + 21 if smallest else 0)
-        enc = _enclose(f, n_poly, d_poly, bracket, digits, offset)
+        enc = _enclose(f, n, d, bracket, digits, offset)
 
 
 def cubic_limit_matrix(f: Polynomial, numerator, report: ConvergenceReport):

@@ -179,7 +179,7 @@ def _resolve_target(f, values) -> Enclosure:
 
     interval = min(intervals, key=distance)
     # The root is N(alpha)/D(alpha) with N = t and D = 1.
-    return resolving_enclosure(f, ((rational(1), rational(0)), (rational(1),), interval), values)
+    return resolving_enclosure(f, ((1, 0), (1,), interval), values)
 
 
 def iterate_records(method, f: Polynomial, x0, steps, max_den_digits=150_000):

@@ -3,9 +3,15 @@
 The u-vector is the canonical storage (every downstream formula is written in
 terms of it); the full monic coefficient list is an input/output view.  All
 coefficient arithmetic is exact.
+
+The functions below are the package's one polynomial arithmetic, on int
+coefficient tuples, highest degree first (``integer_forms`` gives L f, L f',
+L f'' for L the lcm of f's denominators).  ``remainder_sequence`` (Cohen,
+*A Course in Computational Algebraic Number Theory*, 1993, section 3.3)
+serves as Sturm chain and as every exact gcd over Q.
 """
 
-from math import lcm
+from math import gcd, lcm
 
 from .backends import as_int_pair, parse_rational, rational
 from .errors import UsageError
@@ -40,22 +46,6 @@ class Polynomial:
         """Full coefficient list (1, -u_1, ..., -u_m), highest degree first."""
         return (rational(1),) + tuple(-c for c in self.u)
 
-    def eval(self, t, derivative_order=0):
-        """Exact value of f, f' or f'' at rational t (Horner)."""
-        if derivative_order not in (0, 1, 2):
-            raise UsageError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
-        coeffs = self.monic_coefficients()
-        for _ in range(derivative_order):
-            deg = len(coeffs) - 1
-            coeffs = tuple(c * (deg - i) for i, c in enumerate(coeffs[:-1]))
-            if not coeffs:
-                return rational(0)
-        t = rational(t)
-        acc = rational(0)
-        for c in coeffs:
-            acc = acc * t + c
-        return acc
-
     def integer_forms(self):
         """(L f, L f', L f'') as int coefficient tuples, highest degree first.
 
@@ -65,8 +55,7 @@ class Polynomial:
         """
         forms = [integer_multiple(self.monic_coefficients())]
         for _ in range(2):
-            deg = len(forms[-1]) - 1
-            forms.append(tuple(c * (deg - i) for i, c in enumerate(forms[-1][:-1])))
+            forms.append(derivative(forms[-1]))
         return tuple(forms)
 
     def __eq__(self, other):
@@ -112,6 +101,76 @@ def homogeneous_eval(coeffs, p, q):
         q_i *= q
         acc = acc * p + c * q_i
     return acc
+
+
+def trim(coeffs):
+    """The tuple without its leading zeros; the zero polynomial is ()."""
+    for i, c in enumerate(coeffs):
+        if c:
+            return tuple(coeffs[i:])
+    return ()
+
+
+def derivative(coeffs):
+    """The derivative's coefficients (int or rational); a constant's is ()."""
+    deg = len(coeffs) - 1
+    return tuple(c * (deg - i) for i, c in enumerate(coeffs[:-1]))
+
+
+def sign_at(coeffs, t):
+    """Sign (-1, 0 or 1) of an int polynomial at a rational t."""
+    v = homogeneous_eval(coeffs, *as_int_pair(t))
+    return (v > 0) - (v < 0)
+
+
+def primitive(coeffs):
+    """A nonzero int polynomial divided by its positive content.
+
+    A constant becomes its sign, with no gcd taken and no division made.
+    """
+    if len(coeffs) == 1:
+        return ((coeffs[0] > 0) - (coeffs[0] < 0),)
+    g = gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+def pseudo_remainder(a, b):
+    """Trimmed r = |lc b|^(deg a - deg b + 1) a - q b, deg r < deg b (r = a if deg a < deg b).
+
+    b is trimmed and nonzero.  Leading zeros of a count in deg a, so inputs
+    padded to one length share one positive scale.  A linear b0 t + b1
+    leaves |b0|^deg a a(-b1/b0): one homogeneous_eval, no division.
+    """
+    if len(a) < len(b):
+        return trim(a)
+    lb, sign = abs(b[0]), 1 if b[0] > 0 else -1
+    if len(b) == 2:
+        return trim((homogeneous_eval(a, -b[1] * sign, lb),))
+    a = list(a)
+    while len(a) >= len(b):
+        lead = a[0] * sign
+        a = [lb * x - lead * y for x, y in zip(a, b + (0,) * (len(a) - len(b)))]
+        a.pop(0)
+    return trim(a)
+
+
+def remainder_sequence(a, b):
+    """a, b, then the primitive part of minus the pseudo-remainder of the last two.
+
+    Each entry is a positive multiple of the classical one over Q, so with
+    b = a' this is a's Sturm chain.  The last entry is gcd(a, b) up to a
+    constant (a itself if b = 0); a constant entry is only its sign.
+    """
+    seq = [trim(a)]
+    b = trim(b)
+    if b:
+        seq.append(b)
+    while len(seq) > 1 and len(seq[-1]) > 1:
+        rem = pseudo_remainder(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append(primitive(tuple(-c for c in rem)))
+    return tuple(seq)
 
 
 def parse_polynomial(text):

@@ -97,6 +97,35 @@ def _with_errors(records, f, limit, offset, target):
     ]
 
 
+def _sequence(M, num, den, offset, target, ns, advance):
+    """Records of value(n) = M^n[num]/M^n[den] + offset at the increasing ns.
+
+    The first element power is g^ns[0]; advance(h, a, b) takes h = g^a to
+    g^b.  Errors are resolved as in ratio_sequence.
+    """
+    m = M.size
+    num = _check_index(num, m, "numerator")
+    den = _check_index(den, m, "denominator")
+    offset = rational(offset)
+    if not ns:
+        return []
+    if ns[0] < 0:
+        raise UsageError("sequence indices must be nonnegative")
+    f = M.poly
+    # Dominance and the limit are certified before any power is taken.
+    limit = _limit_data(f, num, den, analyze(f, M.weights)) if target is None else None
+    records, current = [], power(f, M.weights.x, ns[0])
+    for k, n in enumerate(ns):
+        if k:
+            current = advance(current, ns[k - 1], n)
+        records.append(_record_from_entries(matrix_of(f, current), n, num, den, offset))
+    if all(not r.available for r in records):
+        raise ZeroDenominator(
+            f"denominator entry M^n[{den}] vanished at every requested n"
+        )
+    return _with_errors(records, f, limit, offset, target)
+
+
 def ratio_sequence(
     M: RegRepMatrix, num, den, offset=0, n_list=(), target=None
 ) -> list:
@@ -106,35 +135,13 @@ def ratio_sequence(
     omitted, ``convergence.resolving_enclosure`` encloses the limit tightly
     enough that every error is exactly 0 (a value proven equal to the limit)
     or at least 10**20 radii.  Zero denominator entries mark the record
-    unavailable instead of failing the run.
+    unavailable instead of failing the run, unless every one vanishes.
     """
-    m = M.size
-    num = _check_index(num, m, "numerator")
-    den = _check_index(den, m, "denominator")
-    offset = rational(offset)
+    f, x = M.poly, M.weights.x
     ns = sorted(set(int(n) for n in n_list))
-    if not ns:
-        return []
-    if ns[0] < 0:
-        raise UsageError("sequence indices must be nonnegative")
-    # Dominance and the limit are certified before any power is taken.
-    f = M.poly
-    limit = _limit_data(f, num, den, analyze(f, M.weights)) if target is None else None
-    x = M.weights.x
-    records = []
-    current = power(f, x, ns[0])
-    prev_n = ns[0]
-    for n in ns:
-        if n != prev_n:
-            current = multiply(f, current, power(f, x, n - prev_n))
-            prev_n = n
-        records.append(_record_from_entries(matrix_of(f, current), n, num, den, offset))
-
-    if all(not r.available for r in records):
-        raise ZeroDenominator(
-            f"denominator entry M^n[{den}] vanished at every requested n"
-        )
-    return _with_errors(records, f, limit, offset, target)
+    return _sequence(
+        M, num, den, offset, target, ns, lambda h, a, b: multiply(f, h, power(f, x, b - a))
+    )
 
 
 def accelerated_sequence(
@@ -153,28 +160,14 @@ def accelerated_sequence(
         raise UsageError("steps must be >= 1")
     if stride == 1:
         return ratio_sequence(M, num, den, offset, range(1, steps + 1), target)
-    m = M.size
-    num = _check_index(num, m, "numerator")
-    den = _check_index(den, m, "denominator")
-    offset = rational(offset)
     n_max = stride**steps
     if n_max > 10_000_000:
         raise UsageError(
             f"stride**steps = {n_max} is beyond any tractable matrix power; "
             "reduce --steps"
         )
-    # Dominance and the limit are certified before any power is taken.
-    f = M.poly
-    limit = _limit_data(f, num, den, analyze(f, M.weights)) if target is None else None
-    records = []
-    current = power(f, M.weights.x, stride)
-    n = stride
-    for step in range(1, steps + 1):
-        records.append(_record_from_entries(matrix_of(f, current), n, num, den, offset))
-        if step < steps:
-            current = power(f, current, stride)
-            n *= stride
-    return _with_errors(records, f, limit, offset, target)
+    ns = [stride**k for k in range(1, steps + 1)]
+    return _sequence(M, num, den, offset, target, ns, lambda h, a, b: power(M.poly, h, stride))
 
 
 @dataclass(frozen=True)

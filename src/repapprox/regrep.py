@@ -52,10 +52,6 @@ class RegRepMatrix:
     def size(self):
         return len(self.entries)
 
-    def entry(self, i, j):
-        """1-based entry access, matching the i,j convention used throughout."""
-        return self.entries[i - 1][j - 1]
-
 
 def _coerce_weights(f, x):
     w = x if isinstance(x, Weights) else Weights(x)

@@ -7,10 +7,11 @@ mpmath with residual inclusion radii m*|f(z)/f'(z)|, guarded by pairwise
 disjointness and cross-checked against the exact real-root count.
 
 The three hot loops avoid per-operation objects.  The Sturm chain is one
-cached chain of primitive int polynomials per f; refinement holds ints
-over a common denominator and reduces nothing but the Newton granule; the
-Aberth sweep runs on raw mpmath tuples through the libmp functions that the
-mpc operators call.  Their results are bit-identical to the Fraction and mpc
+cached polynomial.remainder_sequence of f and f' on ints per f, the same
+integer remainder sequence that decides every exact gcd of the package;
+refinement holds ints over a common denominator and reduces nothing but the
+Newton granule; the Aberth sweep runs on raw mpmath tuples through the
+libmp functions that the mpc operators call.  Their results are bit-identical to the Fraction and mpc
 versions of the same loops, which tests/dense.py keeps as oracles.
 
 Root ordering everywhere: descending modulus, ties broken by descending real
@@ -29,7 +30,9 @@ from mpmath.libmp import (
 
 from .backends import as_int_pair, mpf_to_rational, rational, to_mpf
 from .errors import DomainError, NotSquarefree, RootSeparationError, UsageError
-from .polynomial import Polynomial, homogeneous_eval, integer_multiple
+from .polynomial import (
+    Polynomial, derivative, homogeneous_eval, primitive, remainder_sequence, sign_at,
+)
 
 
 @dataclass(frozen=True)
@@ -69,109 +72,19 @@ class RootSet:
         return iter(self.roots)
 
 
-# ---------------------------------------------------------------------------
-# exact coefficient-list helpers (descending order, rational entries)
-# ---------------------------------------------------------------------------
-
-
-def _trim(coeffs):
-    i = 0
-    while i < len(coeffs) - 1 and coeffs[i] == 0:
-        i += 1
-    return tuple(coeffs[i:])
-
-
-def _derivative(coeffs):
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return (rational(0),)
-    return tuple(c * (deg - i) for i, c in enumerate(coeffs[:-1]))
-
-
-def _eval_coeffs(coeffs, t):
-    acc = rational(0)
-    for c in coeffs:
-        acc = acc * t + c
-    return acc
-
-
-def _poly_mod(a, b):
-    """Remainder of a by b over Q (b nonzero)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[0]
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        factor = a[0] / lb
-        for i in range(db + 1):
-            a[i] -= factor * b[i]
-        a.pop(0)
-    rem = _trim(tuple(a)) if a else (rational(0),)
-    return rem if any(c != 0 for c in rem) else (rational(0),)
-
-
-def _poly_gcd(a, b):
-    """gcd over Q; a nonzero constant is returned as soon as one appears.
-
-    A linear b0 t + b1 divides a iff a(-b1/b0) = 0, which is decided on the
-    integer homogeneous form of a at (-b1, b0), with no rational reduced: the
-    gcd is then b, or else the constant 1.
-    """
-    a, b = _trim(a), _trim(b)
-    while b != (rational(0),):
-        if len(b) == 1:
-            return b
-        if len(b) == 2:
-            (n0, d0), (n1, d1) = map(as_int_pair, b)
-            root_form = homogeneous_eval(integer_multiple(a), -n1 * d0, d1 * n0)
-            return b if root_form == 0 else (rational(1),)
-        a, b = b, _poly_mod(a, b)
-    return a
-
-
-def _primitive(coeffs):
-    """An int polynomial divided by its (positive) content."""
-    g = gcd(*coeffs)
-    return tuple(c // g for c in coeffs)
-
-
-def _pseudo_remainder(a, b):
-    """r with deg r < deg b and c a = q b + r for some int q and c > 0.
-
-    Each elimination multiplies by |lc(b)|, not lc(b), so the scale c is a
-    positive power of |lc(b)| and r has the sign of the rational remainder
-    wherever it is evaluated.
-    """
-    a = list(a)
-    lb, sign = abs(b[0]), 1 if b[0] > 0 else -1
-    while len(a) >= len(b):
-        lead = a[0] * sign
-        if lead:
-            a = [lb * x - lead * y for x, y in zip(a, b + (0,) * (len(a) - len(b)))]
-        a.pop(0)
-    return _trim(tuple(a))
-
-
 @lru_cache(maxsize=128)
 def _sturm_chain(f):
     """f's Sturm chain on ints, each entry a positive multiple of the classical one.
 
     The classical chain is f, f', then minus the remainder of the two
-    entries before, over Q.  Here every entry is a primitive int polynomial:
-    minus a pseudo-remainder with a positive scale, divided by its content.
-    So each entry has its classical counterpart's sign at every point, and
-    sign variations count real roots as usual.  The chain ends at gcd(f, f')
-    up to scale: in a constant exactly when f is squarefree.
+    entries before, over Q; polynomial.remainder_sequence builds it from
+    primitive multiples of f and f'.  So each entry has its classical
+    counterpart's sign at every point, and sign variations count real roots
+    as usual.  The chain ends at gcd(f, f') up to scale: in a constant
+    exactly when f is squarefree.
     """
     forms = f.integer_forms()
-    chain = [_primitive(forms[0]), _primitive(forms[1])]
-    while len(chain[-1]) > 1:
-        rem = _pseudo_remainder(chain[-2], chain[-1])
-        if not any(rem):
-            break
-        chain.append(_primitive(tuple(-c for c in rem)))
-    return tuple(chain)
+    return remainder_sequence(primitive(forms[0]), primitive(forms[1]))
 
 
 def is_squarefree(f: Polynomial) -> bool:
@@ -193,14 +106,8 @@ def root_bound(f: Polynomial):
 # ---------------------------------------------------------------------------
 
 
-def _sign(coeffs, t):
-    """Sign (-1, 0 or 1) of an int polynomial at a rational t."""
-    v = homogeneous_eval(coeffs, *as_int_pair(t))
-    return (v > 0) - (v < 0)
-
-
 def _variations(chain, t):
-    signs = [s for s in (_sign(p, t) for p in chain) if s]
+    signs = [s for s in (sign_at(p, t) for p in chain) if s]
     return sum(1 for s, s2 in zip(signs, signs[1:]) if s != s2)
 
 
@@ -219,7 +126,7 @@ def _nonroot_midpoint(form, a, b):
     width = b - a
     mid = (a + b) / 2
     k = 7
-    while _sign(form, mid) == 0:
+    while sign_at(form, mid) == 0:
         mid = (a + b) / 2 + width / k
         k *= 7
         if mid >= b:  # cannot happen before running out of roots, but be safe
@@ -259,14 +166,14 @@ def isolate_real_roots(f: Polynomial):
 
 def _halve_bracket(form, a, b):
     mid = (a + b) / 2
-    sm = _sign(form, mid)
+    sm = sign_at(form, mid)
     if sm == 0:
         # Exact root hit: return a strict sub-bracket around it.
         delta = (b - a) / 8
-        while _sign(form, mid - delta) == 0 or _sign(form, mid + delta) == 0:
+        while sign_at(form, mid - delta) == 0 or sign_at(form, mid + delta) == 0:
             delta /= 2
         return (mid - delta, mid + delta)
-    if (_sign(form, a) < 0) != (sm < 0):
+    if (sign_at(form, a) < 0) != (sm < 0):
         return (a, mid)
     return (mid, b)
 
@@ -441,6 +348,39 @@ def refine_to_decimal_digits(f: Polynomial, interval, digits) -> Enclosure:
     return Enclosure(est.center, est.radius)
 
 
+# n/d pairs with d > 0, ordered by value
+_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
+def enclose_quotient(f: Polynomial, n, d, bracket, digits) -> Enclosure:
+    """Enclosure of N(alpha)/D(alpha), radius <= 10**-digits, alpha f's root in bracket.
+
+    N and D are int tuples with one common scale, which leaves N/D as it
+    is.  Each round refines the bracket as (lo, hi, q) for _refine and
+    evaluates N and D on it by _interval_horner; every quotient below is
+    n/d times kn/kd = q^deg D / q^deg N.  Each round asks the refinement
+    for 2^16 times more than the last.  D must not vanish at the root, or
+    no round is narrow enough.
+    """
+    forms = f.integer_forms()[:2]
+    lo, hi, q = _bracket(*bracket)
+    tol_den = ed = 10 ** int(digits)  # the radius target is 1/tol_den
+    while True:
+        lo, hi, q = _refine(forms, lo, hi, q, (1, ed))
+        n_lo, n_hi = _interval_horner(n, lo, hi, q)
+        d_lo, d_hi = _interval_horner(d, lo, hi, q)
+        if d_lo > 0 or d_hi < 0:
+            e = len(d) - len(n)
+            kn, kd = q ** max(e, 0), q ** max(-e, 0)
+            ends = [(a, b) if b > 0 else (-a, -b) for a in (n_lo, n_hi) for b in (d_lo, d_hi)]
+            (ln, ld), (hn, hd) = min(ends, key=_by_value), max(ends, key=_by_value)
+            spread, den = (hn * ld - ln * hd) * kn, ld * hd * kd
+            if spread * tol_den <= 2 * den:
+                center = rational((ln * hd + hn * ld) * kn, 2 * den)
+                return Enclosure(center, rational(spread, 2 * den))
+        ed <<= 16
+
+
 # ---------------------------------------------------------------------------
 # all complex roots: Aberth-Ehrlich with certification scaffolding
 # ---------------------------------------------------------------------------
@@ -577,7 +517,7 @@ def _all_roots_cached(f, precision_bits, ceiling_factor):
         with mp.workprec(work):
             target = mp.mpf(2) ** (-(precision_bits // 2))
             coeffs_mp = [to_mpf(c, mp) for c in coeffs_exact]
-            dcoeffs_mp = [to_mpf(c, mp) for c in _derivative(coeffs_exact)]
+            dcoeffs_mp = [to_mpf(c, mp) for c in derivative(coeffs_exact)]
             if zs is None:
                 radius = to_mpf(root_bound(f), mp)
                 zs = [

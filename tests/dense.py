@@ -6,11 +6,13 @@ the tests compare it against.  ``elements`` draws the random inputs that
 the property tests feed to both sides.  ``companion``, ``reflect`` and
 ``shift`` are the polynomial transforms only the tests use.
 
-The second half holds the root loops as they were written first, on
-``Fraction`` and ``mpc`` operators: Sturm chains and isolation, certified
-refinement, the interval case of ``convergence._enclose`` and the Aberth
-sweep.  ``repapprox.roots`` runs the same loops on ints and raw mpmath
-tuples, and the tests check that both give the same bits.
+The second half holds the polynomial algebra and the root loops as they
+were written first, on ``Fraction`` and ``mpc`` operators: evaluation,
+remainders and gcds over Q, Sturm chains and isolation, certified
+refinement, the interval enclosure of a quotient and the Aberth sweep.
+``repapprox.polynomial`` and ``repapprox.roots`` run the same algebra and
+loops on ints and raw mpmath tuples, and the tests check that both give the
+same bits.
 """
 
 import mpmath as mp
@@ -18,10 +20,8 @@ from hypothesis import strategies as st
 
 from repapprox.backends import rational
 from repapprox.errors import DomainError, NotSquarefree, UsageError
-from repapprox.polynomial import Polynomial
-from repapprox.roots import (
-    Enclosure, RootEstimate, _derivative, _eval_coeffs, _poly_gcd, _poly_mod, root_bound,
-)
+from repapprox.polynomial import Polynomial, derivative
+from repapprox.roots import Enclosure, RootEstimate, root_bound
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -130,11 +130,79 @@ def shift(f: Polynomial, c):
 # ---------------------------------------------------------------------------
 
 
+def trim(coeffs):
+    """Leading zeros dropped; the zero polynomial is (0,)."""
+    i = 0
+    while i < len(coeffs) - 1 and coeffs[i] == 0:
+        i += 1
+    return tuple(coeffs[i:])
+
+
+def eval_coeffs(coeffs, t):
+    acc = rational(0)
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
+
+
+def evaluate(f, t, order=0):
+    """Exact value of f, f' or f'' (order 0, 1 or 2) at a rational t."""
+    coeffs = f.monic_coefficients()
+    for _ in range(order):
+        coeffs = derivative(coeffs)
+    return eval_coeffs(coeffs, rational(t))
+
+
+def poly_mul(a, b):
+    out = [rational(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_mod(a, b):
+    """Remainder of a by b over Q (b nonzero)."""
+    a = list(a)
+    db, lb = len(b) - 1, b[0]
+    while len(a) - 1 >= db and any(c != 0 for c in a):
+        if a[0] == 0:
+            a.pop(0)
+            continue
+        factor = a[0] / lb
+        for i in range(db + 1):
+            a[i] -= factor * b[i]
+        a.pop(0)
+    rem = trim(tuple(a)) if a else (rational(0),)
+    return rem if any(c != 0 for c in rem) else (rational(0),)
+
+
+def poly_gcd(a, b):
+    """gcd over Q by Euclid's algorithm; gcd(a, 0) = a."""
+    a, b = trim(a), trim(b)
+    while b != (rational(0),):
+        if len(b) == 1:
+            return b
+        a, b = b, poly_mod(a, b)
+    return a
+
+
+def constant_quotient(n_poly, d_poly, coeffs):
+    """c with N = c*D modulo f, or None; None also when f divides D."""
+    rn, rd = poly_mod(n_poly, coeffs), poly_mod(d_poly, coeffs)
+    if rd == (rational(0),):
+        return None
+    if len(rn) != len(rd):
+        return rational(0) if rn == (rational(0),) else None
+    c = rn[0] / rd[0]
+    return None if any(x - c * y for x, y in zip(rn, rd)) else c
+
+
 def sturm_chain(coeffs):
     """Classical Sturm chain over Q: f, f', then -rem normalised to |lead| 1."""
-    chain = [coeffs, _derivative(coeffs)]
+    chain = [coeffs, derivative(coeffs)]
     while len(chain[-1]) > 1:
-        rem = _poly_mod(chain[-2], chain[-1])
+        rem = poly_mod(chain[-2], chain[-1])
         if rem == (rational(0),):
             break
         lead = abs(rem[0])
@@ -145,7 +213,7 @@ def sturm_chain(coeffs):
 def variations(chain, t):
     signs = []
     for p in chain:
-        v = _eval_coeffs(p, t)
+        v = eval_coeffs(p, t)
         if v != 0:
             signs.append(v > 0)
     return sum(1 for s, s2 in zip(signs, signs[1:]) if s != s2)
@@ -153,7 +221,7 @@ def variations(chain, t):
 
 def is_squarefree(f):
     coeffs = f.monic_coefficients()
-    return len(_poly_gcd(coeffs, _derivative(coeffs))) == 1
+    return len(poly_gcd(coeffs, derivative(coeffs))) == 1
 
 
 def _require_squarefree(f):
@@ -174,7 +242,7 @@ def _nonroot_midpoint(f, a, b):
     width = b - a
     mid = (a + b) / 2
     k = 7
-    while f.eval(mid) == 0:
+    while evaluate(f, mid) == 0:
         mid = (a + b) / 2 + width / k
         k *= 7
         if mid >= b:
@@ -183,12 +251,12 @@ def _nonroot_midpoint(f, a, b):
 
 
 def _halve_bracket(f, a, b):
-    fa = f.eval(a)
+    fa = evaluate(f, a)
     mid = (a + b) / 2
-    fm = f.eval(mid)
+    fm = evaluate(f, mid)
     if fm == 0:
         delta = (b - a) / 8
-        while f.eval(mid - delta) == 0 or f.eval(mid + delta) == 0:
+        while evaluate(f, mid - delta) == 0 or evaluate(f, mid + delta) == 0:
             delta /= 2
         return (mid - delta, mid + delta)
     if (fa < 0) != (fm < 0):
@@ -250,19 +318,19 @@ def refine_real_root(f, interval, eps):
     eps = rational(eps)
     if eps <= 0:
         raise UsageError("eps must be positive")
-    fa, fb = f.eval(a), f.eval(b)
+    fa, fb = evaluate(f, a), evaluate(f, b)
     if fa == 0:
         return RootEstimate(a, rational(0), True)
     if fb == 0:
         return RootEstimate(b, rational(0), True)
     if (fa < 0) == (fb < 0):
         raise DomainError(f"no sign change on [{a}, {b}]")
-    deriv = _derivative(f.monic_coefficients())
+    deriv = derivative(f.monic_coefficients())
 
     while b - a > 2 * eps:
         width = b - a
         mid = (a + b) / 2
-        fmid = f.eval(mid)
+        fmid = evaluate(f, mid)
         if fmid == 0:
             return RootEstimate(mid, rational(0), True)
         dlo, dhi = interval_horner(deriv, a, b)
@@ -275,7 +343,7 @@ def refine_real_root(f, interval, eps):
                 granule = (nb - na) / 16 or eps / 16
                 na, nb = dyadic_out(na, nb, granule)
                 na, nb = max(na, a), min(nb, b)
-                fna, fnb = f.eval(na), f.eval(nb)
+                fna, fnb = evaluate(f, na), evaluate(f, nb)
                 if fna == 0:
                     return RootEstimate(na, rational(0), True)
                 if fnb == 0:
@@ -292,8 +360,8 @@ def refine_real_root(f, interval, eps):
     return RootEstimate((a + b) / 2, (b - a) / 2, True)
 
 
-def enclose_interval(f, n_poly, d_poly, bracket, digits, offset):
-    """The rational-interval case of convergence._enclose, on Fractions."""
+def enclose_quotient(f, n_poly, d_poly, bracket, digits):
+    """roots.enclose_quotient on Fractions: N(alpha)/D(alpha) by interval arithmetic."""
     target = eps = rational(1, 10 ** int(digits))
     while True:
         est = refine_real_root(f, bracket, eps)
@@ -304,7 +372,7 @@ def enclose_interval(f, n_poly, d_poly, bracket, digits, offset):
             ends = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
             lo, hi = min(ends), max(ends)
             if hi - lo <= 2 * target:
-                return Enclosure((lo + hi) / 2 + offset, (hi - lo) / 2)
+                return Enclosure((lo + hi) / 2, (hi - lo) / 2)
         eps /= 1 << 16
 
 

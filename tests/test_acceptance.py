@@ -387,10 +387,10 @@ def test_criterion_12_oracle_soundness():
         for interval in isolate_real_roots(f):
             est = refine_real_root(f, interval, rational(1, 10**25))
             if est.radius == 0:
-                assert f.eval(est.center) == 0
+                assert dense.evaluate(f, est.center) == 0
             else:
                 lo, hi = est.center - est.radius, est.center + est.radius
-                assert f.eval(lo) * f.eval(hi) < 0
+                assert dense.evaluate(f, lo) * dense.evaluate(f, hi) < 0
 
         roots = all_roots(f, 192)
         m = f.degree

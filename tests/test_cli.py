@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from repapprox import cli
 from repapprox.backends import parse_rational_vector, rational
 from repapprox.cli import main
@@ -110,6 +112,17 @@ class TestApprox:
         assert lines[0] == "n,value_num,value_den,abs_error,den_digits,reduced_den_digits"
         assert lines[1].startswith("5,-1429,793,7.99187e-5,3,3")
         assert lines[2].endswith(",14,12")
+
+    def test_shifted_polynomial_identically_zero_prints_zero_errors(self, capsys):
+        # N = D, so value(n) = 1 + 1/2 exactly and N + (1/2 - v) D is the
+        # zero polynomial: gcd(f, 0) = f holds the root, so every error is 0.
+        code, out, _ = run_cli(
+            capsys,
+            "approx", "--poly", "c:1,1,-2,-1", "--x", "0,-1,1",
+            "--num", "2,2", "--den", "2,2", "--offset", "1/2", "--n", "1,2,3",
+        )
+        assert code == 0
+        assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["0", "0", "0"]
 
     def test_limit_reached_with_no_runner_up_prints_zero_errors(self, capsys):
         # f = t(t-1)(t+2), g = t(t+2): g vanishes at two roots, so c is
@@ -418,3 +431,54 @@ class TestConfigAndErrors:
         code, _, err = run_cli(capsys, "repr", "--poly", "c:2,1", "--x", "1")
         assert code == 1
         assert "leading coefficient" in err
+
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--num", ["approx", "--num", "2,y", "--den", "3,1", "--n", "5"]),
+            ("--den", ["approx", "--num", "2,1", "--den", "3", "--n", "5"]),
+            ("--n", ["approx", "--num", "2,1", "--den", "3,1", "--n", "1,x"]),
+            ("--indices", ["limits", "--indices", "1,2,a,4"]),
+        ],
+    )
+    def test_malformed_integers_are_usage_errors(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv, "--poly", "c:1,1,-2,-1", "--x", "0,-1,1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {flag} expects")
+
+    def test_malformed_table_id_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "tables", "--id", "1,x")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: --id expects")
+
+    def test_config_sets_an_option_with_a_default(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"offset": "1"}))
+        argv = ["approx", "--poly", "c:1,1,-2,-1", "--x", "0,-1,1",
+                "--num", "2,1", "--den", "3,1", "--n", "5", "--config", str(cfg)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1].startswith("5,157,793,")
+        # The command line still beats the file.
+        code, out, _ = run_cli(capsys, *argv, "--offset", "0")
+        assert out.splitlines()[1].startswith("5,-636,793,")
+
+    @pytest.mark.parametrize("config", [{"offst": "1"}, {"precision": 128}, {"jobs": "x"}])
+    def test_config_key_must_be_an_option_of_the_subcommand(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "tables", "--id", "1", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:")
+
+    def test_config_leaves_the_shared_parser_as_it_was(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"offset": "1", "format": "pretty"}))
+        argv = ["approx", "--poly", "c:1,1,-2,-1", "--x", "0,-1,1",
+                "--num", "2,1", "--den", "3,1", "--n", "5"]
+        run_cli(capsys, *argv, "--config", str(cfg))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1].startswith("5,-636,793,")  # csv, offset 0
+        assert cli._build_parser() is cli._build_parser()

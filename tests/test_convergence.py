@@ -374,8 +374,7 @@ class TestResolvingEnclosure:
         bracket = next(
             (a, b) for a, b in isolate_real_roots(ramanujan) if a <= values[-1] <= b
         )
-        t, one = (rational(1), rational(0)), (rational(1),)
-        enc = resolving_enclosure(ramanujan, (t, one, bracket), values)
+        enc = resolving_enclosure(ramanujan, ((1, 0), (1,), bracket), values)  # N = t, D = 1
         assert enc.radius > 0
         _assert_resolved(enc, values)
 

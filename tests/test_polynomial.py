@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repapprox as ra
 from repapprox.backends import rational
 from repapprox.errors import DomainError, UsageError
-from repapprox.polynomial import Polynomial, homogeneous_eval, parse_polynomial
+from repapprox.polynomial import (
+    Polynomial, homogeneous_eval, integer_multiple, parse_polynomial, pseudo_remainder,
+    remainder_sequence, trim,
+)
 
 import dense
 
@@ -39,28 +42,24 @@ class TestEval:
         self.f = parse_polynomial("c:1,1,-2,-1")
 
     def test_value(self):
-        assert self.f.eval(0) == -1
-        assert self.f.eval(rational(1, 2)) == rational(-13, 8)
+        assert dense.evaluate(self.f, 0) == -1
+        assert dense.evaluate(self.f, rational(1, 2)) == rational(-13, 8)
 
     def test_first_derivative(self):
         # f' = 3t^2 + 2t - 2
-        assert self.f.eval(1, 1) == 3
+        assert dense.evaluate(self.f, 1, 1) == 3
 
     def test_second_derivative(self):
         # f'' = 6t + 2
-        assert self.f.eval(2, 2) == 14
-
-    def test_bad_order(self):
-        with pytest.raises(UsageError):
-            self.f.eval(0, 3)
+        assert dense.evaluate(self.f, 2, 2) == 14
 
     def test_central_difference_bound(self):
         # |(f(t+h) - f(t-h)) / 2h - f'(t)| <= h^2 * max|f'''| / 6; for a cubic
         # f''' is the constant 6, so the bound is exactly h^2.
         h = rational(1, 10**6)
         for t in (rational(0), rational(1), rational(-7, 3)):
-            cdiff = (self.f.eval(t + h) - self.f.eval(t - h)) / (2 * h)
-            assert abs(cdiff - self.f.eval(t, 1)) <= h * h
+            cdiff = (dense.evaluate(self.f, t + h) - dense.evaluate(self.f, t - h)) / (2 * h)
+            assert abs(cdiff - dense.evaluate(self.f, t, 1)) <= h * h
 
 
 class TestIntegerForms:
@@ -79,8 +78,44 @@ class TestIntegerForms:
         scale = lf[0][0]  # L: the monic leading coefficient times L
         p, q = x.numerator, x.denominator
         for d in range(3):
-            want = scale * q ** (f.degree - d) * f.eval(x, d) if f.degree >= d else 0
+            want = scale * q ** (f.degree - d) * dense.evaluate(f, x, d) if f.degree >= d else 0
             assert homogeneous_eval(lf[d], p, q) == want
+
+
+_coefficient_lists = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=6
+)
+
+
+class TestRemainderSequence:
+    """The int sequence against Euclid over Q in tests/dense.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coefficient_lists, _coefficient_lists, _coefficient_lists)
+    def test_gcd_degree_matches_rational_gcd(self, a, b, common):
+        a, b = dense.poly_mul(a, common), dense.poly_mul(b, common)  # often a nontrivial gcd
+        assume(any(a) or any(b))
+        g = remainder_sequence(integer_multiple(a), integer_multiple(b))[-1]
+        assert len(g) == len(dense.poly_gcd(a, b))
+        for p in (a, b):  # g divides both
+            assert not pseudo_remainder(trim(integer_multiple(p)), g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coefficient_lists, _coefficient_lists, st.integers(0, 3))
+    def test_pseudo_remainder_is_the_scaled_rational_remainder(self, a, b, pad):
+        b = trim(integer_multiple(b))
+        assume(b)
+        a = (0,) * pad + integer_multiple(a)  # leading zeros count in deg a
+        scale = abs(b[0]) ** max(len(a) - len(b) + 1, 0)
+        rem = dense.poly_mod(tuple(map(rational, a)), tuple(map(rational, b)))
+        want = dense.trim(tuple(scale * c for c in rem))
+        assert (pseudo_remainder(a, b) or (0,)) == want
+
+    def test_zero_and_constant_ends(self):
+        f = (1, 0, -2)
+        assert remainder_sequence(f, (0, 0)) == (f,)  # gcd(f, 0) = f
+        assert remainder_sequence((), (3, 6)) == ((), (3, 6))  # gcd(0, b) = b
+        assert remainder_sequence(f, (5, 1)) == (f, (5, 1), (1,))  # only the sign of -f(-1/5)
 
 
 class TestReflect:
@@ -138,7 +173,7 @@ class TestShift:
     @settings(max_examples=50)
     def test_shift_is_evaluation_shift(self, u, c, t):
         f = Polynomial(u)
-        assert dense.shift(f, c).eval(t) == f.eval(rational(t) - rational(c))
+        assert dense.evaluate(dense.shift(f, c), t) == dense.evaluate(f, rational(t) - rational(c))
 
 
 class TestCompanion:
@@ -173,7 +208,7 @@ class TestCompanion:
             shifted = tuple(
                 tuple((t if i == j else 0) - a[i][j] for j in range(m)) for i in range(m)
             )
-            assert dense.det(shifted) == f.eval(t)
+            assert dense.det(shifted) == dense.evaluate(f, t)
 
 
 def test_shift_moves_roots():

@@ -1,8 +1,8 @@
 """The root loops of repapprox.roots against their Fraction/mpc oracles.
 
-Sturm chains, certified refinement, the interval case of
-convergence._enclose and the Aberth sweep run on ints and raw mpmath
-tuples; tests/dense.py keeps the same loops on Fraction and mpc operators.
+Sturm chains, certified refinement, the interval enclosure of a quotient
+and the Aberth sweep run on ints and raw mpmath tuples; tests/dense.py
+keeps the same loops on Fraction and mpc operators.
 Each test checks that both give the same result, bit for bit: equal
 reduced rationals, equal raw mpc tuples, or the same exception.
 """
@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repapprox import convergence, roots
 from repapprox.backends import rational, to_mpf
 from repapprox.errors import DomainError, NotSquarefree, UsageError
-from repapprox.polynomial import Polynomial, parse_polynomial
+from repapprox.polynomial import Polynomial, derivative, integer_multiple, parse_polynomial
 
 import dense
 
@@ -31,14 +31,15 @@ def polys(draw, max_degree=8):
     return Polynomial(draw(st.lists(coeffs, min_size=m, max_size=m)))
 
 
+def _sum(a, b):
+    k = max(len(a), len(b))
+    return [x + y for x, y in zip([0] * (k - len(a)) + a, [0] * (k - len(b)) + b)]
+
+
 def _times(f, g):
     """The monic product f*g."""
-    a, b = f.monic_coefficients(), g.monic_coefficients()
-    out = [rational(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return Polynomial.from_monic_coefficients(out)
+    product = dense.poly_mul(f.monic_coefficients(), g.monic_coefficients())
+    return Polynomial.from_monic_coefficients(product)
 
 
 @st.composite
@@ -141,16 +142,39 @@ class TestEncloseInterval:
         st.lists(_rationals, min_size=1, max_size=6),
         st.lists(_rationals, min_size=1, max_size=6),
         st.integers(1, 40),
-        _rationals,
         st.data(),
     )
-    def test_matches_rational_loop(self, f, n_poly, d_poly, digits, offset, data):
+    def test_matches_rational_loop(self, f, n_poly, d_poly, digits, data):
         bracket = data.draw(st.sampled_from(_squarefree_with_roots(f)))
-        n_poly, d_poly = tuple(n_poly), tuple(d_poly)
+        both = integer_multiple(n_poly + d_poly)  # one common scale
+        n, d = both[: len(n_poly)], both[len(n_poly) :]
+        assume(not convergence._shares_root(f.integer_forms()[0], d, bracket))
+        assert roots.enclose_quotient(f, n, d, bracket, digits) == dense.enclose_quotient(
+            f, tuple(n_poly), tuple(d_poly), bracket, digits
+        )
+
+
+class TestConstantQuotient:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        polys(max_degree=5),
+        st.lists(_rationals, min_size=1, max_size=9),
+        st.lists(_rationals, min_size=1, max_size=9),
+        st.none() | _rationals,
+    )
+    # N = 2 D + t f with deg N > deg D, for an f with L = 6.
+    @example(parse_polynomial("c:1,1/2,-1/3"), [1, 0], [1, 0, 0], rational(2))
+    def test_matches_rational_remainders(self, f, n_poly, d_poly, c):
         coeffs = f.monic_coefficients()
-        assume(not convergence._root_in(roots._poly_gcd(coeffs, d_poly), bracket))
-        args = (f, n_poly, d_poly, bracket, digits, offset)
-        assert convergence._enclose_interval(*args) == dense.enclose_interval(*args)
+        n_poly, d_poly = [rational(v) for v in n_poly], [rational(v) for v in d_poly]
+        if c is not None:  # N = c D + h f: the quotient is c
+            n_poly = _sum([c * v for v in d_poly], dense.poly_mul(n_poly, coeffs))
+        both = integer_multiple(n_poly + d_poly)  # one common scale
+        n, d = both[: len(n_poly)], both[len(n_poly) :]
+        got = convergence._constant_quotient(n, d, f.integer_forms()[0])
+        assert got == dense.constant_quotient(n_poly, d_poly, coeffs)
+        if c is not None and dense.poly_mod(d_poly, coeffs) != (0,):
+            assert got == c
 
 
 def _circle(f, prec):
@@ -169,7 +193,7 @@ def _sweep_both(f, starts, prec, iterations):
     out = []
     with mp.workprec(prec):
         coeffs = [to_mpf(c, mp) for c in f.monic_coefficients()]
-        dcoeffs = [to_mpf(c, mp) for c in roots._derivative(f.monic_coefficients())]
+        dcoeffs = [to_mpf(c, mp) for c in derivative(f.monic_coefficients())]
         tol = mp.mpf(2) ** (-(prec - 8))
         for sweep, radius in ((roots._aberth_pass, roots._residual_radius),
                               (dense.aberth_pass, dense.residual_radius)):
@@ -216,8 +240,7 @@ class TestAberth:
     )
     def test_bumped_start_matches(self, prec, poly, starts, bumped):
         f = parse_polynomial(poly)
-        dcoeffs = roots._derivative(f.monic_coefficients())
-        assert roots._eval_coeffs(dcoeffs, rational(starts[bumped])) == 0
+        assert dense.evaluate(f, rational(starts[bumped]), 1) == 0
         # One sweep shows the moved start's own bits; later sweeps converge
         # them away.
         for iterations in (1, 60 + 6 * f.degree):

@@ -7,9 +7,11 @@ from repapprox import roots
 from repapprox.backends import mpf_to_rational, rational
 from repapprox.errors import DomainError, NotSquarefree
 from repapprox.iterative import iterate_records
-from repapprox.polynomial import Polynomial, homogeneous_eval, parse_polynomial
+from repapprox import polynomial
+from repapprox.polynomial import (
+    Polynomial, homogeneous_eval, integer_multiple, parse_polynomial, remainder_sequence,
+)
 from repapprox.roots import (
-    _poly_gcd,
     all_roots,
     count_real_roots,
     is_squarefree,
@@ -38,7 +40,7 @@ class TestIsolation:
         approx = (-1.802, -0.445, 1.247)
         for (a, b), target in zip(intervals, approx):
             assert float(a) <= target <= float(b)
-            assert ramanujan.eval(a) * ramanujan.eval(b) < 0
+            assert dense.evaluate(ramanujan, a) * dense.evaluate(ramanujan, b) < 0
 
     def test_no_real_roots(self):
         assert isolate_real_roots(parse_polynomial("c:1,0,1")) == []
@@ -89,13 +91,22 @@ _coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 class TestLinearGcd:
     def test_decided_without_polynomial_division(self, ramanujan, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("_poly_mod called for a linear divisor")
-
+        # A linear divisor leaves one homogeneous_eval at its root, and the
+        # constant remainder ends the sequence as its bare sign.
         v = iterate_records("newton", ramanujan, rational(-2), 10)[-1].value  # 19352 digits
-        monkeypatch.setattr(roots, "_poly_mod", refuse)
-        assert _poly_gcd(parse_polynomial("c:1,-5,6").monic_coefficients(), (1, -2)) == (1, -2)
-        assert len(_poly_gcd(ramanujan.monic_coefficients(), (1, -v))) == 1
+        F = ramanujan.integer_forms()[0]
+        p, q = v.numerator, v.denominator
+        calls = []
+
+        def counted(coeffs, a, b):
+            calls.append((coeffs, a, b))
+            return homogeneous_eval(coeffs, a, b)
+
+        monkeypatch.setattr(polynomial, "homogeneous_eval", counted)
+        assert remainder_sequence((1, -5, 6), (1, -2)) == ((1, -5, 6), (1, -2))
+        seq = remainder_sequence(F, (q, -p))
+        assert seq[:2] == (F, (q, -p)) and seq[2] in ((1,), (-1,)) and len(seq) == 3
+        assert calls == [((1, -5, 6), 2, 1), (F, p, q)]
 
     @given(
         st.lists(_coefficients, min_size=1, max_size=9),
@@ -113,7 +124,8 @@ class TestLinearGcd:
         for c in a:
             remainder = remainder * root + c
         expected = 1 if remainder == 0 else 0
-        assert len(_poly_gcd(tuple(a), (b0, b1))) - 1 == expected
+        gcd = remainder_sequence(integer_multiple(a), integer_multiple((b0, b1)))[-1]
+        assert len(gcd) - 1 == expected
 
 
 class TestRefinement:
@@ -142,7 +154,7 @@ class TestRefinement:
         for interval in isolate_real_roots(ramanujan):
             est = refine_real_root(ramanujan, interval, rational(1, 10**12))
             lo, hi = est.center - est.radius, est.center + est.radius
-            assert ramanujan.eval(lo) * ramanujan.eval(hi) < 0
+            assert dense.evaluate(ramanujan, lo) * dense.evaluate(ramanujan, hi) < 0
 
     def test_no_sign_change_rejected(self, ramanujan):
         with pytest.raises(DomainError):
@@ -152,7 +164,7 @@ class TestRefinement:
         interval = isolate_real_roots(ramanujan)[0]
         enc = refine_to_decimal_digits(ramanujan, interval, 500)
         assert enc.radius <= rational(1, 10**500)
-        assert ramanujan.eval(enc.lo) * ramanujan.eval(enc.hi) < 0
+        assert dense.evaluate(ramanujan, enc.lo) * dense.evaluate(ramanujan, enc.hi) < 0
 
     def test_newton_contraction_is_quadratic(self, ramanujan, monkeypatch):
         # Bisection alone needs about 7650 halvings for 10^-2300; a linear
@@ -170,7 +182,7 @@ class TestRefinement:
         calls.clear()
         enc = refine_to_decimal_digits(ramanujan, interval, 2300)
         assert enc.radius <= rational(1, 10**2300)
-        assert ramanujan.eval(enc.lo) * ramanujan.eval(enc.hi) < 0
+        assert dense.evaluate(ramanujan, enc.lo) * dense.evaluate(ramanujan, enc.hi) < 0
         assert len(calls) <= 100
 
 
