@@ -14,7 +14,6 @@ Table 2 and all but one cell of Table 5).
 
 import csv
 import io
-import os
 import time
 from dataclasses import dataclass
 
@@ -83,9 +82,10 @@ TABLE5_DIGITS = {
 }
 
 # Iterative methods: (n, denominator digits, error).  The initial condition
-# is not published; the sweep below runs each candidate to the method's
-# largest published n, scores it against the digit columns, and the best
-# match's run is reported.
+# is not published; the sweep below runs each candidate in TABLE6_X0 to the
+# method's largest published n, scores it against the digit columns, and
+# the best match's run is reported.
+TABLE6_X0 = (rational(-2), rational(-3, 2), rational(-7, 4), rational(-9, 5))
 TABLE6 = {
     "newton": ((3, 9, "1.1e-6"), (5, 80, "9.2e-14"), (10, 19352, "3.7e-762")),
     "halley": ((2, 9, "8.1e-8"), (3, 45, "4.8e-22"), (6, 28140, "1.2e-527")),
@@ -127,12 +127,12 @@ class CellComparison:
     tolerance: str  # "exact" or "Nsf"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableResult:
     table_id: int
     cells: list
-    csv_files: dict  # filename -> text
-    elapsed: float = 0.0
+    csv_files: dict  # filename -> text of this table's CSVs
+    elapsed: float
 
     @property
     def mismatches(self):
@@ -195,7 +195,7 @@ def _wlabel(w):
 # ---------------------------------------------------------------------------
 
 
-def emit_csv(header, rows, path=None):
+def emit_csv(header, rows):
     """Deterministic CSV: rows ordered by their natural key, LF newlines."""
 
     def key(row):
@@ -206,17 +206,7 @@ def emit_csv(header, rows, path=None):
     writer.writerow(header)
     for row in sorted(rows, key=key):
         writer.writerow(row)
-    text = buf.getvalue()
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
-
-
-def _digits_of(record, metric):
-    if not record.available:
-        return None
-    return record.reduced_den_digits if metric == "reduced" else record.den_digits
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -228,14 +218,15 @@ class EqualDigitSelection:
     abs_error: object
 
 
-def compare_at_equal_digits(candidates, targets, metric="reduced"):
+def compare_at_equal_digits(candidates, targets):
     """Best-accuracy comparison at equal denominator sizes.
 
     candidates: mapping label -> list of ApproximationRecords.  For each
-    digit target and candidate, selects the record with the largest n whose
-    digit count is <= target and reports its error (the published
-    methodology; with monotone digit growth this is the last step before the
-    budget is exceeded).
+    digit target and candidate, selects the available record with the
+    largest n whose reduced denominator has at most `target` digits (the
+    metric the published digit tables follow) and reports its error (the
+    published methodology; with monotone digit growth this is the last step
+    before the budget is exceeded).
     """
     selections = []
     for target in targets:
@@ -243,7 +234,7 @@ def compare_at_equal_digits(candidates, targets, metric="reduced"):
             qualifying = [
                 r
                 for r in candidates[label]
-                if r.available and _digits_of(r, metric) <= target
+                if r.available and r.reduced_den_digits <= target
             ]
             if not qualifying:
                 raise DomainError(
@@ -255,7 +246,7 @@ def compare_at_equal_digits(candidates, targets, metric="reduced"):
                     target=int(target),
                     label=label,
                     n=pick.n,
-                    digits=_digits_of(pick, metric),
+                    digits=pick.reduced_den_digits,
                     abs_error=pick.abs_error,
                 )
             )
@@ -351,7 +342,7 @@ def _run_table6():
         method: [(n, digits) for n, digits, _err in cells]
         for method, cells in TABLE6.items()
     }
-    sweep_rows, best = sweep_initial_conditions(RAMANUJAN, expected_digits)
+    sweep_rows, best = sweep_initial_conditions(RAMANUJAN, expected_digits, TABLE6_X0)
     cells, rows = [], []
     for method, published in TABLE6.items():
         records = with_errors(RAMANUJAN, best[method].records)
@@ -457,11 +448,13 @@ def table_spec(table_id) -> TableSpec:
     return TableSpec(table_id, _DESCRIPTIONS[table_id], tuple(cells))
 
 
-def reproduce_table(table_id, out_dir=None) -> TableResult:
-    """Run one table's grid; optionally write its CSVs plus discrepancies.csv.
+def reproduce_table(table_id) -> TableResult:
+    """Run one table's grid; its CSVs come back as text in csv_files.
 
     The produced comparisons are checked for exact coverage of the table's
-    expected-cell grid: every cell appears exactly once.
+    expected-cell grid: every cell appears exactly once.  Nothing is
+    written here: ``cli tables`` writes the files, and one
+    discrepancies.csv over all its tables from ``discrepancies_csv``.
     """
     if table_id not in _RUNNERS:
         raise DomainError(f"table id must be in 1..7, got {table_id}")
@@ -474,14 +467,7 @@ def reproduce_table(table_id, out_dir=None) -> TableResult:
             f"table {table_id} grid coverage mismatch: "
             f"{sorted(set(wanted) ^ set(produced))}"
         )
-    result = TableResult(table_id, cells, files, elapsed=time.perf_counter() - start)
-    result.csv_files["discrepancies.csv"] = discrepancies_csv([result])
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, text in result.csv_files.items():
-            with open(os.path.join(out_dir, name), "w", newline="") as fh:
-                fh.write(text)
-    return result
+    return TableResult(table_id, cells, files, elapsed=time.perf_counter() - start)
 
 
 def discrepancies_csv(results):

@@ -21,11 +21,8 @@ from .backends import format_rational, parse_rational, parse_rational_vector, sc
 from .errors import DomainError, RepApproxError, UsageError
 from .polynomial import parse_polynomial
 from .regrep import build
-from .roots import all_roots
+from .roots import DEFAULT_PRECISION, MAX_PRECISION, all_roots
 
-DEFAULT_PRECISION = 256
-# analyze's default precision ceiling, and the largest --precision accepted.
-MAX_PRECISION = 1 << 16
 # Options are None unless given, so --config can fill them; then these apply.
 _DEFAULTS = {"offset": "0", "methods": "newton,halley,noor", "jobs": 1, "time": False, "format": "csv"}
 
@@ -311,7 +308,7 @@ def _cmd_limits(args, out):
     report = convergence.analyze(f, x, precision_bits=_precision(args))
     print("i,j,p,q,L,rate_constant,degenerate", file=out)
     for i, j, p, q in quads:
-        pred = convergence.limit_ratio(f, x, (i, j), (p, q), report)
+        pred = convergence.limit_ratio(report, (i, j), (p, q))
         with mp.workprec(pred.work_prec):
             l_str = mp.nstr(pred.limit, 20)
             rc = mp.nstr(pred.rate_constant, 10)
@@ -366,8 +363,6 @@ def _cmd_tables(args, out):
     os.makedirs(out_dir, exist_ok=True)
     for result in results:
         for name, text in result.csv_files.items():
-            if name == "discrepancies.csv":
-                continue
             with open(os.path.join(out_dir, name), "w", newline="") as fh:
                 fh.write(text)
         if args.time:

@@ -32,8 +32,8 @@ from .errors import (
 from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
 from .regrep import Weights, _coerce_weights
 from .roots import (
-    Enclosure, RootSet, all_roots, enclose_quotient, isolating_interval_for,
-    refine_to_decimal_digits,
+    DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, all_roots, enclose_quotient,
+    isolating_interval_for, refine_to_decimal_digits,
 )
 
 
@@ -99,22 +99,24 @@ def _gamma_with_bound(x, root):
     return acc, bound * (1 + mp.mpf(2) ** -16)
 
 
-def analyze(f: Polynomial, x, precision_bits=256, ceiling_bits=None) -> ConvergenceReport:
+def analyze(
+    f: Polynomial, x, precision_bits=DEFAULT_PRECISION, ceiling_bits=MAX_PRECISION
+) -> ConvergenceReport:
     """Certify a strictly dominant gamma and report c = |gamma_k|/|gamma_l|.
 
-    Precision doubles until the |gamma| intervals separate the maximum from
-    everything else, or the ceiling is hit (DominanceUndecidable).  Exact
-    ties (element is a constant: only x_0 nonzero) fail immediately.
+    Precision doubles from precision_bits (at least 64) until the |gamma|
+    intervals separate the maximum from everything else; no round asks
+    all_roots for more than ceiling_bits, and past it the tie is refused
+    (DominanceUndecidable).  Exact ties (element is a constant: only x_0
+    nonzero) fail immediately.
     """
     w = _coerce_weights(f, x)
     if all(c == 0 for c in w.x[1:]):
         raise DominanceUndecidable(
             "element is rational: all gamma_j coincide, no strict dominance"
         )
-    precision_bits = max(int(precision_bits), 64)
-    ceiling = ceiling_bits or max(1 << 16, precision_bits * 64)
-    prec = precision_bits
-    while prec <= ceiling:
+    prec = max(int(precision_bits), 64)
+    while prec <= ceiling_bits:
         roots = all_roots(f, prec)
         with mp.workprec(max(prec, roots.work_prec) + 32):
             gams, bounds = [], []
@@ -147,7 +149,7 @@ def analyze(f: Polynomial, x, precision_bits=256, ceiling_bits=None) -> Converge
     raise DominanceUndecidable(
         f"no strictly dominant gamma certifiable for "
         f"x=({','.join(map(format_rational, w.x))}) up to "
-        f"{ceiling} bits (tied moduli?)"
+        f"{ceiling_bits} bits (tied moduli?)"
     )
 
 
@@ -179,7 +181,7 @@ def _constant_quotient(n, d, F):
     return rational(rn[0], rd[0])
 
 
-def _limit_data(f, num, den, report):
+def _limit_data(report, num, den):
     """(N, D, bracket): the limit is N(alpha_k) / D(alpha_k), alpha_k in bracket.
 
     Column k of V^-1 holds the coefficients of f(t) / ((t - alpha_k)
@@ -194,6 +196,7 @@ def _limit_data(f, num, den, report):
     """
     if not report.certified:
         raise DomainError("limit_ratio requires a certified dominance report")
+    f = report.poly
     m = f.degree
     indices = tuple(int(v) for v in (*num, *den))
     for idx in indices:
@@ -211,7 +214,7 @@ def _limit_data(f, num, den, report):
     return n, d, bracket
 
 
-def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitPrediction:
+def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
     """Limit of M^n[num]/M^n[den] under certified dominance, plus rate data.
 
     `limit` and `limit_error` come from limit_enclosure at twice the report's
@@ -221,17 +224,17 @@ def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitP
     modulo f; this covers num == den and the two named families) is
     degenerate exactly; other degeneracies are decided numerically.
     """
-    n, d, _ = _limit_data(f, num, den, report)
+    n, d, _ = _limit_data(report, num, den)
     indices = tuple(int(v) for v in (*num, *den))
     prec = max(report.work_prec, 192)
     work_prec = 2 * prec
-    enc = limit_enclosure(f, x, num, den, report, work_prec * 30103 // 100000 + 1)
+    enc = limit_enclosure(report, num, den, work_prec * 30103 // 100000 + 1)
     roots = report.roots.roots
     with mp.workprec(work_prec):
         limit = to_mpf(enc.center, mp)
         slack = enc.radius + abs(mpf_to_rational(limit) - enc.center)
         limit_error = mp.fdiv(slack.numerator, slack.denominator, rounding="u")
-        F, F_prime = f.integer_forms()[:2]
+        F, F_prime = report.poly.integer_forms()[:2]
         *polys, f_prime = [[to_mpf(c, mp) for c in p] for p in (n, d, F_prime)]
         (a_k, b_k), (a_l, b_l) = (
             [mp.polyval(p, z) / mp.polyval(f_prime, z) for p in polys]
@@ -248,10 +251,10 @@ def limit_ratio(f: Polynomial, x, num, den, report: ConvergenceReport) -> LimitP
     )
 
 
-def limit_enclosure(f, x, num, den, report, digits, offset=0) -> Enclosure:
+def limit_enclosure(report, num, den, digits, offset=0) -> Enclosure:
     """Certified enclosure of limit + offset with radius <= 10**-digits."""
-    n, d, bracket = _limit_data(f, num, den, report)
-    return _enclose(f, n, d, bracket, digits, rational(offset))
+    n, d, bracket = _limit_data(report, num, den)
+    return _enclose(report.poly, n, d, bracket, digits, rational(offset))
 
 
 def _enclose(f, n, d, bracket, digits, offset):
@@ -308,13 +311,14 @@ def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:
         enc = _enclose(f, n, d, bracket, digits, offset)
 
 
-def cubic_limit_matrix(f: Polynomial, numerator, report: ConvergenceReport):
+def cubic_limit_matrix(report: ConvergenceReport, numerator):
     """Closed-form 3x3 matrix of limits lim M^n[numerator] / M^n[h,k].
 
     Entries involve only the dominant root and the coefficients u_1 (=p) and
     u_3 (=r); exists as the independent cross-check of limit_ratio for
     cubics.
     """
+    f = report.poly
     if f.degree != 3:
         raise UsageError("cubic limit matrices require degree 3")
     if numerator not in ((2, 2), (3, 3)):

@@ -3,9 +3,12 @@
 No intermediate rounding or rational reconstruction: denominators grow
 exactly as the update formulas dictate, which is what makes the
 digit-count-versus-accuracy comparison against matrix-power sequences
-meaningful.  A growth budget stops runs whose denominators would outgrow
-`max_den_digits` (the Noor corrector multiplies digit counts by roughly 21
-per step on a cubic).
+meaningful.  A growth budget stops a run before a step whose reduced
+denominator is estimated (digits times a per-method growth factor) to
+outgrow MAX_DEN_DIGITS decimal digits; the Noor corrector multiplies digit
+counts by roughly 21 per step on a cubic, so Table 6's Noor n = 6 is over
+it.  Only ``iterate_records`` takes another budget, as its
+``max_den_digits``.
 
 The kernel is integer arithmetic.  For an iterate x = p/q and a form
 F(p, q) = sum c_i p^(k-i) q^i, F, F1 and F2 are the homogenised L f, L f'
@@ -27,6 +30,7 @@ from .powers import ApproximationRecord
 from .roots import Enclosure, isolate_real_roots
 
 METHODS = ("newton", "halley", "noor")
+MAX_DEN_DIGITS = 150_000
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ def _resolve_target(f, values) -> Enclosure:
     return resolving_enclosure(f, ((1, 0), (1,), interval), values)
 
 
-def iterate_records(method, f: Polynomial, x0, steps, max_den_digits=150_000):
+def iterate_records(method, f: Polynomial, x0, steps, max_den_digits=MAX_DEN_DIGITS):
     """Iterate `method` from x0: one record per step, with digits but no errors.
 
     Runs stop early (records list shorter than `steps`) when the next step
@@ -195,31 +199,27 @@ def iterate_records(method, f: Polynomial, x0, steps, max_den_digits=150_000):
     return _iterate(f, method, x0, steps, max_den_digits)
 
 
-def with_errors(f: Polynomial, records, target: Enclosure = None):
-    """records with abs_error against target, or the root they approach.
+def with_errors(f: Polynomial, records):
+    """records with abs_error against the real root they approach.
 
-    Without a target, the reference is the real root nearest the final
-    value, enclosed by ``convergence.resolving_enclosure``: a value proven
-    to be the root gets error 0, every other one lies at least 10**20 radii
-    from the centre.
+    The reference is the real root nearest the final value, enclosed by
+    ``convergence.resolving_enclosure``: a value proven to be the root gets
+    error 0, every other one lies at least 10**20 radii from the centre.
     """
     if not records:
         return []
-    if target is None:
-        target = _resolve_target(f, [r.value for r in records])
+    target = _resolve_target(f, [r.value for r in records])
     return [replace(r, abs_error=abs(r.value - target.center)) for r in records]
 
 
-def run_method(
-    method, f: Polynomial, x0, steps, target: Enclosure = None, max_den_digits=150_000
-):
+def run_method(method, f: Polynomial, x0, steps):
     """Iterate `method` from x0, recording digits and exact errors per step.
 
     iterate_records, then with_errors: every error is exactly 0 or resolved
     to at least 10**20 radii of a certified enclosure of the nearest real
-    root.  Runs stop early when the next step would exceed the budget.
+    root.  Runs stop early when the next step would exceed MAX_DEN_DIGITS.
     """
-    return with_errors(f, iterate_records(method, f, x0, steps, max_den_digits), target)
+    return with_errors(f, iterate_records(method, f, x0, steps))
 
 
 @dataclass(frozen=True)
@@ -232,17 +232,15 @@ class SweepRow:
     records: tuple  # the run's ApproximationRecords, without errors
 
 
-def sweep_initial_conditions(
-    f: Polynomial,
-    expected_digits: dict,
-    candidates=(rational(-2), rational(-3, 2), rational(-7, 4), rational(-9, 5)),
-    max_den_digits=150_000,
-):
+def sweep_initial_conditions(f: Polynomial, expected_digits: dict, candidates):
     """Score starting points against published denominator digit columns.
 
-    expected_digits maps method -> list of (n, digits).  Returns (rows, best)
-    where best picks, per method, the candidate matching the most cells
-    (ties to the earlier candidate).
+    expected_digits maps method -> list of (n, digits); candidates are the
+    starting points, in order (Table 6 sweeps ``bench.TABLE6_X0``).  Each
+    candidate runs to the method's largest n under MAX_DEN_DIGITS, and a
+    run that diverges or meets a zero denominator scores no cell.  Returns
+    (rows, best) where best picks, per method, the candidate matching the
+    most cells (ties to the earlier candidate).
     """
     rows = []
     for method, cells in expected_digits.items():
@@ -250,7 +248,7 @@ def sweep_initial_conditions(
         max_n = max(want)
         for x0 in candidates:
             try:
-                records = iterate_records(method, f, x0, max_n, max_den_digits)
+                records = iterate_records(method, f, x0, max_n)
             except (IterationDiverged, ZeroDenominator):
                 records = []
             by_n = {r.n: r.den_digits for r in records}

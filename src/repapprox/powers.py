@@ -113,7 +113,7 @@ def _sequence(M, num, den, offset, target, ns, advance):
         raise UsageError("sequence indices must be nonnegative")
     f = M.poly
     # Dominance and the limit are certified before any power is taken.
-    limit = _limit_data(f, num, den, analyze(f, M.weights)) if target is None else None
+    limit = _limit_data(analyze(f, M.weights), num, den) if target is None else None
     records, current = [], power(f, M.weights.x, ns[0])
     for k, n in enumerate(ns):
         if k:

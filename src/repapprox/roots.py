@@ -34,6 +34,14 @@ from .polynomial import (
     Polynomial, derivative, homogeneous_eval, primitive, remainder_sequence, sign_at,
 )
 
+# Working-precision budgets in bits: the default asked of all_roots and
+# analyze, and the largest that analyze ever asks of all_roots (also the
+# largest --precision the CLI accepts).  all_roots' Aberth working
+# precision stops at CEILING_FACTOR times its start.
+DEFAULT_PRECISION = 256
+MAX_PRECISION = 1 << 16
+CEILING_FACTOR = 64
+
 
 @dataclass(frozen=True)
 class Enclosure:
@@ -489,19 +497,20 @@ def sort_canonically(estimates):
     )
 
 
-def all_roots(f: Polynomial, precision_bits=256, ceiling_factor=64) -> RootSet:
+def all_roots(f: Polynomial, precision_bits=DEFAULT_PRECISION) -> RootSet:
     """All m roots with residual inclusion radii below 2**(-precision_bits/2).
 
     Working precision doubles (and the Aberth iteration restarts from the
     previous approximations) until the radii pass the threshold, the
     inclusion disks are pairwise disjoint, and the number of real candidates
-    agrees with the exact Sturm count.
+    agrees with the exact Sturm count; past CEILING_FACTOR times the first
+    working precision the roots are refused (RootSeparationError).
     """
-    return _all_roots_cached(f, int(precision_bits), int(ceiling_factor))
+    return _all_roots_cached(f, int(precision_bits))
 
 
 @lru_cache(maxsize=128)
-def _all_roots_cached(f, precision_bits, ceiling_factor):
+def _all_roots_cached(f, precision_bits):
     _require_squarefree(f)
     m = f.degree
     if m == 1:
@@ -510,7 +519,7 @@ def _all_roots_cached(f, precision_bits, ceiling_factor):
 
     real_count = count_real_roots(f)
     work = max(precision_bits + 64, 128)
-    ceiling = work * ceiling_factor
+    ceiling = work * CEILING_FACTOR
     coeffs_exact = f.monic_coefficients()
     zs = None
     while work <= ceiling:

@@ -22,7 +22,7 @@ from repapprox.backends import (
     sci_parts,
     to_mpf,
 )
-from repapprox.bench import parse_expected_error, reproduce_table
+from repapprox.bench import TABLE6_X0, parse_expected_error, reproduce_table
 from repapprox.convergence import analyze, limit_ratio, rate_report
 from repapprox.errors import (
     DomainError,
@@ -207,7 +207,7 @@ def test_criterion_07_iterative_method_properties(ramanujan):
     expected = {
         method: [(n, d) for n, d, _ in cells] for method, cells in bench.TABLE6.items()
     }
-    rows, best = sweep_initial_conditions(ramanujan, expected)
+    rows, best = sweep_initial_conditions(ramanujan, expected, TABLE6_X0)
     assert set(best) == {"newton", "halley", "noor"}
     assert best["newton"].x0 == rational(-2) and best["newton"].matches == 3
     assert best["halley"].x0 == rational(-2) and best["halley"].matches == 2
@@ -272,7 +272,7 @@ def test_criterion_08_limit_bound_suite(certified_cases):
             if p60[p - 1][q - 1] == 0:
                 continue
             try:
-                pred = limit_ratio(f, x, (i, j), (p, q), report)
+                pred = limit_ratio(report, (i, j), (p, q))
             except (ZeroDenominator, RootSeparationError, DomainError):
                 continue
             if pred.degenerate:
@@ -291,7 +291,7 @@ def test_criterion_09_rate_slopes(ramanujan):
     """Criterion 9: measured log-error slopes match -log10(c) within 2%."""
     for x in ((0, 0, 1), (1, -1, 1), (0, -1, 1), (69, 99, -124)):
         report = analyze(ramanujan, x)
-        pred = limit_ratio(ramanujan, x, (2, 1), (3, 1), report)
+        pred = limit_ratio(report, (2, 1), (3, 1))
         matrix = build(ramanujan, x)
         records = ratio_sequence(matrix, (2, 1), (3, 1), -1, range(20, 101, 5))
         with mp.workprec(64):

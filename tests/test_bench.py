@@ -168,14 +168,6 @@ class TestTables:
         with pytest.raises(DomainError):
             reproduce_table(9)
 
-    def test_out_dir_writes_files(self, tmp_path):
-        reproduce_table(2, out_dir=str(tmp_path))
-        assert (tmp_path / "table2.csv").exists()
-        assert (tmp_path / "discrepancies.csv").exists()
-        text = (tmp_path / "discrepancies.csv").read_text()
-        assert text.startswith("table,cell,expected,measured,status")
-        assert text.count("\n") == 25  # header + every cell exactly once
-
 
 def test_discrepancies_merge():
     results = [reproduce_table(1), reproduce_table(2)]

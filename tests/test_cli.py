@@ -10,6 +10,7 @@ from repapprox.iterative import iterate_records
 from repapprox.polynomial import parse_polynomial
 from repapprox.powers import mat_pow
 from repapprox.regrep import build
+from repapprox.roots import all_roots
 
 
 def run_cli(capsys, *argv):
@@ -222,12 +223,24 @@ class TestCRatio:
         assert code == 2
         assert "domain error" in err
 
-    def test_tie_refusal_prints_readable_weights(self, capsys):
-        # gamma = 3 sqrt(21) and -3 sqrt(21) tie in modulus
-        code, out, err = run_cli(capsys, "c-ratio", "--poly=c:1,0,-21", "--x=0,3")
-        assert (code, out) == (2, "")
-        assert "no strictly dominant gamma certifiable" in err
-        assert "x=(0,3)" in err
+    def test_tie_refusal_prints_readable_weights(self, capsys, monkeypatch):
+        # gamma = 3 sqrt(21) and -3 sqrt(21) tie in modulus.  Whatever
+        # --precision asks, analyze stops doubling at MAX_PRECISION.
+        asked = []
+
+        def recording(f, precision_bits):
+            asked.append(precision_bits)
+            return all_roots(f, precision_bits)
+
+        monkeypatch.setattr(cli.convergence, "all_roots", recording)
+        for extra in ((), ("--precision=2048",)):
+            asked.clear()
+            code, out, err = run_cli(capsys, "c-ratio", "--poly=c:1,0,-21", "--x=0,3", *extra)
+            assert (code, out) == (2, "")
+            assert "no strictly dominant gamma certifiable" in err
+            assert "x=(0,3)" in err
+            assert f"up to {cli.MAX_PRECISION} bits" in err
+            assert asked and max(asked) == cli.MAX_PRECISION == 65536
 
     def test_precision_floor(self, capsys):
         code, _, err = run_cli(
@@ -352,6 +365,10 @@ class TestTables:
         assert (tmp_path / "table2.csv").exists()
         assert "0 flagged" in err
         assert out.startswith("table,cell,expected,measured,status")
+        assert (tmp_path / "discrepancies.csv").exists()
+        text = (tmp_path / "discrepancies.csv").read_text()
+        assert text.startswith("table,cell,expected,measured,status")
+        assert text.count("\n") == 25  # header + every cell exactly once
 
     def test_env_var_output_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPAPPROX_OUT", str(tmp_path))

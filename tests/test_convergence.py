@@ -138,7 +138,7 @@ class TestLimitRatio:
     def test_offset_recovery(self, ramanujan):
         # (2,1)/(3,1) converges to root - u_1; here u_1 = -1
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(ramanujan, (0, -1, 1), (2, 1), (3, 1), report)
+        pred = limit_ratio(report, (2, 1), (3, 1))
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(pred.work_prec):
             assert abs(pred.limit - (alpha + 1)) < 1e-40
@@ -147,7 +147,7 @@ class TestLimitRatio:
     @pytest.mark.parametrize("num,den", [((2, 2), (2, 1)), ((2, 3), (2, 2)), ((3, 3), (3, 2))])
     def test_adjacent_column_ratios_hit_root(self, ramanujan, num, den):
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(ramanujan, (0, -1, 1), num, den, report)
+        pred = limit_ratio(report, num, den)
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(pred.work_prec):
             assert abs(pred.limit - alpha) < 1e-40
@@ -156,7 +156,7 @@ class TestLimitRatio:
     def test_constant_families_degenerate(self, ramanujan, indices):
         report = analyze(ramanujan, (0, -1, 1))
         i, j, p, q = indices
-        pred = limit_ratio(ramanujan, (0, -1, 1), (i, j), (p, q), report)
+        pred = limit_ratio(report, (i, j), (p, q))
         assert pred.degenerate
         assert pred.rate_constant == 0
 
@@ -164,23 +164,23 @@ class TestLimitRatio:
         report = analyze(ramanujan, (0, -1, 1))
         object.__setattr__(report, "certified", False)
         with pytest.raises(DomainError):
-            limit_ratio(ramanujan, (0, -1, 1), (2, 1), (3, 1), report)
+            limit_ratio(report, (2, 1), (3, 1))
 
     def test_index_validation(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
         with pytest.raises(UsageError):
-            limit_ratio(ramanujan, (0, -1, 1), (4, 1), (3, 1), report)
+            limit_ratio(report, (4, 1), (3, 1))
 
     def test_zero_denominator_refused_exactly(self):
         text, x = ZERO_B_K
         f = parse_polynomial(text)
         report = analyze(f, x)
         with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
-            limit_ratio(f, x, (1, 1), (2, 1), report)
+            limit_ratio(report, (1, 1), (2, 1))
 
     def test_measured_ratio_approaches_limit(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(ramanujan, (0, -1, 1), (2, 1), (3, 1), report)
+        pred = limit_ratio(report, (2, 1), (3, 1))
         m = build(ramanujan, (0, -1, 1))
         p200 = ra.mat_pow(m, 200).entries
         measured = rational(p200[1][0]) / p200[2][0]
@@ -237,13 +237,13 @@ class TestCubicClosedForms:
     def test_self_ratio_is_one(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
         for numerator in ((2, 2), (3, 3)):
-            mbar = cubic_limit_matrix(ramanujan, numerator, report)
+            mbar = cubic_limit_matrix(report, numerator)
             h, k = numerator
             assert abs(mbar[h - 1][k - 1] - 1) < 1e-40
 
     def test_cube_of_root_over_r(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
-        mbar = cubic_limit_matrix(ramanujan, (3, 3), report)
+        mbar = cubic_limit_matrix(report, (3, 3))
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(report.work_prec):
             assert abs(mbar[0][0] - alpha**3) < 1e-40  # r = 1
@@ -251,7 +251,7 @@ class TestCubicClosedForms:
     def test_remark_ratio_equals_r(self):
         f = parse_polynomial("u:1,1,4")  # r = 4, dominant real root exists
         report = analyze(f, (0, -1, 1))
-        mbar = cubic_limit_matrix(f, (2, 2), report)
+        mbar = cubic_limit_matrix(report, (2, 2))
         with mp.workprec(report.work_prec):
             assert abs(mbar[2][0] / mbar[0][1] - 4) < 1e-30
             assert abs(mbar[2][1] / mbar[0][2] - 4) < 1e-30
@@ -259,10 +259,10 @@ class TestCubicClosedForms:
     def test_agrees_with_limit_ratio_everywhere(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
         for numerator in ((2, 2), (3, 3)):
-            mbar = cubic_limit_matrix(ramanujan, numerator, report)
+            mbar = cubic_limit_matrix(report, numerator)
             for h in range(1, 4):
                 for k in range(1, 4):
-                    pred = limit_ratio(ramanujan, (0, -1, 1), numerator, (h, k), report)
+                    pred = limit_ratio(report, numerator, (h, k))
                     with mp.workprec(report.work_prec):
                         assert abs(pred.limit - mbar[h - 1][k - 1]) < 1e-35
 
@@ -270,20 +270,20 @@ class TestCubicClosedForms:
         f = parse_polynomial("c:1,0,-2")
         report = analyze(f, (1, 1))
         with pytest.raises(UsageError):
-            cubic_limit_matrix(f, (2, 2), report)
+            cubic_limit_matrix(report, (2, 2))
 
     def test_rejects_zero_r(self):
         f = parse_polynomial("u:0,1,0")  # t^3 - t, squarefree, r = 0
         report = analyze(f, (1, 1, 1))
         with pytest.raises(DomainError):
-            cubic_limit_matrix(f, (2, 2), report)
+            cubic_limit_matrix(report, (2, 2))
 
 
 class TestRateReport:
     def test_reference_slope(self, ramanujan):
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        pred = limit_ratio(ramanujan, x, (2, 1), (3, 1), report)
+        pred = limit_ratio(report, (2, 1), (3, 1))
         m = build(ramanujan, x)
         records = ratio_sequence(m, (2, 1), (3, 1), -1, range(20, 101, 5))
         summary = rate_report(pred, report, records)
@@ -293,14 +293,14 @@ class TestRateReport:
     def test_degenerate_rejected(self, ramanujan):
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        pred = limit_ratio(ramanujan, x, (3, 1), (1, 2), report)
+        pred = limit_ratio(report, (3, 1), (1, 2))
         with pytest.raises(DegenerateRatio):
             rate_report(pred, report, [])
 
     def test_insufficient_records(self, ramanujan):
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        pred = limit_ratio(ramanujan, x, (2, 1), (3, 1), report)
+        pred = limit_ratio(report, (2, 1), (3, 1))
         m = build(ramanujan, x)
         records = ratio_sequence(m, (2, 1), (3, 1), -1, (10, 20))
         with pytest.raises(DomainError):
@@ -315,7 +315,7 @@ class TestLimitEnclosure:
         # contain the Vandermonde limit computed independently in mpmath.
         f = parse_polynomial(text)
         report = analyze(f, x)
-        enc = limit_enclosure(f, x, num, den, report, digits=60)
+        enc = limit_enclosure(report, num, den, digits=60)
         assert enc.radius <= rational(1, 10**60)
         v, vinv, k = _vandermonde(text, x)
         (i, j), (p, q) = num, den
@@ -331,7 +331,7 @@ class TestLimitEnclosure:
         # refined Sturm bracket, as Tables 1-5 and 7 measure against.
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        enc = limit_enclosure(ramanujan, x, num, den, report, 60, offset)
+        enc = limit_enclosure(report, num, den, 60, offset)
         bracket = isolating_interval_for(ramanujan, report.roots.roots[report.dominant_index])
         assert enc == refine_to_decimal_digits(ramanujan, bracket, 60)
 
@@ -340,7 +340,7 @@ class TestLimitEnclosure:
         f = parse_polynomial("c:1,-3,-4,4")
         x = (-1, 0, 3)
         report = analyze(f, x)
-        enc = limit_enclosure(f, x, (1, 3), (3, 2), report, digits=60)
+        enc = limit_enclosure(report, (1, 3), (3, 2), digits=60)
         assert enc == Enclosure(rational(-4), rational(0))
 
     def test_zero_denominator_refused_exactly(self):
@@ -348,7 +348,7 @@ class TestLimitEnclosure:
         f = parse_polynomial(text)
         report = analyze(f, x)
         with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
-            limit_enclosure(f, x, (1, 1), (2, 1), report, digits=60)
+            limit_enclosure(report, (1, 1), (2, 1), digits=60)
 
 
 def _assert_resolved(enc, values):
@@ -364,7 +364,7 @@ class TestResolvingEnclosure:
     def test_table1_sequences_resolved(self, ramanujan, x):
         matrix = build(ramanujan, [rational(c) for c in x])
         values = [r.value for r in ratio_sequence(matrix, (2, 1), (3, 1), -1, range(5, 101))]
-        limit = _limit_data(ramanujan, (2, 1), (3, 1), analyze(ramanujan, x))
+        limit = _limit_data(analyze(ramanujan, x), (2, 1), (3, 1))
         enc = resolving_enclosure(ramanujan, limit, values, -1)
         assert enc.radius > 0
         _assert_resolved(enc, values)
@@ -383,7 +383,7 @@ class TestResolvingEnclosure:
         f = parse_polynomial("c:1,5/3,-2/3,0")
         x = (0, 2, 1)
         values = [r.value for r in ratio_sequence(build(f, x), (2, 2), (2, 1), 0, (5, 6))]
-        enc = resolving_enclosure(f, _limit_data(f, (2, 2), (2, 1), analyze(f, x)), values)
+        enc = resolving_enclosure(f, _limit_data(analyze(f, x), (2, 2), (2, 1)), values)
         assert enc == Enclosure(rational(1, 3), rational(0))
 
 

@@ -98,3 +98,93 @@ def test_no_test_only_code_in_the_package():
     # holds the oracles); public API is what repapprox.__all__ lists.
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unreferenced_definitions(sources, repapprox.__all__, _overrides) == []
+
+
+def _defs(tree):
+    """(qualname, def node, is_method) for every def in a module, nested ones too."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((prefix + sub.name, sub, in_class))
+                visit(sub, f"{prefix}{sub.name}.", False)
+            elif isinstance(sub, ast.ClassDef):
+                visit(sub, f"{prefix}{sub.name}.", True)
+            else:
+                visit(sub, prefix, in_class)
+
+    visit(tree, "", False)
+    return out
+
+
+def _passes(call, position, name):
+    """Whether a call sets the parameter at `position` (self not counted) or named `name`."""
+    return (
+        any(kw.arg in (name, None) for kw in call.keywords)
+        or position is not None and position < len(call.args)
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+    )
+
+
+def idle_parameters(defined, callers):
+    """Parameters of the defs in `defined` that no call sets or that the body never reads.
+
+    defined and callers map module names to source texts.  A parameter
+    with a default is idle unless some call in `callers` naming its
+    function (as ``f(...)`` or ``obj.f(...)``; ``__init__`` by its class)
+    passes it, by keyword or by position; a ``*args`` or ``**kwargs`` at
+    the call counts as passing.  Any parameter is idle if its body reads
+    no Name of it.  Lambdas and the first parameter of a method are exempt.
+    """
+    calls = {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    idle = set()
+    for source in defined.values():
+        for qualname, node, is_method in _defs(ast.parse(source)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            params = positional + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            skip = 1 if is_method and positional else 0
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            idle.update(f"{qualname}.{p.arg}" for p in params[skip:] if p.arg not in read)
+            parts = qualname.split(".")
+            callee = parts[-2] if parts[-1] == "__init__" and len(parts) > 1 else parts[-1]
+            defaulted = [(i - skip, p) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for position, p in defaulted:
+                if not any(_passes(c, position, p.arg) for c in calls.get(callee, ())):
+                    idle.add(f"{qualname}.{p.arg}")
+    return sorted(idle)
+
+
+def test_idle_parameter_checker():
+    defined = {
+        "a": "def f(x, y=1, z=2):\n    return x + y + z\n"
+             "def g(x, unused):\n    return x\n"
+             "class K:\n    def __init__(self, v=0):\n        self.v = v\n"
+             "    def m(self, w=None):\n        return w\n"
+             "h = lambda ignored: 0\n",
+    }
+    callers = {"b": "f(1, z=3)\nK()\nK.m(None, w=1)\n"}
+    assert idle_parameters(defined, callers) == ["K.__init__.v", "f.y", "g.unused"]
+    callers["b"] += "f(1, 2)\nK(v=1)\n"
+    assert idle_parameters(defined, callers) == ["g.unused"]
+
+
+def test_every_parameter_has_a_caller_and_a_reader():
+    # A default that no call overrides is a configuration nothing runs, and
+    # a parameter the body never reads is an option accepted but ignored.
+    defined = {path.stem: path.read_text() for path in MODULES}
+    callers = dict(defined)
+    callers.update(
+        (f"tests.{path.stem}", path.read_text()) for path in Path(__file__).parent.glob("*.py")
+    )
+    assert idle_parameters(defined, callers) == []

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repapprox import iterative
 from repapprox.backends import as_int_pair, floor_log10, rational, sci_string
+from repapprox.bench import TABLE6_X0
 from repapprox.errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
 from repapprox.iterative import (
     IterativeState,
@@ -265,7 +266,7 @@ class TestOrders:
 class TestSweep:
     def test_newton_best_start_matches_all_columns(self, ramanujan):
         expected = {"newton": [(3, 9), (5, 80), (10, 19352)]}
-        rows, best = sweep_initial_conditions(ramanujan, expected)
+        rows, best = sweep_initial_conditions(ramanujan, expected, TABLE6_X0)
         assert best["newton"].x0 == rational(-2)
         assert best["newton"].matches == 3
         assert len(rows) == 4  # one row per candidate
@@ -275,6 +276,6 @@ class TestSweep:
             "newton": [(3, 9)],
             "halley": [(2, 9), (3, 45)],
         }
-        rows, best = sweep_initial_conditions(ramanujan, expected)
+        rows, best = sweep_initial_conditions(ramanujan, expected, TABLE6_X0)
         assert set(best) == {"newton", "halley"}
         assert best["halley"].matches == 2
