@@ -9,6 +9,7 @@ from repapprox.bench import (
     parse_expected_error,
     reproduce_table,
 )
+from repapprox.cli import main
 from repapprox.errors import DomainError
 from repapprox.powers import ApproximationRecord
 
@@ -167,6 +168,16 @@ class TestTables:
     def test_bad_table_id(self):
         with pytest.raises(DomainError):
             reproduce_table(9)
+
+    def test_out_dir_writes_files(self, tmp_path, capsys):
+        # The CLI is the one writer of table files.
+        assert main(["tables", "--id", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "table2.csv").exists()
+        assert (tmp_path / "discrepancies.csv").exists()
+        text = (tmp_path / "discrepancies.csv").read_text()
+        assert text.startswith("table,cell,expected,measured,status")
+        assert text.count("\n") == 25  # header + every cell exactly once
 
 
 def test_discrepancies_merge():

@@ -365,10 +365,6 @@ class TestTables:
         assert (tmp_path / "table2.csv").exists()
         assert "0 flagged" in err
         assert out.startswith("table,cell,expected,measured,status")
-        assert (tmp_path / "discrepancies.csv").exists()
-        text = (tmp_path / "discrepancies.csv").read_text()
-        assert text.startswith("table,cell,expected,measured,status")
-        assert text.count("\n") == 25  # header + every cell exactly once
 
     def test_env_var_output_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPAPPROX_OUT", str(tmp_path))
