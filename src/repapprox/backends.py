@@ -5,19 +5,22 @@ Every exact rational the package stores or returns is made by
 values and errors, enclosure ends.  When gmpy2 is importable (and not
 disabled via ``REPAPPROX_BACKEND=python``) that is GMP's ``mpq``; otherwise
 the stdlib ``fractions.Fraction``.  Both types share the operator protocol,
-so everything downstream is backend-agnostic.  Three loops run on plain
-ints instead and make a rational only of their result: the iterative step
-kernels, root refinement and the polynomial algebra of ``polynomial``
-(Sturm chains, remainders and gcds).
+so everything downstream is backend-agnostic.  Four loops run on plain
+ints instead and make a rational only of their result: the matrix power
+kernel of ``regrep``, the iterative step kernels, root refinement and the
+polynomial algebra of ``polynomial`` (Sturm chains, remainders and gcds).
 
-Every integer the package prints goes through ``decimal_str``, which equals
-``str(n)``.  CPython before 3.12 converts an int to decimal in time
-quadratic in its length, which made printing the entries of a deep ``M^n``
-cost several times more than computing them.  Above ``_STR_CUTOFF_BITS``
-the converter splits n at a power-of-two bit position and recombines the
-halves in the C ``decimal`` module, whose multiplication is subquadratic
-(Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.7.2; the
-method of CPython 3.12's ``Lib/_pylong.py``).
+CPython before 3.12 converts an int to decimal in time quadratic in its
+length, which made printing the entries of a deep ``M^n`` cost several
+times more than computing them.  ``to_decimal`` converts in subquadratic
+time: it splits n at a power-of-two bit position and recombines the halves
+in the C ``decimal`` module, whose multiplication is subquadratic (Brent &
+Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.7; the method of
+CPython 3.12's ``Lib/_pylong.py``).  An integral ``M^n`` is printed from
+its m coordinates, converted once and multiplied out under
+``exact_decimal``; every other integer the package prints goes through
+``decimal_str``, which equals ``str(n)`` and uses ``to_decimal`` above
+``_STR_CUTOFF_BITS``.
 """
 
 import decimal
@@ -149,12 +152,25 @@ def _to_decimal(n):
     return _EXACT.add(_EXACT.multiply(_to_decimal(hi), _pow2(k)), _to_decimal(lo))
 
 
+def to_decimal(n):
+    """Decimal(n) for an int n, exactly and in subquadratic time.
+
+    str() of the result is str(n), in time linear in its length.
+    """
+    d = _to_decimal(abs(n))
+    return d.copy_negate() if n < 0 else d
+
+
+def exact_decimal():
+    """A context in which Decimal arithmetic on integers is exact; Inexact raises."""
+    return decimal.localcontext(_EXACT)
+
+
 def decimal_str(n):
     """str(n) for an int n, in subquadratic time once n is large."""
     if n.bit_length() <= _STR_CUTOFF_BITS:
         return str(n)
-    digits = str(_to_decimal(abs(n)))  # a Decimal prints in linear time
-    return "-" + digits if n < 0 else digits
+    return str(to_decimal(n))  # a Decimal prints in linear time
 
 
 def format_rational(x):

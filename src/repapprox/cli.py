@@ -17,10 +17,12 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath as mp
 
 from . import bench, convergence, iterative, powers
-from .backends import format_rational, parse_rational, parse_rational_vector, sci_string
+from .backends import (
+    exact_decimal, format_rational, parse_rational, parse_rational_vector, sci_string, to_decimal,
+)
 from .errors import DomainError, RepApproxError, UsageError
 from .polynomial import parse_polynomial
-from .regrep import build
+from .regrep import build, matrix_of
 from .roots import DEFAULT_PRECISION, MAX_PRECISION, all_roots
 
 # Options are None unless given, so --config can fill them; then these apply.
@@ -164,15 +166,27 @@ def _matrix(args):
     return build(parse_polynomial(args.poly), parse_rational_vector(args.x))
 
 
-def _print_matrix(entries, fmt, out):
+def _print_matrix(power, fmt, out):
+    """Print the entries of a MatrixPower, row by row.
+
+    An integral one is rebuilt by matrix_of from its m int coordinates, each
+    converted to Decimal once, in exact Decimal arithmetic; every entry then
+    prints by str() in linear time.
+    """
+    if power.integral is None:
+        rows, cell = power.entries, format_rational
+    else:
+        u, coords = power.integral
+        with exact_decimal():
+            rows, cell = matrix_of(u, [to_decimal(c) for c in coords]), str
     if fmt == "pretty":
-        cells = [[format_rational(e) for e in row] for row in entries]
+        cells = [[cell(e) for e in row] for row in rows]
         width = max(len(c) for row in cells for c in row)
         for row in cells:
             print("  ".join(c.rjust(width) for c in row), file=out)
     else:
-        for row in entries:
-            print(",".join(format_rational(e) for e in row), file=out)
+        for row in rows:
+            print(",".join(map(cell, row)), file=out)
 
 
 def _fmt_mp(x, prec_bits):
@@ -234,7 +248,7 @@ def _records_pretty(records, out):
 
 def _cmd_repr(args, out):
     _require(args, "poly", "x")
-    _print_matrix(_matrix(args).entries, args.format, out)
+    _print_matrix(powers.mat_pow(_matrix(args), 1), args.format, out)
     return 0
 
 
@@ -242,8 +256,7 @@ def _cmd_power(args, out):
     _require(args, "poly", "x", "n")
     if int(args.n) < 0:
         raise UsageError("--n must be >= 0")
-    power = powers.mat_pow(_matrix(args), int(args.n))
-    _print_matrix(power.entries, args.format, out)
+    _print_matrix(powers.mat_pow(_matrix(args), int(args.n)), args.format, out)
     return 0
 
 
@@ -438,4 +451,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

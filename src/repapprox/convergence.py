@@ -99,14 +99,12 @@ def _gamma_with_bound(x, root):
     return acc, bound * (1 + mp.mpf(2) ** -16)
 
 
-def analyze(
-    f: Polynomial, x, precision_bits=DEFAULT_PRECISION, ceiling_bits=MAX_PRECISION
-) -> ConvergenceReport:
+def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceReport:
     """Certify a strictly dominant gamma and report c = |gamma_k|/|gamma_l|.
 
     Precision doubles from precision_bits (at least 64) until the |gamma|
     intervals separate the maximum from everything else; no round asks
-    all_roots for more than ceiling_bits, and past it the tie is refused
+    all_roots for more than MAX_PRECISION bits, and past it the tie is refused
     (DominanceUndecidable).  Exact ties (element is a constant: only x_0
     nonzero) fail immediately.
     """
@@ -116,7 +114,7 @@ def analyze(
             "element is rational: all gamma_j coincide, no strict dominance"
         )
     prec = max(int(precision_bits), 64)
-    while prec <= ceiling_bits:
+    while prec <= MAX_PRECISION:
         roots = all_roots(f, prec)
         with mp.workprec(max(prec, roots.work_prec) + 32):
             gams, bounds = [], []
@@ -149,7 +147,7 @@ def analyze(
     raise DominanceUndecidable(
         f"no strictly dominant gamma certifiable for "
         f"x=({','.join(map(format_rational, w.x))}) up to "
-        f"{ceiling_bits} bits (tied moduli?)"
+        f"{MAX_PRECISION} bits (tied moduli?)"
     )
 
 
@@ -251,10 +249,10 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
     )
 
 
-def limit_enclosure(report, num, den, digits, offset=0) -> Enclosure:
-    """Certified enclosure of limit + offset with radius <= 10**-digits."""
+def limit_enclosure(report, num, den, digits) -> Enclosure:
+    """Certified enclosure of the limit with radius <= 10**-digits."""
     n, d, bracket = _limit_data(report, num, den)
-    return _enclose(report.poly, n, d, bracket, digits, rational(offset))
+    return _enclose(report.poly, n, d, bracket, digits, rational(0))
 
 
 def _enclose(f, n, d, bracket, digits, offset):

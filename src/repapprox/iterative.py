@@ -7,8 +7,7 @@ meaningful.  A growth budget stops a run before a step whose reduced
 denominator is estimated (digits times a per-method growth factor) to
 outgrow MAX_DEN_DIGITS decimal digits; the Noor corrector multiplies digit
 counts by roughly 21 per step on a cubic, so Table 6's Noor n = 6 is over
-it.  Only ``iterate_records`` takes another budget, as its
-``max_den_digits``.
+it.
 
 The kernel is integer arithmetic.  For an iterate x = p/q and a form
 F(p, q) = sum c_i p^(k-i) q^i, F, F1 and F2 are the homogenised L f, L f'
@@ -132,7 +131,7 @@ def _residual_grew(cur, prev, m):
     return fc * qp**m > fp * qc**m
 
 
-def _iterate(f, method, x0, steps, max_den_digits):
+def _iterate(f, method, x0, steps):
     """One digit record per step.
 
     Each iterate's F(p, q) and denominator digit count are computed once:
@@ -147,7 +146,7 @@ def _iterate(f, method, x0, steps, max_den_digits):
     records = []
     grew = 0
     for _ in range(steps):
-        if digits * factor > max_den_digits:
+        if digits * factor > MAX_DEN_DIGITS:
             break  # next step would blow the budget; stop with what we have
         prev = abs(fx), q
         state = step(f, replace(state, fx=fx))
@@ -186,17 +185,17 @@ def _resolve_target(f, values) -> Enclosure:
     return resolving_enclosure(f, ((1, 0), (1,), interval), values)
 
 
-def iterate_records(method, f: Polynomial, x0, steps, max_den_digits=MAX_DEN_DIGITS):
+def iterate_records(method, f: Polynomial, x0, steps):
     """Iterate `method` from x0: one record per step, with digits but no errors.
 
     Runs stop early (records list shorter than `steps`) when the next step
-    would exceed the denominator budget.
+    would exceed MAX_DEN_DIGITS.
     """
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    return _iterate(f, method, x0, steps, max_den_digits)
+    return _iterate(f, method, x0, steps)
 
 
 def with_errors(f: Polynomial, records):

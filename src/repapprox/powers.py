@@ -1,7 +1,10 @@
 """Exact matrix powers and the rational approximation sequences they yield.
 
 M^n is the matrix of g^n, so every power here is an element power in
-Q[t]/(f) (``regrep.power``), and entries are read from ``regrep.matrix_of``.
+Q[t]/(f), taken on int coordinates (``regrep.power`` over the integral
+generator of ``regrep.integral_element``).  Entries are read from
+``regrep.matrix_of`` and ``regrep.scaled_entries``: ints for integral f
+and x, and a rational only where a ratio or a non-integral entry needs one.
 
 A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
@@ -15,23 +18,33 @@ so no floating-point noise enters the reported |value - limit| numbers.
 
 from dataclasses import dataclass, replace
 
-from .backends import decimal_digit_count, rational
+from .backends import as_int_pair, decimal_digit_count, rational
 from .convergence import _limit_data, analyze, resolving_enclosure
 from .errors import UsageError, ZeroDenominator
 from .regrep import (
     RegRepMatrix,
     constant_ratio_families,
+    integral_element,
     matrix_of,
     multiply,
     power,
+    scaled_entries,
 )
 
 
 @dataclass(frozen=True)
 class MatrixPower:
+    """M^n; entries are ints when f and x are integral, rationals otherwise.
+
+    integral is (u, c) when L = d^n = 1 (regrep.integral_element): then
+    entries == matrix_of(u, c) over the ints, so a printer can convert the
+    m coordinates c instead of the m^2 entries.  Otherwise it is None.
+    """
+
     base: RegRepMatrix
     n: int
     entries: tuple
+    integral: tuple
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,10 @@ class ApproximationRecord:
 def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
     if n < 0:
         raise UsageError("matrix power requires n >= 0")
-    return MatrixPower(M, n, matrix_of(M.poly, power(M.poly, M.weights.x, n)))
+    u, scale, z, d = integral_element(M.poly, M.weights.x)
+    coords, den = power(u, z, n), d**n
+    entries = scaled_entries(matrix_of(u, coords), scale, den)
+    return MatrixPower(M, n, entries, (u, coords) if scale == den == 1 else None)
 
 
 def _check_index(pair, m, label):
@@ -74,10 +90,8 @@ def _record_from_entries(entries, n, num, den, offset):
     e_den = entries[den[0] - 1][den[1] - 1]
     if e_den == 0:
         return ApproximationRecord(n=n)
-    value = e_num / e_den + offset
-    unreduced_den = (
-        abs(int(e_num.denominator) * int(e_den.numerator)) * int(offset.denominator)
-    )
+    value = rational(e_num, e_den) + offset
+    unreduced_den = abs(as_int_pair(e_num)[1] * as_int_pair(e_den)[0]) * int(offset.denominator)
     return ApproximationRecord(
         n=n,
         value=value,
@@ -86,22 +100,23 @@ def _record_from_entries(entries, n, num, den, offset):
     )
 
 
-def _with_errors(records, f, limit, offset, target):
-    """records with abs_error against target, or against resolving_enclosure."""
-    if target is None:
-        values = [r.value for r in records if r.available]
-        target = resolving_enclosure(f, limit, values, offset)
+def _with_errors(records, f, limit, offset):
+    """records with abs_error against resolving_enclosure."""
+    values = [r.value for r in records if r.available]
+    target = resolving_enclosure(f, limit, values, offset)
     return [
         replace(r, abs_error=abs(r.value - target.center)) if r.available else r
         for r in records
     ]
 
 
-def _sequence(M, num, den, offset, target, ns, advance):
+def _sequence(M, num, den, offset, ns, advance):
     """Records of value(n) = M^n[num]/M^n[den] + offset at the increasing ns.
 
-    The first element power is g^ns[0]; advance(h, a, b) takes h = g^a to
-    g^b.  Errors are resolved as in ratio_sequence.
+    Powers are int coordinates of (d g)^n over L*a (regrep.integral_element).
+    The first is taken for ns[0]; advance(u, z, h, a, b) takes h, the
+    coordinates for n = a, to those for n = b.  Errors are resolved as in
+    ratio_sequence.
     """
     m = M.size
     num = _check_index(num, m, "numerator")
@@ -113,40 +128,36 @@ def _sequence(M, num, den, offset, target, ns, advance):
         raise UsageError("sequence indices must be nonnegative")
     f = M.poly
     # Dominance and the limit are certified before any power is taken.
-    limit = _limit_data(analyze(f, M.weights), num, den) if target is None else None
-    records, current = [], power(f, M.weights.x, ns[0])
+    limit = _limit_data(analyze(f, M.weights), num, den)
+    u, scale, z, d = integral_element(f, M.weights.x)
+    records, current = [], power(u, z, ns[0])
     for k, n in enumerate(ns):
         if k:
-            current = advance(current, ns[k - 1], n)
-        records.append(_record_from_entries(matrix_of(f, current), n, num, den, offset))
+            current = advance(u, z, current, ns[k - 1], n)
+        entries = scaled_entries(matrix_of(u, current), scale, d**n)
+        records.append(_record_from_entries(entries, n, num, den, offset))
     if all(not r.available for r in records):
         raise ZeroDenominator(
             f"denominator entry M^n[{den}] vanished at every requested n"
         )
-    return _with_errors(records, f, limit, offset, target)
+    return _with_errors(records, f, limit, offset)
 
 
-def ratio_sequence(
-    M: RegRepMatrix, num, den, offset=0, n_list=(), target=None
-) -> list:
+def ratio_sequence(M: RegRepMatrix, num, den, offset=0, n_list=()) -> list:
     """ApproximationRecords for value(n) = M^n[num]/M^n[den] + offset.
 
-    `target` is a certified Enclosure of the limit, used as given.  If
-    omitted, ``convergence.resolving_enclosure`` encloses the limit tightly
-    enough that every error is exactly 0 (a value proven equal to the limit)
-    or at least 10**20 radii.  Zero denominator entries mark the record
+    ``convergence.resolving_enclosure`` encloses the limit tightly enough
+    that every error is exactly 0 (a value proven equal to the limit) or at
+    least 10**20 radii.  Zero denominator entries mark the record
     unavailable instead of failing the run, unless every one vanishes.
     """
-    f, x = M.poly, M.weights.x
     ns = sorted(set(int(n) for n in n_list))
     return _sequence(
-        M, num, den, offset, target, ns, lambda h, a, b: multiply(f, h, power(f, x, b - a))
+        M, num, den, offset, ns, lambda u, z, h, a, b: multiply(u, h, power(u, z, b - a))
     )
 
 
-def accelerated_sequence(
-    M: RegRepMatrix, stride, steps, num, den, offset=0, target=None
-) -> list:
+def accelerated_sequence(M: RegRepMatrix, stride, steps, num, den, offset=0) -> list:
     """Repeated stride-th powering: records at n = stride, stride^2, ...
 
     Step k re-raises the previous element power to the stride-th power, so
@@ -159,7 +170,7 @@ def accelerated_sequence(
     if steps < 1:
         raise UsageError("steps must be >= 1")
     if stride == 1:
-        return ratio_sequence(M, num, den, offset, range(1, steps + 1), target)
+        return ratio_sequence(M, num, den, offset, range(1, steps + 1))
     n_max = stride**steps
     if n_max > 10_000_000:
         raise UsageError(
@@ -167,7 +178,7 @@ def accelerated_sequence(
             "reduce --steps"
         )
     ns = [stride**k for k in range(1, steps + 1)]
-    return _sequence(M, num, den, offset, target, ns, lambda h, a, b: power(M.poly, h, stride))
+    return _sequence(M, num, den, offset, ns, lambda u, z, h, a, b: power(u, h, stride))
 
 
 @dataclass(frozen=True)
@@ -189,22 +200,22 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
     m = M.size
     if m < 2:
         raise UsageError("constant-ratio families need m >= 2")
-    f, x = M.poly, M.weights.x
+    u, scale, z, d = integral_element(M.poly, M.weights.x)
     families = constant_ratio_families(m)
     results = []
     for fam_idx, (i, j, p, q) in enumerate(families):
         duplicate = fam_idx == 1 and families[0] == families[1]
         values, checked, skipped = [], [], []
-        g_n = power(f, x, 0)
+        g_n = power(u, z, 0)
         for n in range(1, int(n_max) + 1):
-            g_n = multiply(f, g_n, x)
-            entries = matrix_of(f, g_n)
-            d = entries[p - 1][q - 1]
-            if d == 0:
+            g_n = multiply(u, g_n, z)
+            entries = scaled_entries(matrix_of(u, g_n), scale, d**n)
+            e_den = entries[p - 1][q - 1]
+            if e_den == 0:
                 skipped.append(n)
                 continue
             checked.append(n)
-            values.append(entries[i - 1][j - 1] / d)
+            values.append(rational(entries[i - 1][j - 1], e_den))
         constant = values[0] if values else None
         holds = bool(values) and all(v == constant for v in values)
         results.append(

@@ -4,9 +4,18 @@ M represents multiplication by g = x_0 + x_1*a + ... + x_{m-1}*a^(m-1) on the
 power basis of Q[t]/(f), where a is a root of f.  So M^n is the matrix of
 g^n, and column j of the matrix of any element c holds the coordinates of
 a^j * c.  This module owns the one exact kernel built on that fact:
-``multiply`` and ``power`` work on coordinate vectors, and ``matrix_of``
-materializes a matrix from coordinates by shift-and-reduce; ``build`` is
-``matrix_of`` applied to the weights.
+``multiply`` and ``power`` work on int coordinate vectors, and
+``matrix_of`` materializes a matrix from coordinates by shift-and-reduce
+over any ring (Fractions for ``build``, ints for powers, exact Decimals for
+printing them).
+
+Rational f and x reach the int kernel through ``integral_element``
+(Cohen, *A Course in Computational Algebraic Number Theory*, 1993, section
+4.2): over b = L*a, with L the lcm of the denominators of f's u-vector, b
+is a root of the monic int polynomial with u-vector u_s L^s, and d*g has
+int b-coordinates z for one common denominator d.  With Z the int matrix
+of the b-coordinates of (d g)^n, entry (i, j) of M^n (0-based) is
+Z[i][j] L^(i-j) / d^n (``scaled_entries``).
 
 Two independent construction paths are kept public to cross-validate it:
 ``entries_via_formula`` goes through the explicit multinomial entry
@@ -16,7 +25,7 @@ expansion, and ``build_cubic`` is the closed 3x3 form.
 import math
 from dataclasses import dataclass
 
-from .backends import rational
+from .backends import as_int_pair, as_integer, rational
 from .errors import UsageError
 from .polynomial import Polynomial
 
@@ -60,56 +69,94 @@ def _coerce_weights(f, x):
     return w
 
 
-def multiply(f: Polynomial, a, b):
-    """Coordinates of a*b modulo f, for coordinate vectors a and b.
+def multiply(u, a, b):
+    """Int coordinates of a*b modulo the monic int polynomial with u-vector u.
 
-    Schoolbook product, then a^k for k >= m is folded down from the top with
-    a^m = u_1 a^(m-1) + ... + u_m.
+    Schoolbook product, each cross term once when squaring, then a^k for
+    k >= m is folded down from the top with a^m = u_1 a^(m-1) + ... + u_m.
     """
-    m = f.degree
-    prod = [rational(0)] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
+    m = len(u)
+    prod = [0] * (2 * m - 1)
+    if a is b:
+        for i, ai in enumerate(a):
+            if ai:
+                prod[2 * i] += ai * ai
+                twice = ai << 1
+                for j in range(i + 1, m):
+                    prod[i + j] += twice * a[j]
+    else:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+    terms = [(s, u_s) for s, u_s in enumerate(u) if u_s]
     for k in range(2 * m - 2, m - 1, -1):
         c = prod[k]
         if c:
-            for s, u_s in enumerate(f.u):
+            for s, u_s in terms:
                 prod[k - 1 - s] += c * u_s
     return tuple(prod[:m])
 
 
-def power(f: Polynomial, c, n):
-    """Coordinates of c**n modulo f by square-and-multiply; n >= 0."""
-    result = (rational(1),) + (rational(0),) * (f.degree - 1)
+def power(u, c, n):
+    """Int coordinates of c**n by square-and-multiply; n >= 0."""
+    result = (1,) + (0,) * (len(u) - 1)
     base = tuple(c)
     while n:
         if n & 1:
-            result = multiply(f, result, base)
+            result = multiply(u, result, base)
         n >>= 1
         if n:
-            base = multiply(f, base, base)
+            base = multiply(u, base, base)
     return result
 
 
-def matrix_of(f: Polynomial, c):
+def matrix_of(u, c):
     """Rows of the matrix of multiplication by c; column j is coords(a^j c).
 
     Each column comes from the previous one by a shift (multiplication by a)
-    and one reduction of the a^m term.
+    and one reduction of the a^m term.  Only additions and products with
+    the u_s occur, so c and u may come from any ring.  The top entry is
+    0 + top*u_m, not top*u_m: a Decimal zero times a negative u_m is -0,
+    which would print as "-0".
     """
-    m = f.degree
-    zero = rational(0)
+    m = len(u)
     col = tuple(c)
     cols = [col]
     for _ in range(m - 1):
         top = col[-1]
-        col = tuple(
-            (col[i - 1] if i else zero) + top * f.u[m - 1 - i] for i in range(m)
-        )
+        col = tuple((col[i - 1] if i else 0) + top * u[m - 1 - i] for i in range(m))
         cols.append(col)
     return tuple(zip(*cols))
+
+
+def integral_element(f: Polynomial, x):
+    """(u, L, z, d): the element g of coordinates x as ints over b = L*a.
+
+    L is the lcm of the denominators of f's u-vector, u_s = f.u_s * L^s is
+    the u-vector of b's monic int polynomial, and z holds the int
+    b-coordinates of d*g, z_i = d x_i / L^i with d the least such
+    common denominator.
+    """
+    scale = math.lcm(*(as_int_pair(c)[1] for c in f.u))
+    u = tuple(as_integer(c * scale**s) for s, c in enumerate(f.u, 1))
+    coords = [rational(c) / scale**i for i, c in enumerate(x)]
+    den = math.lcm(*(as_int_pair(v)[1] for v in coords))
+    return u, scale, tuple(as_integer(v * den) for v in coords), den
+
+
+def scaled_entries(rows, scale, den):
+    """M^n from the int matrix of (d g)^n over b = L*a, for den = d^n.
+
+    Entry (i, j) is rows[i][j] L^(i-j) / d^n: the int rows themselves when
+    L = d^n = 1, else reduced rationals.
+    """
+    if scale == den == 1:
+        return rows
+    return tuple(
+        tuple(rational(z * scale**i, den * scale**j) for j, z in enumerate(row))
+        for i, row in enumerate(rows)
+    )
 
 
 def constant_ratio_families(m):
@@ -120,7 +167,7 @@ def constant_ratio_families(m):
 def build(f: Polynomial, x) -> RegRepMatrix:
     """M(x, u): the matrix of multiplication by the element with coordinates x."""
     w = _coerce_weights(f, x)
-    return RegRepMatrix(matrix_of(f, w.x), w, f)
+    return RegRepMatrix(matrix_of(f.u, w.x), w, f)
 
 
 def build_cubic(p, q, r, x, y, z) -> RegRepMatrix:

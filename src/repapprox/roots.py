@@ -119,14 +119,12 @@ def _variations(chain, t):
     return sum(1 for s, s2 in zip(signs, signs[1:]) if s != s2)
 
 
-def count_real_roots(f: Polynomial, lo=None, hi=None) -> int:
-    """Exact number of distinct real roots in (lo, hi]; whole line by default."""
+def count_real_roots(f: Polynomial) -> int:
+    """Exact number of distinct real roots."""
     _require_squarefree(f)
     chain = _sturm_chain(f)
     bound = root_bound(f)
-    lo = rational(lo) if lo is not None else -bound
-    hi = rational(hi) if hi is not None else bound
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(chain, -bound) - _variations(chain, bound)
 
 
 def _nonroot_midpoint(form, a, b):

@@ -1,9 +1,11 @@
 """Dense exact-matrix oracle for the tests (tuples of tuples of rationals).
 
 The package computes M(x, u) and its powers as element arithmetic in
-Q[t]/(f); these textbook matrix operations are the independent reference
-the tests compare it against.  ``elements`` draws the random inputs that
-the property tests feed to both sides.  ``companion``, ``reflect`` and
+Q[t]/(f), on int coordinates over L*alpha; these textbook matrix
+operations, and the same element arithmetic on rationals (``multiply``,
+``power``), are the independent references the tests compare it against.
+``elements`` draws the random inputs that the property tests feed to both
+sides.  ``companion``, ``reflect`` and
 ``shift`` are the polynomial transforms only the tests use.
 
 The second half holds the polynomial algebra and the root loops as they
@@ -66,6 +68,39 @@ def mat_pow_entries(a, n):
         n >>= 1
         if n:
             base = mat_mul(base, base)
+    return result
+
+
+def multiply(f: Polynomial, a, b):
+    """Coordinates of a*b modulo f, on rationals (the package's int kernel runs over L*alpha).
+
+    Schoolbook product, then a^k for k >= m is folded down from the top with
+    a^m = u_1 a^(m-1) + ... + u_m.
+    """
+    m = f.degree
+    prod = [rational(0)] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        if c:
+            for s, u_s in enumerate(f.u):
+                prod[k - 1 - s] += c * u_s
+    return tuple(prod[:m])
+
+
+def power(f: Polynomial, c, n):
+    """Coordinates of c**n modulo f by square-and-multiply, on rationals; n >= 0."""
+    result = (rational(1),) + (rational(0),) * (f.degree - 1)
+    base = tuple(c)
+    while n:
+        if n & 1:
+            result = multiply(f, result, base)
+        n >>= 1
+        if n:
+            base = multiply(f, base, base)
     return result
 
 

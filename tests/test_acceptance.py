@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 import repapprox as ra
-from repapprox import bench
+from repapprox import bench, convergence
 from repapprox.backends import (
     floor_log10,
     mpf_to_rational,
@@ -70,7 +70,9 @@ def certified_cases():
         if all(c == 0 for c in x) or all(c == 0 for c in x[1:]):
             continue
         try:
-            report = analyze(f, x, 192, ceiling_bits=2048)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(convergence, "MAX_PRECISION", 2048)
+                report = analyze(f, x, 192)
         except (DominanceUndecidable, RootSeparationError):
             continue
         cases.append((f, tuple(x), report))

@@ -3,14 +3,16 @@ import time
 
 import pytest
 
-from repapprox import cli
-from repapprox.backends import parse_rational_vector, rational
+from repapprox import backends, cli
+from repapprox.backends import format_rational, parse_rational_vector, rational
 from repapprox.cli import main
 from repapprox.iterative import iterate_records
 from repapprox.polynomial import parse_polynomial
 from repapprox.powers import mat_pow
 from repapprox.regrep import build
 from repapprox.roots import all_roots
+
+import dense
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +49,66 @@ class TestPower:
     def test_zero_power(self, capsys):
         code, out, _ = run_cli(capsys, "power", "--poly", "u:1,1", "--x", "1,1", "--n", "0")
         assert out == "1,0\n0,1\n"
+
+
+def _printed(entries, pretty):
+    """A matrix as the CLI prints it, cell by cell from format_rational."""
+    cells = [[format_rational(e) for e in row] for row in entries]
+    if not pretty:
+        return "".join(",".join(row) + "\n" for row in cells)
+    width = max(len(c) for row in cells for c in row)
+    return "".join("  ".join(c.rjust(width) for c in row) + "\n" for row in cells)
+
+
+class TestPrintedMatrixBytes:
+    """power and repr print integral matrices from Decimal coordinates; the
+    bytes must be those of the rational entries of the dense oracle."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "pretty"])
+    @pytest.mark.parametrize(
+        "poly,x,n",
+        [
+            ("u:1/2,-3,2/3", "1/3,-2,5/4", 7),  # rational f and x
+            ("u:1/2,-3,2/3", "1/3,-2,5/4", 0),
+            ("c:1,1,-2,-1", "-3,0,-1", 9),  # negative entries
+            ("c:1,0,0,2", "1,0,0", 5),  # zero coordinates times a negative u_m
+            ("c:1,0,-2", "1,1", 0),
+            ("c:1,-3,0,1,5", "0,2,-1,1", 1),
+        ],
+    )
+    def test_power_and_repr_match_rational_entries(self, capsys, poly, x, n, fmt):
+        m = build(parse_polynomial(poly), parse_rational_vector(x))
+        want = _printed(dense.mat_pow_entries(m.entries, n), fmt == "pretty")
+        argv = ["--poly", poly, "--x", x, "--format", fmt]
+        assert run_cli(capsys, "power", *argv, "--n", str(n)) == (0, want, "")
+        if n == 1:
+            assert run_cli(capsys, "repr", *argv) == (0, want, "")
+
+    def test_power_converts_m_coordinates_not_m_squared_entries(self, capsys, monkeypatch):
+        # Outermost calls of the int->Decimal converter: its recursion goes
+        # through the module name too, so depth tells the two apart.
+        calls, depth = [], [0]
+        convert = backends._to_decimal
+
+        def counting(n):
+            if not depth[0]:
+                calls.append(n)
+            depth[0] += 1
+            try:
+                return convert(n)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(backends, "_to_decimal", counting)
+        poly, x, n = "c:1,0,-1,2,-3,1,-1", "1,2,0,-1,1,3", 8000
+        code, out, _ = run_cli(capsys, "power", "--poly", poly, "--x", x, "--n", str(n))
+        entries = mat_pow(build(parse_polynomial(poly), parse_rational_vector(x)), n).entries
+        assert code == 0
+        smallest = min(abs(int(e)) for row in entries for e in row)
+        assert smallest.bit_length() > backends._STR_CUTOFF_BITS
+        assert len(calls) <= 6
+        same = out == "".join(",".join(str(e) for e in row) + "\n" for row in entries)
+        assert same
 
 
 class TestBigIntegerOutput:
@@ -92,7 +154,7 @@ class TestBigIntegerOutput:
         want = []
         for n in ns:
             e = mat_pow(matrix, n).entries
-            value = e[1][0] / e[2][0] - 1
+            value = rational(e[1][0], e[2][0]) - 1
             want.append([str(n), str(value.numerator), str(value.denominator)])
         got = [line.split(",")[:3] for line in out.splitlines()[1:]]
         assert code == 0

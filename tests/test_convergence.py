@@ -6,7 +6,9 @@ import pytest
 
 import repapprox as ra
 from repapprox.backends import rational, to_mpf
+from repapprox import convergence
 from repapprox.convergence import (
+    _enclose,
     _limit_data,
     analyze,
     cubic_limit_matrix,
@@ -119,12 +121,13 @@ class TestAnalyze:
         with mp.workprec(min(a.work_prec, b.work_prec)):
             assert abs(a.c_value - b.c_value) < mp.mpf(2) ** (-min(a.work_prec, b.work_prec) // 2)
 
-    def test_complex_dominance_uncertifiable(self):
+    def test_complex_dominance_uncertifiable(self, monkeypatch):
         # the largest-modulus roots of t^3 + t + 1 are a conjugate pair, so
         # gamma = alpha ties in modulus and can never be strictly dominant
         f = parse_polynomial("u:0,-1,-1")
-        with pytest.raises(DominanceUndecidable):
-            analyze(f, (0, 1, 0), ceiling_bits=2048)
+        monkeypatch.setattr(convergence, "MAX_PRECISION", 2048)
+        with pytest.raises(DominanceUndecidable, match="up to 2048 bits"):
+            analyze(f, (0, 1, 0))
 
     def test_gamma_values_match_direct_evaluation(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
@@ -331,7 +334,7 @@ class TestLimitEnclosure:
         # refined Sturm bracket, as Tables 1-5 and 7 measure against.
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        enc = limit_enclosure(report, num, den, 60, offset)
+        enc = _enclose(ramanujan, *_limit_data(report, num, den), 60, rational(offset))
         bracket = isolating_interval_for(ramanujan, report.roots.roots[report.dominant_index])
         assert enc == refine_to_decimal_digits(ramanujan, bracket, 60)
 
@@ -400,7 +403,9 @@ def find_certified_weights(f, target_index, bound=3, precision_bits=256):
         if all(c == 0 for c in xs) or all(c == 0 for c in xs[1:]):
             continue
         try:
-            report = analyze(f, xs, precision_bits, ceiling_bits=precision_bits * 4)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(convergence, "MAX_PRECISION", precision_bits * 4)
+                report = analyze(f, xs, precision_bits)
         except (DominanceUndecidable, RootSeparationError):
             continue
         if report.dominant_index == target_index:

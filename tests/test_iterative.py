@@ -204,8 +204,9 @@ class TestRunMethod:
             (r.n, r.value, r.abs_error) for r in b
         ]
 
-    def test_noor_budget_truncation(self, ramanujan):
-        records = iterate_records("noor", ramanujan, rational(-2), 6, max_den_digits=5000)
+    def test_noor_budget_truncation(self, ramanujan, monkeypatch):
+        monkeypatch.setattr(iterative, "MAX_DEN_DIGITS", 5000)
+        records = iterate_records("noor", ramanujan, rational(-2), 6)
         assert 0 < len(records) < 6
         assert records[-1].den_digits <= 5000
 

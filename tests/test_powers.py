@@ -1,9 +1,11 @@
 import random
+from numbers import Rational
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repapprox as ra
+from repapprox import powers
 from repapprox.backends import decimal_digit_count, rational, sci_string
 from repapprox.bench import WEIGHT_VECTORS
 from repapprox.errors import UsageError, ZeroDenominator
@@ -78,9 +80,10 @@ class TestRatioSequence:
         records = ratio_sequence(m_ref, (2, 2), (2, 1), 0, (35,))
         assert sci_string(records[0].abs_error, 2) == "8.1e-32"
 
-    def test_explicit_target_used_exactly(self, m_ref):
+    def test_explicit_target_used_exactly(self, m_ref, monkeypatch):
         target = Enclosure(rational(-1801937735, 10**9), rational(1, 10**9))
-        records = ratio_sequence(m_ref, (2, 1), (3, 1), -1, (5,), target=target)
+        monkeypatch.setattr(powers, "resolving_enclosure", lambda *args: target)
+        records = ratio_sequence(m_ref, (2, 1), (3, 1), -1, (5,))
         expected = abs(records[0].value - target.center)
         assert records[0].abs_error == expected
 
@@ -102,11 +105,12 @@ class TestRatioSequence:
         assert records[1].available and records[2].available
 
     @pytest.mark.parametrize("weights", WEIGHT_VECTORS)
-    def test_entries_match_dense_oracle(self, ramanujan, weights):
+    def test_entries_match_dense_oracle(self, ramanujan, weights, monkeypatch):
         m = build(ramanujan, weights)
         exact = Enclosure(rational(0), rational(0))  # radius 0: no re-refinement
-        plain = ratio_sequence(m, (2, 1), (3, 1), -1, (1, 2, 5, 9, 27), target=exact)
-        tower = accelerated_sequence(m, 3, 3, (2, 1), (3, 1), -1, target=exact)
+        monkeypatch.setattr(powers, "resolving_enclosure", lambda *args: exact)
+        plain = ratio_sequence(m, (2, 1), (3, 1), -1, (1, 2, 5, 9, 27))
+        tower = accelerated_sequence(m, 3, 3, (2, 1), (3, 1), -1)
         for r in plain + tower:
             p = dense.mat_pow_entries(m.entries, r.n)
             if p[2][0] == 0:
@@ -125,11 +129,10 @@ class TestRatioSequence:
         with pytest.raises(UsageError):
             ratio_sequence(m_ref, (2, 1), (3, 1), 0, (-2,))
 
-    def test_rational_offset_keeps_digit_invariant(self, m_ref):
-        records = ratio_sequence(
-            m_ref, (2, 1), (3, 1), rational(-1, 3), (5, 20),
-            target=Enclosure(rational(-2), rational(1)),
-        )
+    def test_rational_offset_keeps_digit_invariant(self, m_ref, monkeypatch):
+        target = Enclosure(rational(-2), rational(1))
+        monkeypatch.setattr(powers, "resolving_enclosure", lambda *args: target)
+        records = ratio_sequence(m_ref, (2, 1), (3, 1), rational(-1, 3), (5, 20))
         for r in records:
             assert r.den_digits >= r.reduced_den_digits >= 1
 
@@ -194,6 +197,28 @@ class TestConstantRatios:
         m = build(Polynomial((3,)), (2,))
         with pytest.raises(UsageError):
             constant_ratio_check(m, 5)
+
+
+class TestExactTypes:
+    """Entries are ints on integral input, so every ratio must be built as a
+    rational: a / b of two ints would be a float."""
+
+    def test_integral_entries_are_ints(self, m_ref):
+        assert all(type(e) is int for row in mat_pow(m_ref, 9).entries for e in row)
+
+    @pytest.mark.parametrize(
+        "u,x", [((-1, 2, 1), (0, -1, 1)), ((rational(1, 2), 2, -3), (0, rational(-1, 3), 1))]
+    )
+    def test_nothing_is_a_float(self, u, x):
+        # numbers.Rational holds int, Fraction and mpq, but not float.
+        m = build(Polynomial(u), x)
+        values = [e for row in mat_pow(m, 9).entries for e in row]
+        for r in ratio_sequence(m, (2, 1), (3, 1), -1, (3, 8)) + accelerated_sequence(
+            m, 2, 3, (2, 2), (2, 1), 0
+        ):
+            values += [r.value, r.abs_error]
+        values += [fam.constant for fam in constant_ratio_check(m, 6)]
+        assert all(isinstance(v, Rational) for v in values)
 
 
 class TestDigitCount:

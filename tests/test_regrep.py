@@ -13,6 +13,11 @@ from repapprox.regrep import (
     build_cubic,
     entries_via_formula,
     entry_multinomial,
+    integral_element,
+    matrix_of,
+    multiply,
+    power,
+    scaled_entries,
 )
 
 import dense
@@ -151,6 +156,44 @@ class TestFormulaPath:
         if all(c == 0 for c in x):
             x[0] = rational(1)
         assert entries_via_formula(f, x).entries == build(f, x).entries
+
+
+class TestIntegerKernel:
+    """The int kernel over L*alpha against the rational kernel of dense.py."""
+
+    @given(dense.elements(), st.integers(0, 60))
+    @example((Polynomial((rational(1, 2), -3, rational(2, 3))), (rational(1, 3), -2, 5)), 7)
+    @example((Polynomial((rational(-3, 4),)), (rational(-5, 2),)), 0)
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_power_equals_rational_power(self, element, n):
+        f, x = element
+        u, scale, z, d = integral_element(f, x)
+        assert all(type(v) is int for v in (*u, *z, scale, d))
+        entries = scaled_entries(matrix_of(u, power(u, z, n)), scale, d**n)
+        assert entries == matrix_of(f.u, dense.power(f, x, n))
+
+    @given(dense.elements(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_multiply_and_square_equal_rational_kernel(self, element, data):
+        f, _ = element
+        u, scale, _, _ = integral_element(f, (1,) * f.degree)
+        vectors = st.lists(st.integers(-10**30, 10**30), min_size=f.degree, max_size=f.degree)
+        a, b = tuple(data.draw(vectors)), tuple(data.draw(vectors))
+        g = Polynomial(u)
+        assert multiply(u, a, b) == dense.multiply(g, a, b)
+        assert multiply(u, a, a) == dense.multiply(g, a, a)
+
+    def test_integral_element_of_integral_input_is_itself(self):
+        f = Polynomial((-1, 2, 1))
+        assert integral_element(f, (rational(0), rational(-1), rational(1))) == (
+            (-1, 2, 1), 1, (0, -1, 1), 1,
+        )
+
+    def test_integral_generator(self):
+        # f = t^2 - t/2 - 1/3: L = 6, and b = 6a is a root of t^2 - 3t - 12.
+        # g = 1/4 + a/3 = 1/4 + b/18, so d = 36 and 36 g = 9 + 2b.
+        f = Polynomial((rational(1, 2), rational(1, 3)))
+        assert integral_element(f, (rational(1, 4), rational(1, 3))) == ((3, 12), 6, (9, 2), 36)
 
 
 def _multiply_mod_f(f, x1, x2):

@@ -86,7 +86,11 @@ class TestSturm:
                 with pytest.raises(NotSquarefree):
                     fn(f)
             return
-        assert roots.count_real_roots(f, lo, hi) == dense.count_real_roots(f, lo, hi)
+        assert roots.count_real_roots(f) == dense.count_real_roots(f)
+        chain, bound = roots._sturm_chain(f), roots.root_bound(f)
+        lo, hi = -bound if lo is None else lo, bound if hi is None else hi
+        in_range = roots._variations(chain, lo) - roots._variations(chain, hi)
+        assert in_range == dense.count_real_roots(f, lo, hi)
         assert roots.isolate_real_roots(f) == dense.isolate_real_roots(f)
 
     def test_chain_is_built_once_per_polynomial(self):
