@@ -2,13 +2,12 @@
 
 Every exact rational the package stores or returns is made by
 ``rational()``: polynomial and weight coefficients, matrix entries, sequence
-values and errors, enclosure ends.  When gmpy2 is importable (and not
-disabled via ``REPAPPROX_BACKEND=python``) that is GMP's ``mpq``; otherwise
-the stdlib ``fractions.Fraction``.  Both types share the operator protocol,
-so everything downstream is backend-agnostic.  Four loops run on plain
-ints instead and make a rational only of their result: the matrix power
-kernel of ``regrep``, the iterative step kernels, root refinement and the
-polynomial algebra of ``polynomial`` (Sturm chains, remainders and gcds).
+values and errors, enclosure ends.  That is the stdlib
+``fractions.Fraction``; ``BACKEND`` names it for benchmark records.  Four
+loops run on plain ints instead and make a rational only of their result:
+the matrix power kernel of ``regrep``, the iterative step kernels, root
+refinement and the polynomial algebra of ``polynomial`` (Sturm chains,
+remainders and gcds).
 
 CPython before 3.12 converts an int to decimal in time quadratic in its
 length, which made printing the entries of a deep ``M^n`` cost several
@@ -24,7 +23,6 @@ its m coordinates, converted once and multiplied out under
 """
 
 import decimal
-import os
 import sys
 from fractions import Fraction
 
@@ -35,34 +33,12 @@ from .errors import UsageError
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(20_000_000)
 
-_requested = os.environ.get("REPAPPROX_BACKEND", "auto").lower()
-
-if _requested in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _mpq  # type: ignore
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise UsageError("REPAPPROX_BACKEND=gmpy2 requested but gmpy2 is not installed")
-        BACKEND = "fraction"
-elif _requested in ("python", "fraction", "stdlib"):
-    BACKEND = "fraction"
-else:
-    raise UsageError(f"unknown REPAPPROX_BACKEND value: {_requested!r}")
+BACKEND = "fraction"
 
 
-if BACKEND == "gmpy2":
-
-    def rational(num, den=1):
-        """Exact rational, reduced, positive denominator."""
-        return _mpq(num, den)
-
-else:
-
-    def rational(num, den=1):
-        """Exact rational, reduced, positive denominator."""
-        return Fraction(num, den)
+def rational(num, den=1):
+    """Exact rational, reduced, positive denominator."""
+    return Fraction(num, den)
 
 
 def as_int_pair(x):

@@ -12,9 +12,11 @@ limit is exact algebra: it equals N(alpha_k) / D(alpha_k) for two int
 polynomials read off f, with alpha_k the real dominant root.  B_k = 0, a
 value equal to the limit and a limit equal to alpha_k are each decided by
 the integer remainder sequence of f and one polynomial, a ratio constant
-in n by two pseudo-remainders, and the limit is enclosed on ints over
-alpha_k's Sturm bracket.  The closed cubic forms are kept as an
-independent cross-check path.
+in n by two pseudo-remainders.  resolving_enclosure is the one enclosure
+loop: it decides the exact case once, then refines one int bracket from
+alpha_k's Sturm bracket across all its rounds; limit_enclosure is one
+round of it.  The closed cubic forms are kept as an independent
+cross-check path.
 """
 
 from dataclasses import dataclass
@@ -32,8 +34,8 @@ from .errors import (
 from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
 from .regrep import Weights, _coerce_weights
 from .roots import (
-    DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, all_roots, enclose_quotient,
-    isolating_interval_for, refine_to_decimal_digits,
+    DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, _bracket, all_roots, enclose_quotient,
+    isolating_interval_for,
 )
 
 
@@ -151,10 +153,12 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     )
 
 
-def _poly_sum(*polys):
-    """Sum of coefficient tuples (highest degree first), aligned from the right."""
-    n = max(map(len, polys))
-    return tuple(map(sum, zip(*((0,) * (n - len(p)) + tuple(p) for p in polys))))
+def _shifted(n, d, shift, slope):
+    """N + (shift - slope*t) D on ints, times the denominator of the rational shift."""
+    a, b = as_int_pair(shift)
+    k = max(len(n), len(d) + 1)
+    n, d = ((0,) * (k - len(p)) + tuple(p) for p in (n, d))
+    return tuple(b * x + a * y - slope * b * z for x, y, z in zip(n, d, d[1:] + (0,)))
 
 
 def _shares_root(F, g, bracket):
@@ -250,63 +254,48 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
 
 
 def limit_enclosure(report, num, den, digits) -> Enclosure:
-    """Certified enclosure of the limit with radius <= 10**-digits."""
-    n, d, bracket = _limit_data(report, num, den)
-    return _enclose(report.poly, n, d, bracket, digits, rational(0))
+    """Certified enclosure of the limit, radius <= 10**-digits: one resolving_enclosure round."""
+    return resolving_enclosure(report.poly, _limit_data(report, num, den), (), 0, digits)
 
 
-def _enclose(f, n, d, bracket, digits, offset):
-    """Enclosure of N(alpha)/D(alpha) + offset, alpha in bracket, radius <= 10**-digits.
-
-    Three exact cases in order: N = c*D modulo f gives the constant c with
-    radius 0; if alpha is a root of gcd(f, N + (offset - t) D), limit +
-    offset is alpha itself and its bracket is refined; otherwise
-    roots.enclose_quotient evaluates N and D in interval arithmetic on the
-    bracket, refined until the quotient is narrow enough.
-    """
-    F = f.integer_forms()[0]
-    c = _constant_quotient(n, d, F)
-    if c is not None:
-        return Enclosure(c + offset, rational(0))
-    a, b = as_int_pair(offset)  # N + (a/b - t) D, times b
-    shifted = _poly_sum([b * v for v in n], [a * v for v in d], [-b * v for v in d + (0,)])
-    if _shares_root(F, shifted, bracket):
-        return refine_to_decimal_digits(f, bracket, digits)
-    enc = enclose_quotient(f, n, d, bracket, digits)
-    return Enclosure(enc.center + offset, enc.radius)
-
-
-def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:
+def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
     """Certified enclosure of limit + offset that resolves every value's error.
 
     `limit` is (N, D, bracket) as from _limit_data: the limit is
-    N(alpha)/D(alpha) for the root alpha of f in bracket.  The first round
-    works at 30 digits; a value inside it that is exactly limit + offset
-    (alpha is a root of gcd(f, N + (offset - v) D)) is returned with radius
-    0, so its error is exactly 0.  Otherwise the digits grow until every
-    value lies at least 10**20 radii from the centre, so each |value - centre|
-    is its true error to about 20 significant digits.
+    N(alpha)/D(alpha) for the root alpha of f in bracket.  The exact case is
+    decided once: N = c*D modulo f gives c + offset with radius 0, and if
+    alpha is a root of gcd(f, N + (offset - t) D), limit + offset is alpha,
+    enclosed as N = t, D = 1.  Every round then continues refining the int
+    bracket that roots.enclose_quotient returned the round before.  The
+    first round works at `digits`; a value inside it that is exactly limit +
+    offset (alpha is a root of gcd(f, N + (offset - v) D)) is returned with
+    radius 0, so its error is exactly 0.  Otherwise the digits grow until
+    every value lies at least 10**20 radii from the centre, so each
+    |value - centre| is its true error to about 20 significant digits.
     """
     n, d, bracket = limit
     offset = rational(offset)
     F = f.integer_forms()[0]
-    a, b = as_int_pair(offset)
-    digits = 30
-    enc = _enclose(f, n, d, bracket, digits, offset)
+    c = _constant_quotient(n, d, F)
+    if c is not None:
+        return Enclosure(c + offset, rational(0))
+    if _shares_root(F, _shifted(n, d, offset, 1), bracket):
+        n, d, offset = (1, 0), (1,), rational(0)
+    enc, ivl = enclose_quotient(f, n, d, _bracket(*bracket), digits)
+    center = enc.center + offset
     for v in values:
-        if abs(v - enc.center) <= enc.radius:
-            p, q = as_int_pair(v)  # N + (a/b - p/q) D, times bq
-            shifted = _poly_sum([b * q * w for w in n], [(a * q - p * b) * w for w in d])
-            if _shares_root(F, shifted, bracket):
-                return Enclosure(v, rational(0))
+        inside = abs(v - center) <= enc.radius
+        if inside and _shares_root(F, _shifted(n, d, offset - v, 0), bracket):
+            return Enclosure(v, rational(0))
     while True:
         margin = enc.radius * 10**20
-        close = [e for e in (abs(v - enc.center) for v in values) if e < margin]
+        close = [e for e in (abs(v - center) for v in values) if e < margin]
         if not close:
-            return enc
+            return Enclosure(center, enc.radius)
         smallest = min(close)
         digits = max(2 * digits, -floor_log10(smallest) + 21 if smallest else 0)
-        enc = _enclose(f, n, d, bracket, digits, offset)
+        enc, ivl = enclose_quotient(f, n, d, ivl, digits)
+        center = enc.center + offset
 
 
 def cubic_limit_matrix(report: ConvergenceReport, numerator):

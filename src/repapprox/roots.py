@@ -2,9 +2,12 @@
 
 Real roots: Sturm-sequence isolation and bisection/interval-Newton refinement
 in exact arithmetic; the returned radius is certified by a sign change of f
-across the enclosure.  All complex roots: Aberth simultaneous iteration in
-mpmath with residual inclusion radii m*|f(z)/f'(z)|, guarded by pairwise
-disjointness and cross-checked against the exact real-root count.
+across the enclosure.  enclose_quotient encloses N(alpha)/D(alpha) for a
+real root alpha (alpha itself is N = t, D = 1) and returns the refined int
+bracket with it, so the next enclosure at more digits continues from there.
+All complex roots: Aberth simultaneous iteration in mpmath with residual
+inclusion radii m*|f(z)/f'(z)|, guarded by pairwise disjointness and
+cross-checked against the exact real-root count.
 
 The three hot loops avoid per-operation objects.  The Sturm chain is one
 cached polynomial.remainder_sequence of f and f' on ints per f, the same
@@ -348,28 +351,24 @@ def refine_real_root(f: Polynomial, interval, eps) -> RootEstimate:
     return RootEstimate(rational(lo + hi, q << 1), rational(hi - lo, q << 1), True)
 
 
-def refine_to_decimal_digits(f: Polynomial, interval, digits) -> Enclosure:
-    """Certified enclosure with radius <= 10**-digits."""
-    est = refine_real_root(f, interval, rational(1, 10**digits))
-    return Enclosure(est.center, est.radius)
-
-
 # n/d pairs with d > 0, ordered by value
 _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def enclose_quotient(f: Polynomial, n, d, bracket, digits) -> Enclosure:
-    """Enclosure of N(alpha)/D(alpha), radius <= 10**-digits, alpha f's root in bracket.
+def enclose_quotient(f: Polynomial, n, d, bracket, digits):
+    """(Enclosure of N(alpha)/D(alpha) with radius <= 10**-digits, refined bracket).
 
-    N and D are int tuples with one common scale, which leaves N/D as it
-    is.  Each round refines the bracket as (lo, hi, q) for _refine and
-    evaluates N and D on it by _interval_horner; every quotient below is
-    n/d times kn/kd = q^deg D / q^deg N.  Each round asks the refinement
-    for 2^16 times more than the last.  D must not vanish at the root, or
-    no round is narrow enough.
+    alpha is f's root in the int bracket (lo, hi, q); a call at more digits
+    continues from the returned one.  N and D are int tuples with one common
+    scale, which leaves N/D as it is.  Each pass refines the bracket by
+    _refine and evaluates N and D on it by _interval_horner; every quotient
+    below is n/d times kn/kd = q^deg D / q^deg N.  Each pass asks the
+    refinement for 2^16 times more than the last.  D must not vanish at the
+    root, or no pass is narrow enough.  For N = t, D = 1 the first pass is
+    refine_real_root's, with the same centre and radius.
     """
     forms = f.integer_forms()[:2]
-    lo, hi, q = _bracket(*bracket)
+    lo, hi, q = bracket
     tol_den = ed = 10 ** int(digits)  # the radius target is 1/tol_den
     while True:
         lo, hi, q = _refine(forms, lo, hi, q, (1, ed))
@@ -383,7 +382,7 @@ def enclose_quotient(f: Polynomial, n, d, bracket, digits) -> Enclosure:
             spread, den = (hn * ld - ln * hd) * kn, ld * hd * kd
             if spread * tol_den <= 2 * den:
                 center = rational((ln * hd + hn * ld) * kn, 2 * den)
-                return Enclosure(center, rational(spread, 2 * den))
+                return Enclosure(center, rational(spread, 2 * den)), (lo, hi, q)
         ed <<= 16
 
 

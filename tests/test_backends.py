@@ -209,8 +209,8 @@ print("fallback ok")
 
 
 def test_stdlib_fraction_fallback():
-    # backend choice happens at import, so exercise it in a fresh interpreter;
-    # it imports the package from wherever this process found it
+    # exercise the backend in a fresh interpreter, which imports the package
+    # from wherever this process found it
     import os
     import subprocess
     import sys
@@ -221,7 +221,7 @@ def test_stdlib_fraction_fallback():
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-c", _FALLBACK_SNIPPET],
-        env={**os.environ, "PYTHONPATH": path, "REPAPPROX_BACKEND": "python"},
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,

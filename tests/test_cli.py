@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -161,6 +162,28 @@ class TestBigIntegerOutput:
         assert min(len(want[0][1]), len(want[0][2])) > 9865  # both above the cutoff
         same = got == want
         assert same
+
+    @pytest.mark.parametrize(
+        "limit,ns,digest",
+        [
+            # (2,1)/(3,1) - 1 is the dominant root itself
+            (("--num=2,1", "--den=3,1", "--offset=-1"), "5000,20000",
+             "8c441de90af82cea710601348ffd2f7a337f29bc9748e1bcfceb9f62a6658ba2"),
+            # (1,1)/(2,1) is an interval quotient on the root's bracket
+            (("--num=1,1", "--den=2,1", "--offset=0"), "3000,12000",
+             "67128558eea766bae373f47e9ac62c2d0f6e5d054202340500fc3d8f3f703c26"),
+        ],
+        ids=["root", "quotient"],
+    )
+    def test_deep_approx_bytes_are_pinned(self, capsys, limit, ns, digest):
+        # Errors this deep take several rounds of one resumed bracket; the
+        # printed bytes must not depend on where each round's refinement
+        # started, so they are pinned by digest.
+        code, out, _ = run_cli(
+            capsys, "approx", "--poly=c:1,1,-2,-1", "--x=0,-1,1", *limit, f"--n={ns}"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestApprox:

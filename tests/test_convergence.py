@@ -6,9 +6,8 @@ import pytest
 
 import repapprox as ra
 from repapprox.backends import rational, to_mpf
-from repapprox import convergence
+from repapprox import convergence, roots
 from repapprox.convergence import (
-    _enclose,
     _limit_data,
     analyze,
     cubic_limit_matrix,
@@ -31,10 +30,11 @@ from repapprox.powers import ratio_sequence
 from repapprox.regrep import build
 from repapprox.roots import (
     Enclosure,
+    _bracket,
     all_roots,
     isolate_real_roots,
     isolating_interval_for,
-    refine_to_decimal_digits,
+    refine_real_root,
 )
 
 import dense
@@ -334,9 +334,12 @@ class TestLimitEnclosure:
         # refined Sturm bracket, as Tables 1-5 and 7 measure against.
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        enc = _enclose(ramanujan, *_limit_data(report, num, den), 60, rational(offset))
+        enc = resolving_enclosure(ramanujan, _limit_data(report, num, den), (), offset, 60)
         bracket = isolating_interval_for(ramanujan, report.roots.roots[report.dominant_index])
-        assert enc == refine_to_decimal_digits(ramanujan, bracket, 60)
+        est = refine_real_root(ramanujan, bracket, rational(1, 10**60))
+        assert enc == Enclosure(est.center, est.radius)
+        if offset == 0:
+            assert limit_enclosure(report, num, den, 60) == enc
 
     def test_exact_constant_ratio(self):
         # (1,3)/(3,2) is -4 at every n here: N = -4 D modulo f.
@@ -380,6 +383,50 @@ class TestResolvingEnclosure:
         enc = resolving_enclosure(ramanujan, ((1, 0), (1,), bracket), values)  # N = t, D = 1
         assert enc.radius > 0
         _assert_resolved(enc, values)
+
+    @pytest.mark.parametrize(
+        "num,den,offset,ns",
+        [((2, 1), (3, 1), -1, (5000,)), ((1, 1), (2, 1), 0, (3000, 12000))],
+        ids=["alpha", "quotient"],
+    )
+    def test_exact_case_decided_once_and_one_bracket_refined(
+        self, ramanujan, monkeypatch, num, den, offset, ns
+    ):
+        # (2,1)/(3,1) - 1 is alpha itself; (1,1)/(2,1) is an interval quotient.
+        # One sequence decides its limit's exact case once, refines the Sturm
+        # bracket once, and starts every later refinement at the bracket the
+        # previous one returned.
+        calls = {"_refine": [], "_constant_quotient": [], "_shares_root": [],
+                 "enclose_quotient": []}
+
+        def logged(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args):
+                result = fn(*args)
+                calls[name].append((args, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        logged(roots, "_refine")
+        for name in ("_constant_quotient", "_shares_root", "enclose_quotient"):
+            logged(convergence, name)
+        x = (0, -1, 1)
+        values = [r.value for r in ratio_sequence(build(ramanujan, x), num, den, offset, ns)]
+        report = analyze(ramanujan, x)
+        root = report.roots.roots[report.dominant_index]
+        sturm = _bracket(*isolating_interval_for(ramanujan, root))
+        refines = calls["_refine"]
+        starts = [args[1:4] for args, _ in refines]
+        assert starts[0] == sturm and starts.count(sturm) == 1
+        assert starts[1:] == [result for _, result in refines[:-1]]
+        assert len(calls["_constant_quotient"]) == 1
+        # The first enclosure is of limit + offset in both cases: the offset
+        # is folded into alpha in the first and is 0 in the second.
+        first = calls["enclose_quotient"][0][1][0]
+        inside = sum(abs(v - first.center) <= first.radius for v in values)
+        assert len(calls["_shares_root"]) <= 2 + inside
 
     def test_exact_value_gives_radius_zero(self):
         # f = t(t + 2)(t - 1/3), g = t(t + 2): the ratio is 1/3 at every n.

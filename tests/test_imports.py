@@ -186,3 +186,34 @@ def test_every_parameter_has_a_caller_and_a_reader():
     # accepted but ignored.
     defined = {path.stem: path.read_text() for path in MODULES}
     assert idle_parameters(defined, defined) == []
+
+
+# Traced names the package no longer has: they read 0 until the benchmark
+# is retargeted (ROADMAP, the benchmark-only item).
+_DEAD_TRACES = {"powers.error_reference", "polynomial.Polynomial.eval"}
+
+
+def _traced_names():
+    """(module, attribute path) of every TARGETS entry in perfbench/tracing.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_every_traced_name_resolves():
+    # perfbench wraps these by name from outside the package; a renamed or
+    # deleted one would silently read 0 in every benchmark run.
+    names = _traced_names()
+    assert len(names) > len(_DEAD_TRACES)
+    missing = []
+    for module, attr in names:
+        owner = importlib.import_module(f"repapprox.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert sorted(set(missing) - _DEAD_TRACES) == []

@@ -210,7 +210,7 @@ class TestExactTypes:
         "u,x", [((-1, 2, 1), (0, -1, 1)), ((rational(1, 2), 2, -3), (0, rational(-1, 3), 1))]
     )
     def test_nothing_is_a_float(self, u, x):
-        # numbers.Rational holds int, Fraction and mpq, but not float.
+        # numbers.Rational holds int and Fraction, but not float.
         m = build(Polynomial(u), x)
         values = [e for row in mat_pow(m, 9).entries for e in row]
         for r in ratio_sequence(m, (2, 1), (3, 1), -1, (3, 8)) + accelerated_sequence(

@@ -149,13 +149,20 @@ class TestEncloseInterval:
         st.data(),
     )
     def test_matches_rational_loop(self, f, n_poly, d_poly, digits, data):
+        # The first round from the Sturm bracket is the oracle's, bit for bit;
+        # a second round at more digits, resumed from the returned bracket,
+        # is as narrow as asked and meets the oracle's enclosure at those digits.
         bracket = data.draw(st.sampled_from(_squarefree_with_roots(f)))
         both = integer_multiple(n_poly + d_poly)  # one common scale
         n, d = both[: len(n_poly)], both[len(n_poly) :]
         assume(not convergence._shares_root(f.integer_forms()[0], d, bracket))
-        assert roots.enclose_quotient(f, n, d, bracket, digits) == dense.enclose_quotient(
-            f, tuple(n_poly), tuple(d_poly), bracket, digits
-        )
+        enc, resumed = roots.enclose_quotient(f, n, d, roots._bracket(*bracket), digits)
+        assert enc == dense.enclose_quotient(f, tuple(n_poly), tuple(d_poly), bracket, digits)
+        more = data.draw(st.integers(digits + 1, 3 * digits + 10))
+        deeper, _ = roots.enclose_quotient(f, n, d, resumed, more)
+        oracle = dense.enclose_quotient(f, tuple(n_poly), tuple(d_poly), bracket, more)
+        assert deeper.radius <= rational(1, 10**more)
+        assert deeper.lo <= oracle.hi and oracle.lo <= deeper.hi
 
 
 class TestConstantQuotient:

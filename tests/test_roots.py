@@ -17,7 +17,6 @@ from repapprox.roots import (
     is_squarefree,
     isolate_real_roots,
     refine_real_root,
-    refine_to_decimal_digits,
 )
 
 import dense
@@ -163,9 +162,10 @@ class TestRefinement:
 
     def test_deep_refinement(self, ramanujan):
         interval = isolate_real_roots(ramanujan)[0]
-        enc = refine_to_decimal_digits(ramanujan, interval, 500)
-        assert enc.radius <= rational(1, 10**500)
-        assert dense.evaluate(ramanujan, enc.lo) * dense.evaluate(ramanujan, enc.hi) < 0
+        est = refine_real_root(ramanujan, interval, rational(1, 10**500))
+        lo, hi = est.center - est.radius, est.center + est.radius
+        assert est.radius <= rational(1, 10**500)
+        assert dense.evaluate(ramanujan, lo) * dense.evaluate(ramanujan, hi) < 0
 
     def test_newton_contraction_is_quadratic(self, ramanujan, monkeypatch):
         # Bisection alone needs about 7650 halvings for 10^-2300; a linear
@@ -181,9 +181,10 @@ class TestRefinement:
         monkeypatch.setattr(roots, "homogeneous_eval", counting)
         interval = isolate_real_roots(ramanujan)[0]
         calls.clear()
-        enc = refine_to_decimal_digits(ramanujan, interval, 2300)
-        assert enc.radius <= rational(1, 10**2300)
-        assert dense.evaluate(ramanujan, enc.lo) * dense.evaluate(ramanujan, enc.hi) < 0
+        est = refine_real_root(ramanujan, interval, rational(1, 10**2300))
+        lo, hi = est.center - est.radius, est.center + est.radius
+        assert est.radius <= rational(1, 10**2300)
+        assert dense.evaluate(ramanujan, lo) * dense.evaluate(ramanujan, hi) < 0
         assert len(calls) <= 100
 
 
