@@ -25,6 +25,7 @@ its m coordinates, converted once and multiplied out under
 import decimal
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import UsageError
 
@@ -155,18 +156,30 @@ def format_rational(x):
     return decimal_str(n) if d == 1 else f"{decimal_str(n)}/{decimal_str(d)}"
 
 
-# log10(2) under-approximation used to seed digit counts; the loop below
-# corrects the at-most-one-off estimate exactly.
-_LOG10_2_NUM, _LOG10_2_DEN = 643, 2136
+# log10(2) lies in [_LOG10_2, _LOG10_2 + 1] / _LOG10_2_SCALE.
+_LOG10_2, _LOG10_2_SCALE = 3010299956639811952137388947244930267681, 10**40
+
+
+@lru_cache(maxsize=16)
+def _power_of_ten(k):
+    return 10**k
 
 
 def decimal_digit_count(v):
-    """Number of decimal digits of |v| for a nonzero integer, without str()."""
+    """Number of decimal digits of |v| for a nonzero integer, without str().
+
+    2**(b-1) <= |v| < 2**b for its bit length b, so the count lies between
+    the counts of the two ends; these differ only where a power of ten lies
+    between them, and only then is |v| compared with it.  The last powers
+    compared with are kept in a small cache.
+    """
     n = abs(as_integer(v))
     if n == 0:
         raise ValueError("digit count of zero is undefined")
-    digits = 1 + (n.bit_length() - 1) * _LOG10_2_NUM // _LOG10_2_DEN
-    while n >= 10**digits:
+    bits = n.bit_length()
+    digits = 1 + (bits - 1) * _LOG10_2 // _LOG10_2_SCALE
+    most = 1 + bits * (_LOG10_2 + 1) // _LOG10_2_SCALE
+    while digits < most and n >= _power_of_ten(digits):
         digits += 1
     return digits
 

@@ -34,8 +34,8 @@ from .errors import (
 from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
 from .regrep import Weights, _coerce_weights
 from .roots import (
-    DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, _bracket, all_roots, enclose_quotient,
-    isolating_interval_for,
+    DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, _bracket, _certified_irreducible,
+    _horner_mp, _make_mpc, all_roots, enclose_quotient, isolating_interval_for,
 )
 
 
@@ -81,18 +81,20 @@ class RateSummary:
 
 
 def _gamma_with_bound(x, root):
-    """gamma = sum x_i alpha^i with a rigorous modulus error bound."""
+    """gamma = sum x_i alpha^i with a rigorous modulus error bound.
+
+    gamma is Horner's rule in mpc arithmetic, run on roots' int mantissas.
+    """
     alpha, r = root.center, root.radius
-    acc = mp.mpc(0)
-    for c in reversed(x):
-        acc = acc * alpha + to_mpf(c, mp)
+    cs = [to_mpf(c, mp) for c in x]
+    acc = _make_mpc(_horner_mp(cs[::-1], alpha))
     # Mean-value bound: |d gamma / d alpha| <= sum i |x_i| (|alpha| + r)^(i-1).
     a_hi = abs(alpha) + r
     slope = mp.mpf(0)
     scale = mp.mpf(0)
     power = mp.mpf(1)
-    for i, c in enumerate(x):
-        cx = abs(to_mpf(c, mp))
+    for i, c in enumerate(cs):
+        cx = abs(c)
         if i >= 1:
             slope += i * cx * power
         power *= a_hi
@@ -269,9 +271,13 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
     bracket that roots.enclose_quotient returned the round before.  The
     first round works at `digits`; a value inside it that is exactly limit +
     offset (alpha is a root of gcd(f, N + (offset - v) D)) is returned with
-    radius 0, so its error is exactly 0.  Otherwise the digits grow until
-    every value lies at least 10**20 radii from the centre, so each
-    |value - centre| is its true error to about 20 significant digits.
+    radius 0, so its error is exactly 0.  That test is skipped when f is
+    certified irreducible: then alpha is irrational, and so is N(alpha) /
+    D(alpha) + offset, since a rational value c would make f divide
+    N - (c - offset) D, which the constant case rules out.  Otherwise the
+    digits grow until every value lies at least 10**20 radii from the
+    centre, so each |value - centre| is its true error to about 20
+    significant digits.
     """
     n, d, bracket = limit
     offset = rational(offset)
@@ -283,7 +289,7 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
         n, d, offset = (1, 0), (1,), rational(0)
     enc, ivl = enclose_quotient(f, n, d, _bracket(*bracket), digits)
     center = enc.center + offset
-    for v in values:
+    for v in () if _certified_irreducible(f) else values:
         inside = abs(v - center) <= enc.radius
         if inside and _shares_root(F, _shifted(n, d, offset - v, 0), bracket):
             return Enclosure(v, rational(0))

@@ -13,9 +13,10 @@ The three hot loops avoid per-operation objects.  The Sturm chain is one
 cached polynomial.remainder_sequence of f and f' on ints per f, the same
 integer remainder sequence that decides every exact gcd of the package;
 refinement holds ints over a common denominator and reduces nothing but the
-Newton granule; the Aberth sweep runs on raw mpmath tuples through the
-libmp functions that the mpc operators call.  Their results are bit-identical to the Fraction and mpc
-versions of the same loops, which tests/dense.py keeps as oracles.
+Newton granule; the Aberth sweep holds int mantissas and exponents and
+rounds each sum and quotient as libmp's mpf_add and mpf_div round it, where
+the mpc operators round.  Their results are bit-identical to the Fraction
+and mpc versions of the same loops, which tests/dense.py keeps as oracles.
 
 Root ordering everywhere: descending modulus, ties broken by descending real
 part, then descending imaginary part.
@@ -26,10 +27,7 @@ from functools import cmp_to_key, lru_cache
 from math import gcd, lcm
 
 import mpmath as mp
-from mpmath.libmp import (
-    fone, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mpf_div, mpc_mul, mpc_neg,
-    mpc_sub, mpf_gt, mpf_lt, mpf_pos,
-)
+from mpmath.libmp import fzero, mpc_abs, mpf_gt, mpf_lt, round_nearest
 
 from .backends import as_int_pair, mpf_to_rational, rational, to_mpf
 from .errors import DomainError, NotSquarefree, RootSeparationError, UsageError
@@ -386,26 +384,198 @@ def enclose_quotient(f: Polynomial, n, d, bracket, digits):
         ed <<= 16
 
 
+@lru_cache(maxsize=128)
+def _certified_irreducible(f):
+    """Whether f is certified irreducible over Q: degree 2 or 3, no rational root.
+
+    A rational root p/q of the int form F has q | lc(F), so once its Sturm
+    bracket is narrower than 1/(2 lc(F)) the one multiple of 1/lc(F) in it
+    is the only candidate.  Other degrees are not decided and give False.
+    """
+    if not 2 <= f.degree <= 3 or not is_squarefree(f):
+        return False
+    forms = f.integer_forms()[:2]
+    lc = abs(forms[0][0])
+    for a, b in isolate_real_roots(f):
+        lo, hi, q = _refine(forms, *_bracket(a, b), (1, 4 * lc))
+        k = -(-lo * lc // q)  # the least multiple k/lc of 1/lc at or above lo/q
+        if k * q <= hi * lc and homogeneous_eval(forms[0], k, lc) == 0:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # all complex roots: Aberth-Ehrlich with certification scaffolding
 # ---------------------------------------------------------------------------
+#
+# The sweep holds each real part as a pair (man, exp), the value man * 2**exp
+# with a signed int man: an mpf tuple without its sign and bit count, and
+# with its mantissa's trailing zeros kept.  It rounds where the mpc
+# operators of tests/dense.py round, and to the same bits: products are
+# exact, and every sum and quotient is rounded once, by _add, as libmp's
+# mpf_add and mpf_div round it.
 
 
-# The sweep runs on raw mpmath tuples and calls the libmp functions that the
-# mpc operators of tests/dense.py dispatch to, with the same (prec, rounding),
-# so it returns the same bits without building an mpc per operation.
-_CZERO, _CONE = (fzero, fzero), (fone, fzero)
+_ZERO = (0, 0)
+_CZERO, _CONE = (_ZERO, _ZERO), ((1, 0), _ZERO)
 
 
-def _horner(coeffs, z, prec, rnd):
-    """acc*z + c over raw mpf coefficients c, from acc = 0, as mpc does it.
+def _add(am, ae, bm, be, prec, down=False):
+    """a + b rounded to prec bits, as mpf_add(a, b, prec) rounds it.
 
-    The first product, 0*z, is exactly 0 for a finite z and is skipped.
+    a and b are (man, exp) pairs passed as four ints; b = (0, 0) rounds a
+    alone.  The sum rounds to nearest-even, or toward zero if down.  Unlike
+    libmp, mantissas keep their trailing zeros (_mpf strips them), so
+    libmp's exponent of a is ae + _twos(am).  Like mpf_add, when one
+    operand's top bit lies more than prec + 4 bits above the other's and its
+    libmp exponent more than 100 above, the smaller enters only as a sticky
+    +-1 below the larger shifted up by prec + 4 bits: no int grows past the
+    larger's bits plus prec + 5, however far below the smaller lies.  Any
+    sticky place below the larger's last set bit rounds alike.  When the
+    larger has more than prec bits this need not be the correctly rounded
+    sum; it is mpf_add's.
     """
-    acc = mpc_add_mpf(_CZERO, coeffs[0], prec, rnd)
-    for c in coeffs[1:]:
-        acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
-    return acc
+    if am and bm:
+        if ae < be:
+            am, ae, bm, be = bm, be, am, ae
+        off = ae - be
+        above = off + am.bit_length() - bm.bit_length()  # a's top bit over b's
+        if above > prec + 4 and off + _twos(am) - _twos(bm) > 100:
+            man, exp = (am << (prec + 4)) + (1 if bm > 0 else -1), ae - prec - 4
+        elif above < -prec - 4 and _twos(bm) - _twos(am) - off > 100:
+            man, exp = (bm << (prec + 4)) + (1 if am > 0 else -1), be - prec - 4
+        else:
+            man, exp = (am << off) + bm, be
+    elif am:
+        man, exp = am, ae
+    elif bm:
+        man, exp = bm, be
+    else:
+        return _ZERO
+    n = man.bit_length() - prec
+    if n > 0:
+        if down:
+            man = man >> n if man > 0 else -(-man >> n)
+        else:
+            # Floor shifts: t's last bit is the half bit, also for man < 0.
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+        exp += n
+    elif not man:
+        return _ZERO
+    return man, exp
+
+
+def _quotient(am, ae, bm, be, prec, down=False):
+    """a / b rounded to prec bits, as mpf_div(a, b, prec) rounds it.
+
+    The quotient is truncated to at least prec + 5 bits, and a nonzero
+    remainder becomes a sticky last bit; that rounds as the exact quotient.
+    """
+    if not bm:
+        raise ZeroDivisionError
+    if not am:
+        return _ZERO
+    negative = (am < 0) != (bm < 0)
+    am, bm = abs(am), abs(bm)
+    extra = max(prec - am.bit_length() + bm.bit_length() + 5, 5)
+    quot, rem = divmod(am << extra, bm)
+    if rem:
+        quot = (quot << 1) | 1
+        extra += 1
+    return _add(-quot if negative else quot, ae - be - extra, 0, 0, prec, down)
+
+
+def _cadd(z, w, prec):
+    """z + w as mpc_add: each part rounded once."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    return _add(am, ae, cm, ce, prec), _add(bm, be, dm, de, prec)
+
+
+def _csub(z, w, prec):
+    """z - w as mpc_sub: each part rounded once."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    return _add(am, ae, -cm, ce, prec), _add(bm, be, -dm, de, prec)
+
+
+def _cmul(z, w, prec):
+    """z * w as mpc_mul: exact products, one rounding per part."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    return (_add(am * cm, ae + ce, -bm * dm, be + de, prec),
+            _add(am * dm, ae + de, bm * cm, be + ce, prec))
+
+
+def _cdiv(z, w, prec):
+    """z / w as mpc_div: norm and numerators toward zero at prec + 10 bits."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    wp = prec + 10
+    norm = _add(cm * cm, 2 * ce, dm * dm, 2 * de, wp, True)
+    re = _add(am * cm, ae + ce, bm * dm, be + de, wp, True)
+    im = _add(bm * cm, be + ce, -am * dm, ae + de, wp, True)
+    return _quotient(*re, *norm, prec), _quotient(*im, *norm, prec)
+
+
+def _cinv(z, prec):
+    """1 / z as mpc_mpf_div(1, z): the norm toward zero at prec + 10 bits."""
+    (am, ae), (bm, be) = z
+    norm = _add(am * am, 2 * ae, bm * bm, 2 * be, prec + 10, True)
+    return _quotient(am, ae, *norm, prec), _quotient(-bm, be, *norm, prec)
+
+
+def _horner(coeffs, z, prec):
+    """acc*z + c over (man, exp) coefficients c, from acc = 0, as mpc does it.
+
+    The product is _cmul's, inlined; adding c rounds the real part and
+    leaves the imaginary part as it is (mpc_add_mpf).  The first product,
+    0*z, is exactly 0 for a finite z and is skipped.
+    """
+    (xm, xe), (ym, ye) = z
+    rm, re = _add(*coeffs[0], 0, 0, prec)
+    im, ie = _ZERO
+    for cm, ce in coeffs[1:]:
+        pm, pe = _add(rm * xm, re + xe, -im * ym, ie + ye, prec)
+        im, ie = _add(rm * ym, re + ye, im * xm, ie + xe, prec)
+        rm, re = _add(pm, pe, cm, ce, prec)
+    return (rm, re), (im, ie)
+
+
+def _pair(x):
+    """A finite mpf tuple (sign, man, exp, bc) as a (man, exp) pair."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _mpf(pair):
+    """A (man, exp) pair as an mpf tuple, its mantissa odd as libmp keeps it."""
+    man, exp = pair
+    if not man:
+        return fzero
+    zeros = _twos(man)
+    man = abs(man) >> zeros
+    return int(pair[0] < 0), man, exp + zeros, man.bit_length()
+
+
+def _make_mpc(z):
+    return mp.make_mpc(tuple(map(_mpf, z)))
+
+
+def _horner_mp(coeffs_mp, z):
+    """acc*z + c over mpf coefficients at the mpc z, from acc = 0, at the
+    context precision: the pairs of what mpc arithmetic gives."""
+    return _horner([_pair(c._mpf_) for c in coeffs_mp], tuple(map(_pair, z._mpc_)), mp.mp.prec)
+
+
+def _cabs(z, prec):
+    """|z| as an mpf tuple, by libmp's mpc_abs as abs(mpc) computes it."""
+    re, im = z
+    return mpc_abs((_mpf(re), _mpf(im)), prec, round_nearest)
 
 
 def _aberth_pass(coeffs_mp, dcoeffs_mp, zs, iterations, tol):
@@ -414,52 +584,53 @@ def _aberth_pass(coeffs_mp, dcoeffs_mp, zs, iterations, tol):
     1/(z_i - z_j) is computed once per pair and sweep and negated for
     (j, i), which round-to-nearest makes exact.  A start with f'(z_i) = 0
     is moved by tol, and its pairs are then computed again from the moved
-    z_i.
+    z_i.  Only the step sizes, m per sweep, go through libmp (_cabs).
     """
-    prec, rnd = mp.mp._prec_rounding
-    coeffs = [c._mpf_ for c in coeffs_mp]
-    dcoeffs = [c._mpf_ for c in dcoeffs_mp]
-    zs = [z._mpc_ for z in zs]
+    prec = mp.mp.prec
+    coeffs = [_pair(c._mpf_) for c in coeffs_mp]
+    dcoeffs = [_pair(c._mpf_) for c in dcoeffs_mp]
+    zs = [tuple(map(_pair, z._mpc_)) for z in zs]
     tol = tol._mpf_
-    bump = mpf_pos(tol, prec, rnd)
+    bump = _add(*_pair(tol), 0, 0, prec)
     m = len(zs)
     for _ in range(iterations):
         inv = [[None] * m for _ in range(m)]
         corrections = []
         for i in range(m):
             zi = zs[i]
-            pz = _horner(coeffs, zi, prec, rnd)
-            dpz = _horner(dcoeffs, zi, prec, rnd)
+            pz = _horner(coeffs, zi, prec)
+            dpz = _horner(dcoeffs, zi, prec)
             bumped = dpz == _CZERO
             if bumped:
-                zs[i] = zi = mpc_add_mpf(zi, bump, prec, rnd)
-                dpz = _horner(dcoeffs, zi, prec, rnd)
-            w = mpc_div(pz, dpz, prec, rnd)
+                zs[i] = zi = (_add(*zi[0], *bump, prec), zi[1])
+                dpz = _horner(dcoeffs, zi, prec)
+            w = _cdiv(pz, dpz, prec)
             row, s = inv[i], _CZERO
             for j in range(m):
                 if j == i:
                     continue
                 r = row[j]
                 if r is None or bumped:
-                    r = mpc_mpf_div(fone, mpc_sub(zi, zs[j], prec, rnd), prec, rnd)
-                    inv[j][i] = mpc_neg(r)
-                s = mpc_add(s, r, prec, rnd)
-            denom = mpc_sub(_CONE, mpc_mul(w, s, prec, rnd), prec, rnd)
-            corrections.append(w if denom == _CZERO else mpc_div(w, denom, prec, rnd))
+                    r = _cinv(_csub(zi, zs[j], prec), prec)
+                    (rm, re), (qm, qe) = r
+                    inv[j][i] = (-rm, re), (-qm, qe)
+                s = _cadd(s, r, prec)
+            denom = _csub(_CONE, _cmul(w, s, prec), prec)
+            corrections.append(w if denom == _CZERO else _cdiv(w, denom, prec))
         moved = fzero
         for i in range(m):
-            zs[i] = mpc_sub(zs[i], corrections[i], prec, rnd)
-            size = mpc_abs(corrections[i], prec, rnd)
+            zs[i] = _csub(zs[i], corrections[i], prec)
+            size = _cabs(corrections[i], prec)
             if mpf_gt(size, moved):
                 moved = size
         if mpf_lt(moved, tol):
             break
-    return [mp.make_mpc(z) for z in zs]
+    return [_make_mpc(z) for z in zs]
 
 
 def _residual_radius(coeffs_mp, dcoeffs_mp, z, m):
-    prec, rnd = mp.mp._prec_rounding
-    dpz = _horner([c._mpf_ for c in dcoeffs_mp], z._mpc_, prec, rnd)
+    prec = mp.mp.prec
+    dpz = _horner_mp(dcoeffs_mp, z)
     if dpz == _CZERO:
         return mp.inf
     # |f(z)| cannot be trusted below the Horner roundoff at working precision;
@@ -469,8 +640,8 @@ def _residual_radius(coeffs_mp, dcoeffs_mp, z, m):
     for c in coeffs_mp:
         noise = noise * az + abs(c)
     noise *= (m + 2) * mp.mpf(2) ** (4 - mp.mp.prec)
-    pz = _horner([c._mpf_ for c in coeffs_mp], z._mpc_, prec, rnd)
-    return m * (mp.make_mpf(mpc_abs(pz, prec, rnd)) + noise) / mp.make_mpf(mpc_abs(dpz, prec, rnd))
+    pz = _horner_mp(coeffs_mp, z)
+    return m * (mp.make_mpf(_cabs(pz, prec)) + noise) / mp.make_mpf(_cabs(dpz, prec))
 
 
 def _compare_estimates(a, b):

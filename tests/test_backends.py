@@ -1,3 +1,4 @@
+import decimal
 import random
 
 import pytest
@@ -143,6 +144,28 @@ def test_digit_count_non_integer_rejected():
 @given(st.integers(min_value=1, max_value=10**40))
 def test_digit_count_matches_str(n):
     assert decimal_digit_count(n) == len(str(n))
+
+
+def test_digit_count_next_to_powers_of_ten():
+    # 10**k - 1, 10**k and 10**k + 1 share a bit length, whose range holds
+    # 10**k: each count is decided by comparing with 10**k, the second time
+    # with the 10**k from the cache.
+    for _ in range(2):
+        for k in [*range(1, 300), 1233, 4000, 28_000, 61_916]:
+            for n, digits in ((10**k - 1, k), (10**k, k + 1), (10**k + 1, k + 1)):
+                assert decimal_digit_count(n) == decimal_digit_count(-n) == digits
+                if k < 300:
+                    assert digits == len(str(n))
+    assert backends._power_of_ten.cache_info().maxsize == 16
+
+
+def test_log10_2_bounds():
+    # The decimal module's log10(2), good to 60 digits, lies strictly between
+    # the bounds, which are 10**-40 apart.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        scaled = decimal.Decimal(2).log10() * backends._LOG10_2_SCALE
+    assert backends._LOG10_2 < scaled < backends._LOG10_2 + 1
 
 
 @pytest.mark.parametrize(

@@ -428,6 +428,34 @@ class TestResolvingEnclosure:
         inside = sum(abs(v - first.center) <= first.radius for v in values)
         assert len(calls["_shares_root"]) <= 2 + inside
 
+    def test_no_exactness_test_when_the_limit_is_irrational(self, ramanujan, monkeypatch):
+        # Ramanujan's cubic has no rational root, so no Newton iterate can be
+        # alpha: the one gcd test is the alpha case's, although the last
+        # iterates lie inside the first enclosure.
+        values = [r.value for r in run_method("newton", ramanujan, rational(-2), 10)]
+        bracket = next((a, b) for a, b in isolate_real_roots(ramanujan) if a <= values[-1] <= b)
+        first, _ = roots.enclose_quotient(ramanujan, (1, 0), (1,), _bracket(*bracket), 30)
+        assert sum(abs(v - first.center) <= first.radius for v in values) >= 3
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return shares_root(*args)
+
+        shares_root = convergence._shares_root
+        monkeypatch.setattr(convergence, "_shares_root", counted)
+        enc = resolving_enclosure(ramanujan, ((1, 0), (1,), bracket), values)
+        assert len(calls) == 1 and enc.radius > 0
+        _assert_resolved(enc, values)
+
+    def test_exact_root_of_a_reducible_cubic_gives_radius_zero(self):
+        # f = (t - 1/3)(t^2 - 2): the value 1/3 is the root itself.
+        f = parse_polynomial("c:1,-1/3,-2,2/3")
+        bracket = next((a, b) for a, b in isolate_real_roots(f) if a <= rational(1, 3) <= b)
+        values = [rational(3, 10), rational(1, 3)]
+        enc = resolving_enclosure(f, ((1, 0), (1,), bracket), values)
+        assert enc == Enclosure(rational(1, 3), rational(0))
+
     def test_exact_value_gives_radius_zero(self):
         # f = t(t + 2)(t - 1/3), g = t(t + 2): the ratio is 1/3 at every n.
         f = parse_polynomial("c:1,5/3,-2/3,0")

@@ -1,15 +1,21 @@
 """The root loops of repapprox.roots against their Fraction/mpc oracles.
 
 Sturm chains, certified refinement, the interval enclosure of a quotient
-and the Aberth sweep run on ints and raw mpmath tuples; tests/dense.py
-keeps the same loops on Fraction and mpc operators.
+and the Aberth sweep run on ints; tests/dense.py keeps the same loops on
+Fraction and mpc operators.
 Each test checks that both give the same result, bit for bit: equal
-reduced rationals, equal raw mpc tuples, or the same exception.
+reduced rationals, equal raw mpc tuples, or the same exception.  The
+sweep's rounding helpers are checked against the libmp functions the mpc
+operators call.
 """
+
+import random
+import tracemalloc
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, round_down, round_nearest
 
 from repapprox import convergence, roots
 from repapprox.backends import rational, to_mpf
@@ -188,6 +194,118 @@ class TestConstantQuotient:
             assert got == c
 
 
+_ROUNDING_PRECISIONS = (53, 320, 65600)
+_MODES = ((False, round_nearest), (True, round_down))
+
+
+def _pair(man, exp):
+    """(man, exp) as libmp normalizes it, then as _add may hold it."""
+    return roots._pair(from_man_exp(man, exp))
+
+
+def _rounding_matches(a, b, prec):
+    """_add, _quotient and a rounded exact product against libmp, both modes."""
+    A, B = from_man_exp(*a), from_man_exp(*b)
+    for down, rnd in _MODES:
+        for x, y, X, Y in ((a, b, A, B), (b, a, B, A)):
+            assert roots._mpf(roots._add(*x, *y, prec, down)) == mpf_add(X, Y, prec, rnd)
+            assert roots._mpf(roots._add(*x, -y[0], y[1], prec, down)) == mpf_sub(X, Y, prec, rnd)
+            product = roots._add(x[0] * y[0], x[1] + y[1], 0, 0, prec, down)
+            assert roots._mpf(product) == mpf_mul(X, Y, prec, rnd)
+            if y[0]:
+                assert roots._mpf(roots._quotient(*x, *y, prec, down)) == mpf_div(X, Y, prec, rnd)
+
+
+@st.composite
+def _operands(draw):
+    """(a, b, prec): a rounding precision and two (man, exp) operands.
+
+    Mantissas run to 2 prec + 2 bits, as exact products do, and are random or
+    all ones (which rounds up into a new bit), and keep 0 to 300 trailing
+    zeros, as _add's results may.  b cancels a, sits a few bits either side
+    of prec + 4 below a, is 0 or is drawn on its own.
+    """
+    prec = draw(st.sampled_from(_ROUNDING_PRECISIONS))
+
+    def mantissa():
+        bits = draw(st.integers(1, 2 * prec + 2))
+        if draw(st.booleans()):
+            man = (1 << bits) - 1
+        else:
+            man = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
+        return -man if draw(st.booleans()) else man
+
+    def zeros(man, exp):  # the same value with 0 to 300 trailing zeros kept
+        k = draw(st.sampled_from((0, 0, 1, 5, 120, 300)))
+        return man << k, exp - k
+
+    am, ae = mantissa(), draw(st.integers(-300, 300))
+    kind = draw(st.sampled_from(("cancel", "gap", "zero", "free")))
+    if kind == "cancel":  # a - a = 0, or a difference of a few units in a's last place
+        bm, be = -am + draw(st.integers(-2, 2)), ae
+    elif kind == "gap":  # the top bits prec + 4 + delta apart
+        bm = mantissa()
+        be = ae + abs(am).bit_length() - abs(bm).bit_length() - prec - 4 - draw(st.integers(-2, 3))
+    elif kind == "zero":
+        bm, be = 0, 0
+    else:
+        bm, be = mantissa(), draw(st.integers(-300, 300))
+    a, b = _pair(am, ae), _pair(bm, be)
+    return zeros(*a), zeros(*b) if b[0] else b, prec
+
+
+class TestRounding:
+    @settings(max_examples=200, deadline=None)
+    @given(_operands())
+    # 2**54 - 1 rounds up to 2**54 at 53 bits, into a new bit.
+    @example((((1 << 54) - 1, 0), (1, 0), 53))
+    # Exact cancellation to 0.
+    @example(((3, -7), (-3, -7), 320))
+    # Exponents 204 and 205 apart, top bits prec + 4 and prec + 5 apart: only
+    # the second takes mpf_add's sticky shortcut.
+    @example(((1 << 319 | 1, 0), (1 << 199 | 1, -204), 320))
+    @example(((1 << 319 | 1, 0), (1 << 199 | 1, -205), 320))
+    # A 110-bit a and b prec + 5 bits below: at exponents 101 apart mpf_add
+    # takes the shortcut and returns 2**109; at 100 apart it adds exactly
+    # and returns the correctly rounded 2**109 + 2**57.
+    @example(((1 << 109 | (1 << 56) - 1, 0), ((1 << 152) + 1, -101), 53))
+    @example(((1 << 109 | (1 << 56) - 1, 0), ((1 << 151) + 1, -100), 53))
+    # The first with 300 trailing zeros on the larger: its exponent as held
+    # is below the smaller's, its libmp exponent 101 above.
+    @example((((1 << 109 | (1 << 56) - 1) << 300, -300), ((1 << 152) + 1, -101), 53))
+    # The second with 5 trailing zeros on the smaller: 105 apart as held,
+    # 100 apart for libmp, which adds exactly.
+    @example(((1 << 109 | (1 << 56) - 1, 0), (((1 << 151) + 1) << 5, -105), 53))
+    # A power of two, as a rounding carry leaves it, against a far operand.
+    @example(((1 << 320, -100), (-3, -1000), 320))
+    def test_matches_libmp(self, operands):
+        _rounding_matches(*operands)
+
+    @pytest.mark.parametrize("prec", _ROUNDING_PRECISIONS)
+    def test_far_operand_is_a_sticky_bit(self, prec):
+        # b lies 2**-(10**6) below a.  Shifted up, it would make an int of a
+        # million bits (125 kB); each sum allocates no more than a few ints
+        # of 2 prec + 8 bits at once.
+        rng = random.Random(prec)
+        a = _pair(rng.getrandbits(prec) | 1 << (prec - 1), 0)
+        b = _pair(-(rng.getrandbits(prec) | 1), -(10**6))
+        args = [(x, y, down) for x, y in ((a, b), (b, a), (a, (-b[0], b[1]))) for down, _ in _MODES]
+        got, peaks = [], []
+        tracemalloc.start()
+        try:
+            for x, y, down in args:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                got.append(roots._add(*x, *y, prec, down))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        rnd = dict(_MODES)
+        want = [mpf_add(from_man_exp(*x), from_man_exp(*y), prec, rnd[down]) for x, y, down in args]
+        assert [roots._mpf(r) for r in got] == want
+        assert max(peaks) < 4 * (2 * prec + 8) // 8 + 1024
+
+
 def _circle(f, prec):
     """all_roots' starting points at prec bits."""
     m = f.degree
@@ -226,6 +344,19 @@ class TestAberth:
             ours, oracle = _sweep_both(f, _circle(f, prec), prec, iterations)
             assert ours == oracle
 
+    @settings(max_examples=12, deadline=None)
+    @given(polys(max_degree=3))
+    @example(parse_polynomial("c:1,0,-2"))
+    @example(parse_polynomial("c:1,1,-2,-1"))
+    def test_sweep_at_4160_bits_matches(self, f):
+        # The working precision of analyze's later doublings: the imaginary
+        # parts of real roots fall far below the real parts, and sums take
+        # the sticky shortcut.
+        assume(f.degree >= 2)
+        for iterations in (1, 3, 60 + 6 * f.degree):
+            ours, oracle = _sweep_both(f, _circle(f, 4160), 4160, iterations)
+            assert ours == oracle
+
     @settings(max_examples=40, deadline=None)
     @given(
         polys(max_degree=5),
@@ -257,3 +388,21 @@ class TestAberth:
         for iterations in (1, 60 + 6 * f.degree):
             ours, oracle = _sweep_both(f, starts, prec, iterations)
             assert ours == oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        polys(max_degree=6),
+        st.sampled_from(_PRECISIONS),
+        st.lists(_rationals, min_size=6, max_size=6),
+    )
+    def test_gamma_is_the_mpc_horner(self, f, prec, weights):
+        # convergence._gamma_with_bound evaluates sum x_i alpha^i by the
+        # sweep's Horner; at each root that is mpc Horner's value, bit for
+        # bit.  (analyze refuses degree 1, whose one root is a rational.)
+        assume(f.degree >= 2 and dense.is_squarefree(f))
+        x = weights[: f.degree]
+        with mp.workprec(prec):
+            for est in roots.all_roots(f, prec // 2):
+                gamma, _ = convergence._gamma_with_bound(x, est)
+                oracle = dense.horner_mpc([to_mpf(c, mp) for c in reversed(x)], est.center)
+                assert gamma._mpc_ == oracle._mpc_

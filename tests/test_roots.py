@@ -128,6 +128,38 @@ class TestLinearGcd:
         assert len(gcd) - 1 == expected
 
 
+def _divisors(n):
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def _has_rational_root(F):
+    """The rational root test on an int form: p/q with p | F(0) and q | lc(F)."""
+    if F[-1] == 0:
+        return True
+    return any(
+        homogeneous_eval(F, sign * p, q) == 0
+        for p in _divisors(F[-1]) for q in _divisors(F[0]) for sign in (1, -1)
+    )
+
+
+class TestCertifiedIrreducible:
+    @given(st.lists(_coefficients, min_size=1, max_size=4).map(Polynomial))
+    @example(parse_polynomial("c:1,1,-2,-1"))  # Ramanujan's cubic
+    @example(parse_polynomial("c:1,0,-2"))
+    @example(parse_polynomial("c:1,0,0,-2"))  # one real root
+    @example(parse_polynomial("c:1,-1/3,-2,2/3"))  # (t - 1/3)(t^2 - 2)
+    @example(parse_polynomial("c:1,-1/2,1,-1/2"))  # (t - 1/2)(t^2 + 1)
+    @example(parse_polynomial("c:1,0,-1,0"))  # root 0
+    @example(parse_polynomial("c:1,0,-4,0,1"))  # irreducible, but degree 4
+    def test_matches_the_rational_root_test(self, f):
+        expected = (
+            2 <= f.degree <= 3
+            and dense.is_squarefree(f)
+            and not _has_rational_root(f.integer_forms()[0])
+        )
+        assert roots._certified_irreducible(f) == expected
+
+
 class TestRefinement:
     def test_most_negative_ramanujan_root(self, ramanujan):
         interval = isolate_real_roots(ramanujan)[0]
