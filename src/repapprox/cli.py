@@ -218,17 +218,21 @@ def _num_den(value):
     return f"{format_rational(value.numerator)},{format_rational(value.denominator)}"
 
 
+_RECORD_HEADER = "n,value_num,value_den,abs_error,den_digits,reduced_den_digits"
+
+
+def _record_row(r):
+    """The _RECORD_HEADER columns of one record, as one CSV line."""
+    if not r.available:
+        return f"{r.n},,,,,"
+    err = "" if r.abs_error is None else sci_string(r.abs_error, 6)
+    return f"{r.n},{_num_den(r.value)},{err},{r.den_digits},{r.reduced_den_digits}"
+
+
 def _records_csv(records, out):
-    print("n,value_num,value_den,abs_error,den_digits,reduced_den_digits", file=out)
+    print(_RECORD_HEADER, file=out)
     for r in records:
-        if not r.available:
-            print(f"{r.n},,,,,", file=out)
-            continue
-        err = "" if r.abs_error is None else sci_string(r.abs_error, 6)
-        print(
-            f"{r.n},{_num_den(r.value)},{err},{r.den_digits},{r.reduced_den_digits}",
-            file=out,
-        )
+        print(_record_row(r), file=out)
 
 
 def _records_pretty(records, out):
@@ -338,19 +342,16 @@ def _cmd_compare(args, out):
     x0 = parse_rational(args.x0)
     if int(args.steps) < 1:
         raise UsageError("--steps must be >= 1")
-    all_records = []
+    if not methods:
+        raise UsageError(f"--methods expects at least one method, got {args.methods!r}")
     for method in methods:
         if method not in iterative.METHODS:
             raise UsageError(f"unknown method {method!r}")
-        for r in iterative.run_method(method, f, x0, int(args.steps)):
-            all_records.append((method, r))
-    print("method,n,value_num,value_den,abs_error,den_digits,reduced_den_digits", file=out)
-    for method, r in all_records:
-        err = "" if r.abs_error is None else sci_string(r.abs_error, 6)
-        print(
-            f"{method},{r.n},{_num_den(r.value)},{err},{r.den_digits},{r.reduced_den_digits}",
-            file=out,
-        )
+    runs = [(m, iterative.run_method(m, f, x0, int(args.steps))) for m in methods]
+    print(f"method,{_RECORD_HEADER}", file=out)
+    for method, records in runs:
+        for r in records:
+            print(f"{method},{_record_row(r)}", file=out)
     return 0
 
 
@@ -359,7 +360,7 @@ def _cmd_tables(args, out):
     ids = (
         list(range(1, 8))
         if str(args.table_id).strip() == "all"
-        else _ints(args.table_id, "id")
+        else list(dict.fromkeys(_ints(args.table_id, "id")))
     )
     for tid in ids:
         if not 1 <= tid <= 7:
@@ -401,10 +402,12 @@ def _cmd_roots(args, out):
     roots = all_roots(f, bits)
     with mp.workprec(max(bits, roots.work_prec)):
         for est in roots:
-            re, im = mp.re(mp.mpc(est.center)), mp.im(mp.mpc(est.center))
+            # A linear f's one root is exact: a rational centre, radius 0.
+            c = est.center
+            re, im = (c, 0) if hasattr(c, "numerator") else (mp.re(c), mp.im(c))
             print(
                 f"{est.index},{_fmt_mp(re, bits)},{_fmt_mp(im, bits)},"
-                f"{_fmt_mp(mp.mpf(est.radius), 64)},{str(est.is_real).lower()}",
+                f"{_fmt_mp(est.radius, 64)},{str(est.is_real).lower()}",
                 file=out,
             )
     return 0

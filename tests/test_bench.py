@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from repapprox import bench
@@ -187,20 +189,46 @@ def test_discrepancies_merge():
     assert isinstance(results[0].cells[0], CellComparison)
 
 
+@functools.cache
+def _result(tid):
+    return reproduce_table(tid)
+
+
 class TestTableSpec:
+    """The transcribed constants are each table's only grid."""
+
     @pytest.mark.parametrize(
         "tid,count", [(1, 24), (2, 24), (3, 36), (4, 24), (5, 24), (6, 18), (7, 12)]
     )
     def test_grid_sizes(self, tid, count):
-        spec_cells = bench.table_spec(tid).cells
-        assert len(spec_cells) == count
-        assert len({c.cell for c in spec_cells}) == count
-
-    def test_kinds(self):
-        kinds = {c.kind for c in bench.table_spec(3).cells}
-        assert kinds == {"step-index", "digit-count", "error-magnitude"}
+        cells = _result(tid).cells
+        assert len(cells) == count
+        assert len({c.cell for c in cells}) == count
 
     def test_every_cell_cited(self):
         for tid in range(1, 8):
-            for cell in bench.table_spec(tid).cells:
+            for cell in _result(tid).cells:
                 assert cell.expected  # each carries its published value
+
+    @pytest.mark.parametrize(
+        "tid,sequence,n,dropped",
+        [
+            (1, "ratio_sequence", 50,
+             [f"{bench._wlabel(w)},n=50" for w in bench.WEIGHT_VECTORS]),
+            (5, "ratio_sequence", 5, [f"{v},n=5" for v in bench.TABLE5_DIGITS]),
+            (7, "accelerated_sequence", 27,
+             ["stride=3,step=3,digits", "stride=3,step=3,abs_error"]),
+        ],
+    )
+    def test_missing_record_is_reported_once_as_unavailable(
+        self, monkeypatch, tid, sequence, n, dropped
+    ):
+        measured = getattr(bench, sequence)
+        monkeypatch.setattr(
+            bench, sequence, lambda *args: [r for r in measured(*args) if r.n != n]
+        )
+        cells = reproduce_table(tid).cells
+        labels = [c.cell for c in cells]
+        assert len(labels) == len(set(labels)) == len(_result(tid).cells)
+        assert [c.cell for c in cells if c.status == "unavailable"] == dropped
+        assert all(c.measured == "" for c in cells if c.cell in dropped)

@@ -423,8 +423,35 @@ class TestCompare:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "methods,message",
+        [("newton,bogus", "unknown method 'bogus'"), (",", "--methods")],
+    )
+    def test_bad_method_list_refused_before_any_run(self, capsys, monkeypatch, methods, message):
+        calls = []
+        run_method = cli.iterative.run_method
+        monkeypatch.setattr(
+            cli.iterative, "run_method", lambda *a: calls.append(a) or run_method(*a)
+        )
+        code, out, err = run_cli(
+            capsys, "compare", "--poly", "c:1,1,-2,-1", "--methods", methods,
+            "--x0", "-2", "--steps", "2",
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith("usage error:") and message in err
+
 
 class TestRoots:
+    @pytest.mark.parametrize(
+        "poly,root",
+        [("c:1,-2", f"2.{'0' * 76}e0"), ("c:1,-1/3", f"3.{'3' * 76}e-1")],
+        ids=["c:1,-2", "c:1,-1/3"],
+    )
+    def test_linear_f_prints_its_exact_root(self, capsys, poly, root):
+        # 77 significant digits at the default 256 bits, as for any real root.
+        code, out, err = run_cli(capsys, "roots", "--poly", poly)
+        assert (code, out, err) == (0, f"0,{root},0,0,true\n", "")
+
     def test_line_format(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--poly", "c:1,0,0,-1", "--precision", "64")
         assert code == 0
@@ -460,6 +487,13 @@ class TestTables:
     def test_bad_id(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "tables", "--id", "9", "--out", str(tmp_path))
         assert code == 1
+
+    def test_repeated_id_reports_each_cell_once(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "tables", "--id", "1,1", "--out", str(tmp_path))
+        assert code == 0
+        assert "checked 24 cells across tables 1;" in err
+        assert (tmp_path / "discrepancies.csv").read_text().count("\n") == 25
+        assert out.count("\n") == 25
 
     def test_parallel_jobs(self, capsys, tmp_path):
         code, _, _ = run_cli(
