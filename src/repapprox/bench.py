@@ -2,7 +2,8 @@
 
 The transcribed constants below are each table's only grid: its runner walks
 the published cells, reports each exactly once, and looks the measured
-record up by n, so a cell with no record is reported as unavailable.
+record up by n (Table 3 picks it by digit count, ``equal_digit_pick``), so
+a cell with no record is reported as unavailable.
 Error-magnitude cells are compared at the number of significant digits the
 source prints (usually 2); digit-count cells must match exactly.  Every
 comparison lands in the discrepancy report - mismatches are flagged, never
@@ -18,8 +19,9 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .backends import rational, sci_string
+from .backends import floor_log10, rational, sci_string
 from .errors import DomainError
 from .iterative import sweep_initial_conditions, with_errors
 from .polynomial import parse_polynomial
@@ -112,7 +114,6 @@ class CellComparison:
     expected: str
     measured: str
     status: str  # exact | within-tolerance | mismatch | unavailable
-    tolerance: str  # "exact" or "Nsf"
 
 
 @dataclass(frozen=True)
@@ -130,24 +131,14 @@ class TableResult:
 def parse_expected_error(text):
     """(mantissa, exponent, sig) for a printed magnitude like '9.8e-7' or '0.06'.
 
-    mantissa carries `sig` significant digits; exponent is that of the
-    leading digit, matching backends.sci_parts.
+    mantissa carries `sig` significant digits, the printed ones (so '1.0e-19'
+    has two); exponent is that of the leading digit, matching backends.sci_parts.
     """
     s = text.strip().lower()
-    if "e" in s:
-        mant_s, exp_s = s.split("e")
-        exp = int(exp_s)
-        int_part, _, frac = mant_s.partition(".")
-        digits = (int_part + frac).lstrip("0") or "0"
-        e = exp + len(int_part.lstrip("0")) - 1
-        return int(digits), e, len(digits)
-    int_part, _, frac = s.partition(".")
-    int_part = int_part.lstrip("0")
-    if int_part:
-        digits = int_part + frac
-        return int(digits), len(int_part) - 1, len(digits)
-    stripped = frac.lstrip("0")
-    return int(stripped), -(len(frac) - len(stripped)) - 1, len(stripped)
+    value = Fraction(s)
+    sig = len(s.partition("e")[0].replace(".", "").lstrip("0"))
+    exp = floor_log10(value)
+    return int(value / Fraction(10) ** (exp - sig + 1)), exp, sig
 
 
 def _error_cell(table, cell, expected_str, measured_value):
@@ -155,23 +146,22 @@ def _error_cell(table, cell, expected_str, measured_value):
     # others, so "agrees at printed precision" is judged as: within one unit
     # in the last printed digit.  Exact rational comparison, no floats.
     mant, exp, sig = parse_expected_error(expected_str)
-    tolerance = f"{sig}sf"
     if measured_value is None:
-        return CellComparison(table, cell, expected_str, "", "unavailable", tolerance)
+        return CellComparison(table, cell, expected_str, "", "unavailable")
     measured_str = sci_string(measured_value, max(sig, 2))
     scale = exp - sig + 1
     ulp = rational(10) ** scale
     printed = mant * ulp
     ok = abs(abs(rational(measured_value)) - printed) <= ulp
     status = "within-tolerance" if ok else "mismatch"
-    return CellComparison(table, cell, expected_str, measured_str, status, tolerance)
+    return CellComparison(table, cell, expected_str, measured_str, status)
 
 
 def _int_cell(table, cell, expected, measured):
     if measured is None:
-        return CellComparison(table, cell, str(expected), "", "unavailable", "exact")
+        return CellComparison(table, cell, str(expected), "", "unavailable")
     status = "exact" if int(measured) == int(expected) else "mismatch"
-    return CellComparison(table, cell, str(expected), str(measured), status, "exact")
+    return CellComparison(table, cell, str(expected), str(measured), status)
 
 
 def _wlabel(w):
@@ -195,50 +185,6 @@ def emit_csv(header, rows):
     for row in sorted(rows, key=key):
         writer.writerow(row)
     return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class EqualDigitSelection:
-    target: int
-    label: str
-    n: int
-    digits: int
-    abs_error: object
-
-
-def compare_at_equal_digits(candidates, targets):
-    """Best-accuracy comparison at equal denominator sizes.
-
-    candidates: mapping label -> list of ApproximationRecords.  For each
-    digit target and candidate, selects the available record with the
-    largest n whose reduced denominator has at most `target` digits (the
-    metric the published digit tables follow) and reports its error (the
-    published methodology; with monotone digit growth this is the last step
-    before the budget is exceeded).
-    """
-    selections = []
-    for target in targets:
-        for label in sorted(candidates):
-            qualifying = [
-                r
-                for r in candidates[label]
-                if r.available and r.reduced_den_digits <= target
-            ]
-            if not qualifying:
-                raise DomainError(
-                    f"digit target {target} unreachable for candidate {label!r}"
-                )
-            pick = max(qualifying, key=lambda r: r.n)
-            selections.append(
-                EqualDigitSelection(
-                    target=int(target),
-                    label=label,
-                    n=pick.n,
-                    digits=pick.reduced_den_digits,
-                    abs_error=pick.abs_error,
-                )
-            )
-    return selections
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +243,30 @@ def _variant_grid(table, column, published):
     return _grid(table, column, published, records)
 
 
+def equal_digit_pick(records, target):
+    """The paper's equal-digit selection: the available record with the
+    largest n whose reduced denominator has at most `target` digits (the
+    metric the published digit tables follow), or None.  With monotone digit
+    growth this is the last step before the budget is exceeded.
+    """
+    qualifying = [r for r in records if r.available and r.reduced_den_digits <= target]
+    return max(qualifying, key=lambda r: r.n, default=None)
+
+
 def _run_table3():
     by_weights = {}
     for target, w, n_pub, _err in TABLE3_ROWS:
-        by_weights.setdefault(w, []).append((target, n_pub))
-    records = {
-        w: _mn_records(w, range(1, max(n for _, n in picks) + 1))
-        for w, picks in by_weights.items()
-    }
+        by_weights.setdefault(w, []).append(n_pub)
+    records = {w: _mn_records(w, range(1, max(ns) + 1)) for w, ns in by_weights.items()}
     cells, rows = [], []
     for target, w, n_pub, err_expected in TABLE3_ROWS:
-        # The published row is reproduced by running the equal-digit selection
-        # over the sequence as published, i.e. up to the row's own n.
-        upto = [r for r in records[w] if r.n <= n_pub]
-        sel = compare_at_equal_digits({_wlabel(w): upto}, [target])[0]
+        # The published row is reproduced by picking over the sequence as
+        # published, i.e. up to the row's own n.
+        pick = equal_digit_pick([r for r in records[w] if r.n <= n_pub], target)
         base = f"{_wlabel(w)},target={target}"
-        cells.append(_int_cell(3, f"{base},n", n_pub, sel.n))
-        cells.append(_int_cell(3, f"{base},digits", target, sel.digits))
-        cells.append(_error_cell(3, f"{base},abs_error", err_expected, sel.abs_error))
-        rows.append((_wlabel(w), sel.n, cells[-1].measured, sel.digits))
+        cells.append(_int_cell(3, f"{base},n", n_pub, pick and pick.n))
+        cells += _row_cells(3, base, pick, target, err_expected)
+        rows.append((_wlabel(w), pick and pick.n, cells[-1].measured, cells[-2].measured))
     return cells, {"table3.csv": emit_csv(["params", "n", "abs_error", "digits"], rows)}
 
 
@@ -384,6 +335,7 @@ def reproduce_table(table_id) -> TableResult:
     start = time.perf_counter()
     cells, files = _RUNNERS[table_id]()
     return TableResult(table_id, cells, files, elapsed=time.perf_counter() - start)
+
 
 def discrepancies_csv(results):
     rows = [

@@ -89,7 +89,7 @@ def _build_parser():
     _add_common(p)
 
     p = subs.add_parser("tables", help="reproduce published tables")
-    p.add_argument("--id", dest="table_id", help="1..7 or 'all'")
+    p.add_argument("--id", help="1..7 or 'all'")
     p.add_argument("--out", help="output directory (default: $REPAPPROX_OUT or .)")
     p.add_argument("--jobs", type=int, help="worker processes, at most one per table")
     p.add_argument("--time", action="store_true", default=None, help="report elapsed time per table")
@@ -356,11 +356,11 @@ def _cmd_compare(args, out):
 
 
 def _cmd_tables(args, out):
-    _require(args, "table_id")
+    _require(args, "id")
     ids = (
         list(range(1, 8))
-        if str(args.table_id).strip() == "all"
-        else list(dict.fromkeys(_ints(args.table_id, "id")))
+        if str(args.id).strip() == "all"
+        else list(dict.fromkeys(_ints(args.id, "id")))
     )
     for tid in ids:
         if not 1 <= tid <= 7:

@@ -110,14 +110,24 @@ def _with_errors(records, f, limit, offset):
     ]
 
 
-def _sequence(M, num, den, offset, ns, advance):
-    """Records of value(n) = M^n[num]/M^n[den] + offset at the increasing ns.
+def _walk(M, num, den, offset, ns, advance):
+    """Records, without errors, of value(n) = M^n[num]/M^n[den] + offset at the increasing ns.
 
     Powers are int coordinates of (d g)^n over L*a (regrep.integral_element).
     The first is taken for ns[0]; advance(u, z, h, a, b) takes h, the
-    coordinates for n = a, to those for n = b.  Errors are resolved as in
-    ratio_sequence.
+    coordinates for n = a, to those for n = b.
     """
+    u, scale, z, d = integral_element(M.poly, M.weights.x)
+    records = []
+    for k, n in enumerate(ns):
+        current = advance(u, z, current, ns[k - 1], n) if k else power(u, z, n)
+        entries = scaled_entries(matrix_of(u, current), scale, d**n)
+        records.append(_record_from_entries(entries, n, num, den, offset))
+    return records
+
+
+def _sequence(M, num, den, offset, ns, advance):
+    """_walk's records at the increasing ns, with errors resolved as in ratio_sequence."""
     m = M.size
     num = _check_index(num, m, "numerator")
     den = _check_index(den, m, "denominator")
@@ -126,21 +136,14 @@ def _sequence(M, num, den, offset, ns, advance):
         return []
     if ns[0] < 0:
         raise UsageError("sequence indices must be nonnegative")
-    f = M.poly
     # Dominance and the limit are certified before any power is taken.
-    limit = _limit_data(analyze(f, M.weights), num, den)
-    u, scale, z, d = integral_element(f, M.weights.x)
-    records, current = [], power(u, z, ns[0])
-    for k, n in enumerate(ns):
-        if k:
-            current = advance(u, z, current, ns[k - 1], n)
-        entries = scaled_entries(matrix_of(u, current), scale, d**n)
-        records.append(_record_from_entries(entries, n, num, den, offset))
+    limit = _limit_data(analyze(M.poly, M.weights), num, den)
+    records = _walk(M, num, den, offset, ns, advance)
     if all(not r.available for r in records):
         raise ZeroDenominator(
             f"denominator entry M^n[{den}] vanished at every requested n"
         )
-    return _with_errors(records, f, limit, offset)
+    return _with_errors(records, M.poly, limit, offset)
 
 
 def ratio_sequence(M: RegRepMatrix, num, den, offset=0, n_list=()) -> list:
@@ -200,32 +203,23 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
     m = M.size
     if m < 2:
         raise UsageError("constant-ratio families need m >= 2")
-    u, scale, z, d = integral_element(M.poly, M.weights.x)
     families = constant_ratio_families(m)
+    ns = range(1, int(n_max) + 1)
     results = []
     for fam_idx, (i, j, p, q) in enumerate(families):
-        duplicate = fam_idx == 1 and families[0] == families[1]
-        values, checked, skipped = [], [], []
-        g_n = power(u, z, 0)
-        for n in range(1, int(n_max) + 1):
-            g_n = multiply(u, g_n, z)
-            entries = scaled_entries(matrix_of(u, g_n), scale, d**n)
-            e_den = entries[p - 1][q - 1]
-            if e_den == 0:
-                skipped.append(n)
-                continue
-            checked.append(n)
-            values.append(rational(entries[i - 1][j - 1], e_den))
+        records = _walk(
+            M, (i, j), (p, q), rational(0), ns, lambda u, z, h, a, b: multiply(u, h, z)
+        )
+        values = [r.value for r in records if r.available]
         constant = values[0] if values else None
-        holds = bool(values) and all(v == constant for v in values)
         results.append(
             ConstantRatioFamily(
                 indices=(i, j, p, q),
                 constant=constant,
-                holds=holds,
-                checked=tuple(checked),
-                skipped=tuple(skipped),
-                duplicate_of_first=duplicate,
+                holds=bool(values) and all(v == constant for v in values),
+                checked=tuple(r.n for r in records if r.available),
+                skipped=tuple(r.n for r in records if not r.available),
+                duplicate_of_first=fam_idx == 1 and families[0] == families[1],
             )
         )
     return results

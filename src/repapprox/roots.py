@@ -51,14 +51,6 @@ class Enclosure:
     center: object
     radius: object
 
-    @property
-    def lo(self):
-        return self.center - self.radius
-
-    @property
-    def hi(self):
-        return self.center + self.radius
-
 
 @dataclass(frozen=True)
 class RootEstimate:

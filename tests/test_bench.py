@@ -6,8 +6,8 @@ from repapprox import bench
 from repapprox.backends import rational
 from repapprox.bench import (
     CellComparison,
-    compare_at_equal_digits,
     emit_csv,
+    equal_digit_pick,
     parse_expected_error,
     reproduce_table,
 )
@@ -60,29 +60,32 @@ def _rec(n, digits, err):
     )
 
 
+def _best_at(candidates, target):
+    """The label whose equal-digit pick at `target` has the smallest error."""
+    picks = {label: equal_digit_pick(records, target) for label, records in candidates.items()}
+    return min(picks, key=lambda label: picks[label].abs_error)
+
+
 class TestEqualDigits:
     def test_selects_largest_qualifying_n(self):
         records = [_rec(1, 2, (1, 100)), _rec(2, 4, (1, 10**4)), _rec(3, 7, (1, 10**7))]
-        (sel,) = compare_at_equal_digits({"a": records}, [5])
-        assert sel.n == 2 and sel.digits == 4
+        pick = equal_digit_pick(records, 5)
+        assert pick.n == 2 and pick.reduced_den_digits == 4
 
     def test_single_candidate_trivially_selected(self):
         records = [_rec(1, 3, (1, 1000))]
-        (sel,) = compare_at_equal_digits({"only": records}, [3])
-        assert sel.label == "only" and sel.n == 1
+        assert equal_digit_pick(records, 3).n == 1
 
     def test_unreachable_target(self):
         records = [_rec(1, 9, (1, 10))]
-        with pytest.raises(DomainError):
-            compare_at_equal_digits({"a": records}, [5])
+        assert equal_digit_pick(records, 5) is None
 
     def test_grid_refinement_invariance(self):
         coarse = [_rec(2, 4, (1, 10**4)), _rec(6, 12, (1, 10**12))]
         fine = coarse + [_rec(4, 8, (1, 10**8))]
-        (pick_coarse,) = compare_at_equal_digits({"a": coarse}, [9])
-        (pick_fine,) = compare_at_equal_digits({"a": fine}, [9])
         # the refinement adds a qualifying record with strictly larger n
-        assert pick_coarse.n == 2 and pick_fine.n == 4
+        assert equal_digit_pick(coarse, 9).n == 2
+        assert equal_digit_pick(fine, 9).n == 4
 
     def test_real_data_best_at_equal_digits(self, ramanujan):
         from repapprox.bench import _mn_records
@@ -91,11 +94,7 @@ class TestEqualDigits:
             "(0,-1,1)": _mn_records((0, -1, 1), range(1, 100)),
             "(69,99,-124)": _mn_records((69, 99, -124), range(1, 30)),
         }
-        selections = compare_at_equal_digits(candidates, [62])
-        by_label = {s.label: s for s in selections}
-        assert (
-            by_label["(0,-1,1)"].abs_error < by_label["(69,99,-124)"].abs_error
-        )
+        assert _best_at(candidates, 62) == "(0,-1,1)"
 
     def test_weights_0_m1_1_win_at_sixteen_digits(self):
         from repapprox.bench import WEIGHT_VECTORS, _mn_records, _wlabel
@@ -104,9 +103,7 @@ class TestEqualDigits:
         candidates = {
             _wlabel(w): _mn_records(w, range(1, spans[w] + 1)) for w in WEIGHT_VECTORS
         }
-        selections = compare_at_equal_digits(candidates, [16])
-        best = min(selections, key=lambda s: s.abs_error)
-        assert best.label == "(0,-1,1)"
+        assert _best_at(candidates, 16) == "(0,-1,1)"
 
 
 class TestTables:
@@ -211,21 +208,25 @@ class TestTableSpec:
                 assert cell.expected  # each carries its published value
 
     @pytest.mark.parametrize(
-        "tid,sequence,n,dropped",
+        "tid,sequence,ns,dropped",
         [
-            (1, "ratio_sequence", 50,
+            (1, "ratio_sequence", {50},
              [f"{bench._wlabel(w)},n=50" for w in bench.WEIGHT_VECTORS]),
-            (5, "ratio_sequence", 5, [f"{v},n=5" for v in bench.TABLE5_DIGITS]),
-            (7, "accelerated_sequence", 27,
+            (5, "ratio_sequence", {5}, [f"{v},n=5" for v in bench.TABLE5_DIGITS]),
+            (7, "accelerated_sequence", {27},
              ["stride=3,step=3,digits", "stride=3,step=3,abs_error"]),
+            # No record of (69,99,-124) up to its published n = 6 is left for
+            # the 16-digit pick; every other row still finds its record.
+            (3, "ratio_sequence", range(1, 11),
+             [f"(69,99,-124),target=16,{c}" for c in ("n", "digits", "abs_error")]),
         ],
     )
     def test_missing_record_is_reported_once_as_unavailable(
-        self, monkeypatch, tid, sequence, n, dropped
+        self, monkeypatch, tid, sequence, ns, dropped
     ):
         measured = getattr(bench, sequence)
         monkeypatch.setattr(
-            bench, sequence, lambda *args: [r for r in measured(*args) if r.n != n]
+            bench, sequence, lambda *args: [r for r in measured(*args) if r.n not in ns]
         )
         cells = reproduce_table(tid).cells
         labels = [c.cell for c in cells]

@@ -488,6 +488,15 @@ class TestTables:
         code, _, err = run_cli(capsys, "tables", "--id", "9", "--out", str(tmp_path))
         assert code == 1
 
+    def test_missing_id_names_the_option(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "tables", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert "missing required option --id" in err and "--table-id" not in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"id": "2"}))
+        code, _, err = run_cli(capsys, "tables", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0 and "across tables 2;" in err
+
     def test_repeated_id_reports_each_cell_once(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "tables", "--id", "1,1", "--out", str(tmp_path))
         assert code == 0

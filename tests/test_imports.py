@@ -43,12 +43,14 @@ def test_no_unused_imports(path):
 def unreferenced_definitions(sources, exported, overrides=lambda module, qualname: False):
     """Top-level functions and methods that no other line of the sources names.
 
-    sources maps module names to their text.  A definition counts as used
-    when any Name or Attribute node in any module carries its name; dunder
-    methods, names in ``exported`` and methods for which ``overrides`` is
-    true (a base class calls them) are used by definition.
+    sources maps module names to their text.  A top-level function counts as
+    used when any Name or Attribute node in any module carries its name; a
+    method or property only when an Attribute node does, since a local
+    variable of the same name reads none of it.  Dunder methods, names in
+    ``exported`` and methods for which ``overrides`` is true (a base class
+    calls them) are used by definition.
     """
-    defined, named = [], set()
+    defined, named, attributes = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -64,11 +66,12 @@ def unreferenced_definitions(sources, exported, overrides=lambda module, qualnam
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
     return sorted(
         f"{module}.{qualname}"
         for module, qualname in defined
-        if (name := qualname.rpartition(".")[2]) not in named
+        if (name := qualname.rpartition(".")[2]) not in attributes
+        and ("." in qualname or name not in named)
         and not (name.startswith("__") and name.endswith("__"))
         and qualname not in exported
         and not overrides(module, qualname)
@@ -91,6 +94,11 @@ def test_unreferenced_checker():
     }
     assert unreferenced_definitions(sources, ()) == ["a.K.m", "a.spare"]
     assert unreferenced_definitions(sources, ("spare", "K.m")) == []
+    # A local variable named like a method reads no attribute of it.
+    sources["b"] += "m = 1\nprint(m)\n"
+    assert unreferenced_definitions(sources, ()) == ["a.K.m", "a.spare"]
+    sources["b"] += "print(K().m())\n"
+    assert unreferenced_definitions(sources, ()) == ["a.spare"]
 
 
 def test_no_test_only_code_in_the_package():

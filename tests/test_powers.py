@@ -168,11 +168,14 @@ class TestAccelerated:
 
 class TestConstantRatios:
     def test_reference_case(self, m_ref):
-        families = constant_ratio_check(m_ref, 30)
-        for fam in families:
-            assert fam.holds
-            assert fam.constant == 1  # 1/u_m with u_m = 1
-            assert fam.checked == tuple(range(1, 31))
+        for n_max in (30, 0):  # at n_max = 0 nothing is checked, so nothing holds
+            families = constant_ratio_check(m_ref, n_max)
+            assert len(families) == 2
+            for fam in families:
+                assert fam.holds == bool(n_max)
+                assert fam.constant == (1 if n_max else None)  # 1/u_m with u_m = 1
+                assert fam.checked == tuple(range(1, n_max + 1))
+                assert fam.skipped == ()
 
     def test_constant_value_is_reciprocal_of_um(self):
         m = build(Polynomial((2, 3, 5)), (1, 4, 2))

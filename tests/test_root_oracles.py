@@ -168,7 +168,7 @@ class TestEncloseInterval:
         deeper, _ = roots.enclose_quotient(f, n, d, resumed, more)
         oracle = dense.enclose_quotient(f, tuple(n_poly), tuple(d_poly), bracket, more)
         assert deeper.radius <= rational(1, 10**more)
-        assert deeper.lo <= oracle.hi and oracle.lo <= deeper.hi
+        assert abs(deeper.center - oracle.center) <= deeper.radius + oracle.radius
 
 
 class TestConstantQuotient:
