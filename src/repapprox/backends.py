@@ -7,7 +7,8 @@ values and errors, enclosure ends.  That is the stdlib
 loops run on plain ints instead and make a rational only of their result:
 the matrix power kernel of ``regrep``, the iterative step kernels, root
 refinement and the polynomial algebra of ``polynomial`` (Sturm chains,
-remainders and gcds).
+remainders and gcds).  The step kernels reduce their result themselves and
+wrap it with ``coprime_rational``, which takes no second gcd.
 
 CPython before 3.12 converts an int to decimal in time quadratic in its
 length, which made printing the entries of a deep ``M^n`` cost several
@@ -40,6 +41,19 @@ BACKEND = "fraction"
 def rational(num, den=1):
     """Exact rational, reduced, positive denominator."""
     return Fraction(num, den)
+
+
+def coprime_rational(num, den):
+    """num/den for ints already in lowest terms with den > 0, taking no gcd.
+
+    For a pair reduced by other means (``iterative``'s resultant bound); the
+    normalising constructor would run a full gcd again.
+    """
+    return Fraction(num, den, _normalize=False)
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # CPython 3.12 dropped _normalize
+    coprime_rational = Fraction._from_coprime_ints
 
 
 def as_int_pair(x):

@@ -13,18 +13,23 @@ The kernel is integer arithmetic.  For an iterate x = p/q and a form
 F(p, q) = sum c_i p^(k-i) q^i, F, F1 and F2 are the homogenised L f, L f'
 and L f'' (L the common denominator of f's coefficients, see
 ``Polynomial.integer_forms``), each evaluated by integer Horner.  Every
-update formula is then one quotient of ints, reduced once, so each step
-takes one gcd, the one the reduced digit count needs.  Residual growth
-|f(x_n)| > |f(x_n-1)| is decided on |F| and q by bit lengths or
-cross-multiplication, with no gcd at all.
+update formula is one quotient A(p, q) / B(p, q) of two binary forms fixed
+by f and the method.  For coprime p, q, gcd(A(p, q), B(p, q)) divides
+R = |Res(A, B)| (Silverman, *The Arithmetic of Dynamical Systems*, 2007,
+Prop. 2.13), so the quotient is reduced by gcds of remainders mod R, an
+int of a few dozen bits computed once per (f, method), instead of a gcd of
+the full pair.  Residual growth |f(x_n)| > |f(x_n-1)| is decided on |F| and
+q by bit lengths or cross-multiplication, with no gcd at all.
 """
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
-from .backends import as_int_pair, decimal_digit_count, rational
+from .backends import as_int_pair, coprime_rational, decimal_digit_count, rational
 from .convergence import resolving_enclosure
 from .errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
-from .polynomial import Polynomial, homogeneous_eval
+from .polynomial import Polynomial, difference, homogeneous_eval, product, resultant
 from .powers import ApproximationRecord
 from .roots import Enclosure, isolate_real_roots
 
@@ -43,6 +48,43 @@ class IterativeState:
     fx: int | None = field(default=None, compare=False, repr=False)
 
 
+_X, _Y = (1, 0), (0, 1)  # the forms X and Y
+
+
+@lru_cache(maxsize=32)
+def _resultant_bound(f, method):
+    """|Res(A, B)| for the forms of one step, x_next = A(p, q) / B(p, q).
+
+    Newton: A = X F1 - F, B = Y F1.  Halley, with H = 2 F1^2 - F F2:
+    A = X H - 2 F F1, B = Y H.  Noor's corrector, at the predictor:
+    A = 2 F1^2 (X F1 - F) - F^2 F2, B = 2 Y F1^3.  A and B have one degree
+    (3m - 2 for Noor), ``difference`` padding a vanishing F2 (m = 1).
+    """
+    F, F1, F2 = f.integer_forms()
+    if method == "newton":
+        a, b = difference(product(_X, F1), F), product(_Y, F1)
+    elif method == "halley":
+        h = difference(product((2,), F1, F1), product(F, F2))
+        a, b = difference(product(_X, h), product((2,), F, F1)), product(_Y, h)
+    else:
+        a = difference(product((2,), F1, F1, difference(product(_X, F1), F)), product(F, F, F2))
+        b = product((0, 2), F1, F1, F1)
+    return abs(resultant(a, b))
+
+
+def _reduced(a, b, bound):
+    """a/b in lowest terms, for b != 0 and gcd(a, b) dividing bound.
+
+    gcd(a, b) = gcd(a mod R, R, b mod R) for R = bound, so no gcd runs on
+    an operand larger than R.  R = 0 (forms with a common factor) bounds
+    nothing, and the full gcd is taken.
+    """
+    g = math.gcd(a % bound, bound, b % bound) if bound else math.gcd(a, b)
+    if b < 0:
+        g = -g
+    return coprime_rational(a // g, b // g)
+
+
 def _newton(f, p, q, fx=None):
     lf, lf1, _ = f.integer_forms()
     d = homogeneous_eval(lf1, p, q)
@@ -50,7 +92,7 @@ def _newton(f, p, q, fx=None):
         raise ZeroDenominator(f"f'({rational(p, q)}) = 0 in a Newton step")
     if fx is None:
         fx = homogeneous_eval(lf, p, q)
-    return rational(p * d - fx, q * d)
+    return _reduced(p * d - fx, q * d, _resultant_bound(f, "newton"))
 
 
 def _halley(f, p, q, fx=None):
@@ -61,7 +103,7 @@ def _halley(f, p, q, fx=None):
     h = 2 * dfx * dfx - fx * ddfx
     if h == 0:
         raise ZeroDenominator(f"Halley denominator vanished at {rational(p, q)}")
-    return rational(p * h - 2 * fx * dfx, q * h)
+    return _reduced(p * h - 2 * fx * dfx, q * h, _resultant_bound(f, "halley"))
 
 
 def _noor(f, p, q, fx=None):
@@ -71,7 +113,10 @@ def _noor(f, p, q, fx=None):
     if dfy == 0:
         raise ZeroDenominator(f"f'({y}) = 0 in a Noor corrector")
     dfy2 = dfy * dfy
-    return y, rational(2 * dfy2 * (p * dfy - fy) - fy * fy * ddfy, 2 * q * dfy2 * dfy)
+    nxt = _reduced(
+        2 * dfy2 * (p * dfy - fy) - fy * fy * ddfy, 2 * q * dfy2 * dfy, _resultant_bound(f, "noor")
+    )
+    return y, nxt
 
 
 def newton_step(f: Polynomial, x):
@@ -134,9 +179,12 @@ def _residual_grew(cur, prev, m):
 def _iterate(f, method, x0, steps):
     """One digit record per step.
 
-    Each iterate's F(p, q) and denominator digit count are computed once:
-    F serves the residual check and then the next step's kernel, the count
-    the budget check and the record.
+    Each iterate's denominator digit count is computed once, for the budget
+    check and the record, and its F(p, q) at most once: F serves the
+    residual check and then the next step's kernel.  At the last iterate
+    (the step count reached, or the budget stopping the next step) F is
+    evaluated only when the residual check can still raise, after two
+    consecutive growths.
     """
     lf = f.integer_forms()[0]
     factor = _growth_factor(method, f.degree)
@@ -145,18 +193,20 @@ def _iterate(f, method, x0, steps):
     fx, digits = homogeneous_eval(lf, p, q), decimal_digit_count(q)
     records = []
     grew = 0
-    for _ in range(steps):
-        if digits * factor > MAX_DEN_DIGITS:
-            break  # next step would blow the budget; stop with what we have
+    while state.n < steps and digits * factor <= MAX_DEN_DIGITS:
         prev = abs(fx), q
         state = step(f, replace(state, fx=fx))
         p, q = as_int_pair(state.x_n)
-        fx, digits = homogeneous_eval(lf, p, q), decimal_digit_count(q)  # reduced already
+        digits = decimal_digit_count(q)  # reduced already
         records.append(
             ApproximationRecord(
                 n=state.n, value=state.x_n, den_digits=digits, reduced_den_digits=digits
             )
         )
+        last = state.n == steps or digits * factor > MAX_DEN_DIGITS
+        if last and grew < 2:
+            break
+        fx = homogeneous_eval(lf, p, q)
         grew = grew + 1 if _residual_grew((abs(fx), q), prev, f.degree) else 0
         if grew >= 3:
             raise IterationDiverged(
@@ -167,20 +217,25 @@ def _iterate(f, method, x0, steps):
     return records
 
 
+def _nearest_interval(intervals, x):
+    """The interval nearest x, the earlier on a tie, of sorted intervals with disjoint closures.
+
+    That is the first whose gap to the next has its midpoint at or right of
+    x, else the last.  Each step compares x with a small rational, with no
+    subtraction of x (a huge fraction for a late iterate).
+    """
+    return next(
+        (iv for iv, nxt in zip(intervals, intervals[1:]) if x <= (iv[1] + nxt[0]) / 2),
+        intervals[-1],
+    )
+
+
 def _resolve_target(f, values) -> Enclosure:
     """Enclosure of the real root nearest the final value, resolving every error."""
     intervals = isolate_real_roots(f)
     if not intervals:
         raise DomainError("polynomial has no real root for the iteration to approach")
-    x_final = values[-1]
-
-    def distance(iv):
-        a, b = iv
-        if a <= x_final <= b:
-            return rational(0)
-        return min(abs(x_final - a), abs(x_final - b))
-
-    interval = min(intervals, key=distance)
+    interval = _nearest_interval(intervals, values[-1])
     # The root is N(alpha)/D(alpha) with N = t and D = 1.
     return resolving_enclosure(f, ((1, 0), (1,), interval), values)
 

@@ -8,7 +8,9 @@ The functions below are the package's one polynomial arithmetic, on int
 coefficient tuples, highest degree first (``integer_forms`` gives L f, L f',
 L f'' for L the lcm of f's denominators).  ``remainder_sequence`` (Cohen,
 *A Course in Computational Algebraic Number Theory*, 1993, section 3.3)
-serves as Sturm chain and as every exact gcd over Q.
+serves as Sturm chain and as every exact gcd over Q; ``resultant`` is the
+Sylvester determinant by Bareiss's fraction-free elimination (Math. Comp.
+22, 1968).
 """
 
 from math import gcd, lcm
@@ -115,6 +117,60 @@ def derivative(coeffs):
     """The derivative's coefficients (int or rational); a constant's is ()."""
     deg = len(coeffs) - 1
     return tuple(c * (deg - i) for i, c in enumerate(coeffs[:-1]))
+
+
+def product(*factors):
+    """Coefficients of the product of int polynomials; an empty factor gives ()."""
+    out = (1,)
+    for b in factors:
+        if not b:
+            return ()
+        prod = [0] * (len(out) + len(b) - 1)
+        for i, x in enumerate(out):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        out = tuple(prod)
+    return out
+
+
+def difference(a, b):
+    """Coefficients of a - b, the shorter operand padded with leading zeros."""
+    n = max(len(a), len(b))
+    a, b = (0,) * (n - len(a)) + tuple(a), (0,) * (n - len(b)) + tuple(b)
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def resultant(a, b):
+    """Res(a, b) of nonempty int coefficient tuples of declared degrees len - 1.
+
+    Leading zeros count in the declared degree, as in ``pseudo_remainder``,
+    so a and b may be binary forms: their resultant vanishes exactly when
+    they share a projective root, (1 : 0) when both lead with 0.  It is the
+    determinant of the Sylvester matrix, by Bareiss elimination: every
+    division is exact, so entries stay minors of the matrix.
+    """
+    da, db = len(a) - 1, len(b) - 1
+    n = da + db
+    if not n:
+        return 1
+    rows = [[0] * i + list(a) + [0] * (db - 1 - i) for i in range(db)]
+    rows += [[0] * i + list(b) + [0] * (da - 1 - i) for i in range(da)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (top[k] * row[j] - lead * top[j]) // prev
+        prev = top[k]
+    return sign * rows[-1][-1]
 
 
 def sign_at(coeffs, t):

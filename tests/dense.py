@@ -3,7 +3,8 @@
 The package computes M(x, u) and its powers as element arithmetic in
 Q[t]/(f), on int coordinates over L*alpha; these textbook matrix
 operations, and the same element arithmetic on rationals (``multiply``,
-``power``), are the independent references the tests compare it against.
+``power``), are the independent references the tests compare it against;
+``det`` of ``sylvester`` is the reference for ``polynomial.resultant``.
 ``elements`` draws the random inputs that the property tests feed to both
 sides.  ``companion``, ``reflect`` and
 ``shift`` are the polynomial transforms only the tests use.
@@ -116,6 +117,21 @@ def det(a):
         total += sign * a[0][col] * det(minor)
         sign = -sign
     return total
+
+
+def sylvester(a, b):
+    """Sylvester matrix of coefficient lists of declared degrees len(a) - 1 and len(b) - 1.
+
+    Row i < deg b holds a shifted i places right; row deg b + i holds b
+    shifted i places right.
+    """
+    da, db = len(a) - 1, len(b) - 1
+    n = da + db
+
+    def row(c, shift):
+        return tuple(rational(c[j - shift]) if 0 <= j - shift < len(c) else rational(0) for j in range(n))
+
+    return tuple(row(a, i) for i in range(db)) + tuple(row(b, i) for i in range(da))
 
 
 def companion(f: Polynomial):
@@ -323,6 +339,18 @@ def isolate_real_roots(f):
         while out[i][1] >= out[i + 1][0]:
             out[i] = _halve_bracket(f, *out[i])
     return out
+
+
+def nearest_interval(intervals, x):
+    """The interval nearest x, the earlier on a tie, by exact distances."""
+
+    def distance(iv):
+        a, b = iv
+        if a <= x <= b:
+            return rational(0)
+        return min(abs(x - a), abs(x - b))
+
+    return min(intervals, key=distance)
 
 
 def interval_horner(coeffs, lo, hi):

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repapprox import backends, cli
+import repapprox
+from repapprox import backends, cli, powers
 from repapprox.backends import format_rational, parse_rational_vector, rational
 from repapprox.cli import main
 from repapprox.iterative import iterate_records
@@ -59,6 +63,39 @@ def _printed(entries, pretty):
         return "".join(",".join(row) + "\n" for row in cells)
     width = max(len(c) for row in cells for c in row)
     return "".join("  ".join(c.rjust(width) for c in row) + "\n" for row in cells)
+
+
+def fresh_cli(argv, timeout):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter, killed after timeout s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repapprox.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from repapprox.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestOutputBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [("power", "--n", "30000000"),
+         ("approx", "--num", "1,1", "--den", "2,1", "--n", "1,30000000")],
+        ids=["power", "approx"],
+    )
+    def test_unbounded_n_refused_at_once(self, capsys, argv):
+        # 30 million golden-ratio steps would print 25 MB.  A new interpreter
+        # under a timeout first, so that computing them fails the test
+        # instead of running on.
+        argv = (argv[0], "--poly", "c:1,-1,-1", "--x", "0,1", *argv[1:])
+        code, out, err = fresh_cli(argv, timeout=10)
+        assert (code, out) == (1, "")
+        assert "about 2507750" in err  # 4 entries of 6.27 million digits
+        assert f"MAX_OUTPUT_DIGITS = {powers.MAX_OUTPUT_DIGITS}" in err
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv)[:2] == (1, "")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPrintedMatrixBytes:

@@ -1,11 +1,12 @@
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repapprox import iterative
+from repapprox import iterative, polynomial, roots
 from repapprox.backends import as_int_pair, floor_log10, rational, sci_string
-from repapprox.bench import TABLE6_X0
+from repapprox.bench import TABLE6_X0, reproduce_table
 from repapprox.errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
 from repapprox.iterative import (
     IterativeState,
@@ -19,7 +20,7 @@ from repapprox.iterative import (
     sweep_initial_conditions,
 )
 from repapprox.polynomial import Polynomial, homogeneous_eval, parse_polynomial
-from repapprox.roots import is_squarefree
+from repapprox.roots import is_squarefree, isolate_real_roots
 
 import dense
 
@@ -115,9 +116,9 @@ class TestIntegerKernels:
 
     @pytest.mark.parametrize(
         "method,per_step",
-        # F at every iterate serves its residual check and the next step;
-        # besides it a step evaluates F1 (Newton), F1 and F2 (Halley), or
-        # F1 at x_n and F, F1, F2 at the predictor y (Noor).
+        # F at every iterate but the last serves its residual check and the
+        # next step; besides it a step evaluates F1 (Newton), F1 and F2
+        # (Halley), or F1 at x_n and F, F1, F2 at the predictor y (Noor).
         [("newton", {"F": 1, "F1": 1}), ("halley", {"F": 1, "F1": 1, "F2": 1}),
          ("noor", {"F": 2, "F1": 2, "F2": 1})],
     )
@@ -132,9 +133,117 @@ class TestIntegerKernels:
         monkeypatch.setattr(iterative, "homogeneous_eval", counting)
         steps = 3
         assert len(iterate_records(method, ramanujan, rational(-2), steps)) == steps
-        want = Counter({form: k * steps for form, k in per_step.items()})
-        want["F"] += 1  # the residual of x_0
-        assert calls == want
+        # x_0 needs F and x_3 does not: no residual check can raise there,
+        # after a run whose residual never grew.
+        assert calls == Counter({form: k * steps for form, k in per_step.items()})
+
+    @pytest.mark.parametrize("steps,budget", [(6, None), (25, 300)])
+    def test_divergence_on_the_final_step_still_raises(self, monkeypatch, steps, budget):
+        # Halley on t^2 + 1 from 1/2: the residual grows at steps 4, 5 and 6.
+        # Step 6 is the last, by the step count, or by a budget that admits
+        # it (255 digits * 3 <= 300) and stops step 7 (765 > 300).
+        if budget is not None:
+            monkeypatch.setattr(iterative, "MAX_DEN_DIGITS", budget)
+        with pytest.raises(IterationDiverged) as info:
+            iterate_records("halley", parse_polynomial("c:1,0,1"), rational(1, 2), steps)
+        assert [r.den_digits for r in info.value.records] == [1, 3, 10, 29, 85, 255]
+
+
+_coefficients = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+
+def _step_pair(f, p, q, method):
+    """(A(p, q), B(p, q)) of one step, from the update formula's values."""
+    F, F1, F2 = (homogeneous_eval(c, p, q) for c in f.integer_forms())
+    if method == "newton":
+        return p * F1 - F, q * F1
+    if method == "halley":
+        h = 2 * F1 * F1 - F * F2
+        return p * h - 2 * F * F1, q * h
+    return 2 * F1 * F1 * (p * F1 - F) - F * F * F2, 2 * q * F1**3
+
+
+class TestResultantReduction:
+    @given(
+        st.integers(2, 8).flatmap(lambda m: st.lists(_coefficients, min_size=m, max_size=m)),
+        _points,
+        st.sampled_from(iterative.METHODS),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([2], rational(1, 3), "newton")  # t - 2: A = 2Y, B = Y share Y, R = 0
+    @example([0, 3, -2], rational(5, 7), "newton")  # (t - 1)^2 (t + 2): R = 0
+    def test_reduction_equals_fraction(self, u, x, method):
+        f = Polynomial(u)
+        p, q = as_int_pair(x)
+        if method == "noor":  # the corrector's forms are taken at the predictor
+            d = homogeneous_eval(f.integer_forms()[1], p, q)
+            assume(d != 0)
+            p, q = as_int_pair(newton_step(f, x))
+        a, b = _step_pair(f, p, q, method)
+        assume(b != 0)
+        bound = iterative._resultant_bound(f, method)
+        if bound:
+            assert bound % math.gcd(a, b) == 0  # gcd(A(p, q), B(p, q)) divides R
+        got, want = iterative._reduced(a, b, bound), rational(a, b)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize(
+        "poly,method,bound",
+        # The Ramanujan cubic's values agree with sympy's resultant.
+        [("c:1,1,-2,-1", "newton", 98), ("c:1,1,-2,-1", "halley", 7589772288),
+         ("c:1,1,-2,-1", "noor", 31502539350456975360),
+         ("c:1,-2", "newton", 0), ("c:1,0,-3,2", "newton", 0)],
+    )
+    def test_bound_values(self, poly, method, bound):
+        assert iterative._resultant_bound(parse_polynomial(poly), method) == bound
+
+    @pytest.mark.parametrize("method,steps", [("newton", 10), ("halley", 7), ("noor", 6)])
+    def test_table6_step_gcds_stay_within_the_bound(self, ramanujan, monkeypatch, method, steps):
+        bound = iterative._resultant_bound(ramanujan, method)
+        operands, real_gcd = [], math.gcd
+
+        def recording(*args):
+            operands.extend(abs(a) for a in args)
+            return real_gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", recording)
+        assert iterate_records(method, ramanujan, rational(-2), steps)
+        assert operands and max(operands) <= bound
+
+    def test_table6_runs_no_gcd_of_two_huge_operands(self, monkeypatch):
+        # A gcd of two ints of over 10k bits each runs Lehmer's quadratic
+        # loop; one with a small operand is a single division.  Reducing a
+        # step's result through Fraction's constructor takes such a gcd, and
+        # so does re-normalising a huge error with rational().
+        huge, real_gcd = [], math.gcd
+
+        def recording(*args):
+            if min(abs(a).bit_length() for a in args) > 10_000:
+                huge.append(tuple(abs(a).bit_length() for a in args))
+            return real_gcd(*args)
+
+        for module in (math, polynomial, roots):
+            monkeypatch.setattr(module, "gcd", recording)
+        reproduce_table(6)
+        assert huge == []
+
+
+class TestNearestInterval:
+    @given(squarefree_polynomials(), _points)
+    @settings(max_examples=100, deadline=None)
+    @example(parse_polynomial("c:1,0,-2"), rational(0))  # midway between +-sqrt(2): the earlier
+    def test_equals_distance_oracle(self, f, x):
+        intervals = isolate_real_roots(f)
+        assume(intervals)
+        for point in (x, *(end for iv in intervals for end in iv)):
+            assert iterative._nearest_interval(intervals, point) == dense.nearest_interval(
+                intervals, point
+            )
+        for left, right in zip(intervals, intervals[1:]):  # ties at gap midpoints
+            mid = (left[1] + right[0]) / 2
+            assert iterative._nearest_interval(intervals, mid) == left == dense.nearest_interval(
+                intervals, mid
+            )
 
 
 class TestSteps:

@@ -5,8 +5,8 @@ import repapprox as ra
 from repapprox.backends import rational
 from repapprox.errors import DomainError, UsageError
 from repapprox.polynomial import (
-    Polynomial, homogeneous_eval, integer_multiple, parse_polynomial, pseudo_remainder,
-    remainder_sequence, trim,
+    Polynomial, difference, homogeneous_eval, integer_multiple, parse_polynomial, product,
+    pseudo_remainder, remainder_sequence, resultant, trim,
 )
 
 import dense
@@ -116,6 +116,31 @@ class TestRemainderSequence:
         assert remainder_sequence(f, (0, 0)) == (f,)  # gcd(f, 0) = f
         assert remainder_sequence((), (3, 6)) == ((), (3, 6))  # gcd(0, b) = b
         assert remainder_sequence(f, (5, 1)) == (f, (5, 1), (1,))  # only the sign of -f(-1/5)
+
+
+class TestResultant:
+    """Bareiss elimination against the cofactor determinant of the Sylvester matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    )
+    def test_equals_sylvester_determinant(self, a, b):
+        assume(len(a) + len(b) > 2)  # a 0 x 0 matrix has no cofactor expansion
+        assert resultant(tuple(a), tuple(b)) == dense.det(dense.sylvester(a, b))
+
+    def test_hand_values(self):
+        assert resultant((1, 0, -2), (2, 0)) == -8  # Res(t^2 - 2, 2t)
+        assert resultant((1, 0, -2), (1, -1)) == -1  # a(1), b monic linear
+        assert resultant((0, 1, 1), (1, 2)) == -1  # Y(X + Y), X + 2Y: coprime
+        assert resultant((0, 1), (0, 3)) == 0  # Y and 3Y: both vanish at (1 : 0)
+        assert resultant((5,), (7,)) == 1  # degree 0 on both sides
+
+    def test_product_and_difference_of_padded_forms(self):
+        assert product((1, 1), (1, -1)) == (1, 0, -1)
+        assert product((2,), (1, 0), ()) == ()  # a vanishing factor
+        assert difference((1, 0, -1), (3, 4)) == (1, -3, -5)  # (3, 4) padded on the left
 
 
 class TestReflect:

@@ -42,6 +42,19 @@ class TestMatPow:
         with pytest.raises(UsageError):
             mat_pow(m_ref, -1)
 
+    @pytest.mark.parametrize("u,x,n", [((1, 1), (0, 1), 5000), ((-1, 2, 1), (0, -1, 1), 20000)])
+    def test_output_estimate_within_a_percent(self, monkeypatch, u, x, n):
+        # Integral entries: the estimate is the digits of M^n's entries.
+        m = build(Polynomial(u), x)
+        digits = sum(decimal_digit_count(e) for row in mat_pow(m, n).entries for e in row)
+        monkeypatch.setattr(powers, "MAX_OUTPUT_DIGITS", digits * 101 // 100)
+        mat_pow(m, n)
+        ratio_sequence(m, (2, 1), (1, 1), 0, [n])
+        monkeypatch.setattr(powers, "MAX_OUTPUT_DIGITS", digits * 99 // 100)
+        for refused in (lambda: mat_pow(m, n), lambda: ratio_sequence(m, (2, 1), (1, 1), 0, [n])):
+            with pytest.raises(UsageError, match=f"up to n = {n} would hold about"):
+                refused()
+
     @given(dense.elements(), st.integers(0, 40))
     @example((Polynomial((-1, 2, 1)), (0, -1, 1)), 32)
     @settings(max_examples=25, deadline=None)
