@@ -7,7 +7,10 @@ ratio of any two entries of M^n converges to V^-1[i,k] V[k,j] /
 (V^-1[p,k] V[k,q]), and the error shrinks like (|gamma_l| / |gamma_k|)^n
 where l is the runner-up index.
 
-Dominance is decided in mpmath at an escalating working precision.  The
+Dominance is decided in mpmath at an escalating working precision.  A tie
+whose top |gamma| is at a conjugate pair of non-real roots is refused at
+the first precision, since the pair's gammas are conjugate; a +- tie or a
+real gamma tied with a non-real one escalates to MAX_PRECISION first.  The
 limit is exact algebra: it equals N(alpha_k) / D(alpha_k) for two int
 polynomials read off f, with alpha_k the real dominant root.  B_k = 0, a
 value equal to the limit and a limit equal to alpha_k are each decided by
@@ -110,13 +113,20 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     intervals separate the maximum from everything else; no round asks
     all_roots for more than MAX_PRECISION bits, and past it the tie is refused
     (DominanceUndecidable).  Exact ties (element is a constant: only x_0
-    nonzero) fail immediately.
+    nonzero) fail immediately.  So does a conjugate-pair tie, in the round
+    that finds it: f and x are rational, so gamma at conj(alpha) is the
+    conjugate of gamma at alpha, and when the largest |gamma| lies on a
+    non-real root (its lower bound above every real root's upper bound,
+    or f has no real root) its conjugate ties it at every precision.  A +-
+    tie, or a real gamma tied with a non-real one, still escalates to
+    MAX_PRECISION before it is refused.
     """
     w = _coerce_weights(f, x)
     if all(c == 0 for c in w.x[1:]):
         raise DominanceUndecidable(
             "element is rational: all gamma_j coincide, no strict dominance"
         )
+    weights = ",".join(map(format_rational, w.x))
     prec = max(int(precision_bits), 64)
     while prec <= MAX_PRECISION:
         roots = all_roots(f, prec)
@@ -129,6 +139,14 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
             moduli = [abs(g) for g in gams]
             k = max(range(len(moduli)), key=lambda i: moduli[i])
             lo_k = moduli[k] - bounds[k]
+            if not roots.roots[k].is_real and all(
+                moduli[j] + bounds[j] < lo_k for j, est in enumerate(roots) if est.is_real
+            ):
+                raise DominanceUndecidable(
+                    f"no strictly dominant gamma certifiable for x=({weights}): the top "
+                    f"|gamma| is at a conjugate pair of non-real roots, whose gammas tie "
+                    f"in modulus (found at {prec} bits)"
+                )
             others = [i for i in range(len(moduli)) if i != k]
             if lo_k > 0 and all(moduli[j] + bounds[j] < lo_k for j in others):
                 l = max(others, key=lambda i: moduli[i])
@@ -149,8 +167,7 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
                 )
         prec *= 2
     raise DominanceUndecidable(
-        f"no strictly dominant gamma certifiable for "
-        f"x=({','.join(map(format_rational, w.x))}) up to "
+        f"no strictly dominant gamma certifiable for x=({weights}) up to "
         f"{MAX_PRECISION} bits (tied moduli?)"
     )
 

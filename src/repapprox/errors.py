@@ -26,7 +26,7 @@ class ZeroDenominator(DomainError):
 
 
 class DominanceUndecidable(DomainError):
-    """No strictly dominant eigenvalue could be certified at the precision ceiling."""
+    """No strictly dominant eigenvalue: a conjugate pair ties, or none is certified at the ceiling."""
 
 
 class DegenerateRatio(DomainError):

@@ -1,6 +1,8 @@
 import pytest
 
 import repapprox as ra
+from repapprox import convergence
+from repapprox.roots import all_roots
 
 _ACCEPTANCE_RESULTS = []
 
@@ -8,6 +10,19 @@ _ACCEPTANCE_RESULTS = []
 @pytest.fixture(scope="session")
 def ramanujan():
     return ra.parse_polynomial("c:1,1,-2,-1")
+
+
+@pytest.fixture
+def asked_precisions(monkeypatch):
+    """The precision of every all_roots call analyze makes, in order."""
+    asked = []
+
+    def recording(f, precision_bits):
+        asked.append(precision_bits)
+        return all_roots(f, precision_bits)
+
+    monkeypatch.setattr(convergence, "all_roots", recording)
+    return asked
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -15,7 +15,6 @@ from repapprox.iterative import iterate_records
 from repapprox.polynomial import parse_polynomial
 from repapprox.powers import mat_pow
 from repapprox.regrep import build
-from repapprox.roots import all_roots
 
 import dense
 
@@ -345,16 +344,10 @@ class TestCRatio:
         assert code == 2
         assert "domain error" in err
 
-    def test_tie_refusal_prints_readable_weights(self, capsys, monkeypatch):
+    def test_tie_refusal_prints_readable_weights(self, capsys, asked_precisions):
         # gamma = 3 sqrt(21) and -3 sqrt(21) tie in modulus.  Whatever
         # --precision asks, analyze stops doubling at MAX_PRECISION.
-        asked = []
-
-        def recording(f, precision_bits):
-            asked.append(precision_bits)
-            return all_roots(f, precision_bits)
-
-        monkeypatch.setattr(cli.convergence, "all_roots", recording)
+        asked = asked_precisions
         for extra in ((), ("--precision=2048",)):
             asked.clear()
             code, out, err = run_cli(capsys, "c-ratio", "--poly=c:1,0,-21", "--x=0,3", *extra)
@@ -363,6 +356,25 @@ class TestCRatio:
             assert "x=(0,3)" in err
             assert f"up to {cli.MAX_PRECISION} bits" in err
             assert asked and max(asked) == cli.MAX_PRECISION == 65536
+
+    @pytest.mark.parametrize(
+        "poly,x",
+        [("c:1,0,2,1", "0,1,0"), ("c:1,0,1,1", "0,1,0"), ("c:1,0,1", "0,1")],
+        ids=["perfbench-seed-0", "t3+t+1", "t2+1-no-real-root"],
+    )
+    def test_conjugate_tie_refused_at_first_precision(self, capsys, asked_precisions, poly, x):
+        # The top |gamma| sits on a non-real root, so its conjugate ties it
+        # at every precision: refused in the first round, at any --precision.
+        asked = asked_precisions
+        for first, extra in ((256, ()), (2048, ("--precision=2048",))):
+            asked.clear()
+            code, out, err = run_cli(capsys, "c-ratio", f"--poly={poly}", f"--x={x}", *extra)
+            assert (code, out) == (2, "")
+            assert "no strictly dominant gamma certifiable" in err
+            assert f"x=({x})" in err
+            assert "conjugate pair of non-real roots" in err
+            assert f"found at {first} bits" in err and "up to" not in err
+            assert asked and max(asked) == first
 
     def test_precision_floor(self, capsys):
         code, _, err = run_cli(

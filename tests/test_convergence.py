@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from itertools import product
 
@@ -25,7 +26,7 @@ from repapprox.errors import (
     ZeroDenominator,
 )
 from repapprox.iterative import run_method
-from repapprox.polynomial import parse_polynomial
+from repapprox.polynomial import Polynomial, parse_polynomial
 from repapprox.powers import ratio_sequence
 from repapprox.regrep import build
 from repapprox.roots import (
@@ -121,13 +122,76 @@ class TestAnalyze:
         with mp.workprec(min(a.work_prec, b.work_prec)):
             assert abs(a.c_value - b.c_value) < mp.mpf(2) ** (-min(a.work_prec, b.work_prec) // 2)
 
-    def test_complex_dominance_uncertifiable(self, monkeypatch):
+    def test_complex_dominance_uncertifiable(self, monkeypatch, asked_precisions):
         # the largest-modulus roots of t^3 + t + 1 are a conjugate pair, so
-        # gamma = alpha ties in modulus and can never be strictly dominant
+        # gamma = alpha ties in modulus and can never be strictly dominant;
+        # that is proven at the first precision, with no escalation
         f = parse_polynomial("u:0,-1,-1")
         monkeypatch.setattr(convergence, "MAX_PRECISION", 2048)
-        with pytest.raises(DominanceUndecidable, match="up to 2048 bits"):
+        with pytest.raises(DominanceUndecidable) as info:
             analyze(f, (0, 1, 0))
+        message = str(info.value)
+        assert "no strictly dominant gamma certifiable for x=(0,1,0)" in message
+        assert "conjugate pair of non-real roots" in message
+        assert "found at 256 bits" in message and "up to" not in message
+        assert asked_precisions == [256]
+
+    def test_real_and_nonreal_tie_still_escalates(self, monkeypatch, asked_precisions):
+        # t^3 - 1 with gamma = alpha: the real root 1 ties |omega| = 1, which
+        # the disks cannot separate, so analyze doubles to the ceiling
+        f = parse_polynomial("c:1,0,0,-1")
+        monkeypatch.setattr(convergence, "MAX_PRECISION", 2048)
+        with pytest.raises(DominanceUndecidable, match="up to 2048 bits") as info:
+            analyze(f, (0, 1, 0))
+        assert "conjugate" not in str(info.value)
+        assert asked_precisions == [256, 512, 1024, 2048]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conjugate_refusals_match_oracle(self, seed):
+        # Random squarefree f of degree 2..5 with small weights, against
+        # 200-digit mpmath roots.  A conjugate-pair refusal must have its top
+        # |gamma| on a non-real root; a top |gamma| on a real root that
+        # clearly dominates must be certified, at that root, with the
+        # oracle's c.  Cases whose top two moduli are within 1e-30 of each
+        # other otherwise (a +- or real/non-real tie) escalate and are skipped.
+        rng = random.Random(seed)
+        seen = {"refused": 0, "certified": 0}
+        while sum(seen.values()) < 12:
+            m = rng.randint(2, 5)
+            coeffs = [1] + [rng.randint(-5, 5) for _ in range(m)]
+            x = tuple(rng.randint(-3, 3) for _ in range(m))
+            f = Polynomial.from_monic_coefficients([rational(c) for c in coeffs])
+            if coeffs[-1] == 0 or not any(x[1:]) or not roots.is_squarefree(f):
+                continue
+            with mp.workdps(200):
+                zs = mp.polyroots(coeffs, maxsteps=500, extraprec=800)
+                gam = [abs(mp.polyval(list(x[::-1]), z)) for z in zs]
+                order = sorted(range(m), key=lambda t: -gam[t])
+                top = zs[order[0]]
+                top_real = abs(mp.im(top)) < mp.mpf(10) ** -150
+                gap = (gam[order[0]] - gam[order[1]]) / gam[order[0]]
+                if top_real and gap < mp.mpf(10) ** -30:
+                    continue
+                if not top_real and any(
+                    abs(mp.im(zs[t])) < mp.mpf(10) ** -150
+                    and gam[order[0]] - gam[t] < mp.mpf(10) ** -30 * gam[order[0]]
+                    for t in order[1:]
+                ):
+                    continue
+                try:
+                    report = analyze(f, x)
+                except DominanceUndecidable as exc:
+                    assert "conjugate pair" in str(exc), (coeffs, x)
+                    assert not top_real, (coeffs, x)
+                    seen["refused"] += 1
+                    continue
+                assert top_real, (coeffs, x)
+                center = report.roots.roots[report.dominant_index].center
+                assert abs(center - top) < mp.mpf(10) ** -30
+                c = gam[order[0]] / gam[order[1]]
+                assert abs(report.c_value - c) < mp.mpf(10) ** -30 * c
+                seen["certified"] += 1
+        assert seen["refused"] and seen["certified"], seen
 
     def test_gamma_values_match_direct_evaluation(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
