@@ -39,13 +39,7 @@ BACKEND = "fraction"
 
 
 def rational(num, den=1):
-    """Exact rational, reduced, positive denominator.
-
-    A Fraction over the int 1 is already that and is returned as it is
-    (Fraction is immutable); the constructor would run a full gcd on it.
-    """
-    if type(num) is Fraction and type(den) is int and den == 1:
-        return num
+    """Exact rational, reduced, positive denominator."""
     return Fraction(num, den)
 
 

@@ -1,6 +1,5 @@
 import decimal
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,16 +39,6 @@ def test_parse_vector():
     assert parse_rational_vector("1,-1/2,0") == (rational(1), rational(-1, 2), rational(0))
     with pytest.raises(UsageError):
         parse_rational_vector("1,,2")
-
-
-def test_rational_returns_a_fraction_unchanged():
-    q = Fraction(2**200 + 1, 3**130)
-    assert rational(q) is q
-    assert rational(q, 2) == q / 2 and rational(q, Fraction(1, 2)) == 2 * q
-    assert rational(-4, -6) == Fraction(2, 3) and rational(True) == 1
-    for bad in ((2.5,), (q, 1.0), (1.5, 1)):
-        with pytest.raises(TypeError):
-            rational(*bad)
 
 
 def test_format_rational():
