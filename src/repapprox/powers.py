@@ -71,27 +71,27 @@ class ApproximationRecord:
 
 # Most decimal digits, estimated, that the entries of all the powers one
 # call takes may hold: about 10 MB printed.  On the golden ratio (m = 2)
-# that admits `power --n` up to about 12 million, which printed in 11.5 s
-# on one Xeon core under CPython 3.11.
+# that admits `power --n` up to about 11.9 million, which printed 9.9 MB in
+# 8.5-9.6 s on one core of a 2-CPU VM under CPython 3.11.
 MAX_OUTPUT_DIGITS = 10_000_000
 _PROBE_BITS = 1 << 12
 
 
-def _refuse_over_budget(M, ns):
+def _refuse_over_budget(element, ns):
     """UsageError if the entries of M^n, n in ns, would hold over MAX_OUTPUT_DIGITS digits.
 
-    Runs before any power is taken.  An entry of M^n has about n * r bits,
-    with r read off the bit growth of the kernel's first squarings: (d g)^k
-    for the first power of two k at which a coordinate reaches _PROBE_BITS
-    bits (or the last k <= max ns), plus log2 d per step for the
-    denominator d^n.
+    element is M's (u, L, z, d) from regrep.integral_element.  Runs before
+    any power is taken.  An entry of M^n has about n * r bits, with r read
+    off the bit growth of the kernel's first squarings: (d g)^k for the
+    first power of two k at which a coordinate reaches _PROBE_BITS bits (or
+    the last k <= max ns), plus log2 d per step for the denominator d^n.
     """
-    u, _, z, d = integral_element(M.poly, M.weights.x)
+    u, _, z, d = element
     c, k = z, 1
     while 2 * k <= max(ns) and max(v.bit_length() for v in c) < _PROBE_BITS:
         c, k = multiply(u, c, c), 2 * k
     rate = max(v.bit_length() for v in c) + k * (d.bit_length() - 1)  # bits per k steps
-    digits = M.size**2 * sum(ns) * rate * 30103 // (100000 * k)  # log10(2) = 0.30103
+    digits = len(u) ** 2 * sum(ns) * rate * 30103 // (100000 * k)  # log10(2) = 0.30103
     if digits > MAX_OUTPUT_DIGITS:
         raise UsageError(
             f"powers up to n = {max(ns)} would hold about {digits} decimal digits of "
@@ -102,8 +102,9 @@ def _refuse_over_budget(M, ns):
 def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
     if n < 0:
         raise UsageError("matrix power requires n >= 0")
-    _refuse_over_budget(M, (n,))
-    u, scale, z, d = integral_element(M.poly, M.weights.x)
+    element = integral_element(M.poly, M.weights.x)
+    _refuse_over_budget(element, (n,))
+    u, scale, z, d = element
     coords, den = power(u, z, n), d**n
     entries = scaled_entries(matrix_of(u, coords), scale, den)
     return MatrixPower(M, n, entries, (u, coords) if scale == den == 1 else None)
@@ -141,14 +142,15 @@ def _with_errors(records, f, limit, offset):
     ]
 
 
-def _walk(M, num, den, offset, ns, advance):
+def _walk(element, num, den, offset, ns, advance):
     """Records, without errors, of value(n) = M^n[num]/M^n[den] + offset at the increasing ns.
 
-    Powers are int coordinates of (d g)^n over L*a (regrep.integral_element).
-    The first is taken for ns[0]; advance(u, z, h, a, b) takes h, the
-    coordinates for n = a, to those for n = b.
+    Powers are int coordinates of (d g)^n over L*a, with element = M's
+    (u, L, z, d) from regrep.integral_element.  The first is taken for
+    ns[0]; advance(u, z, h, a, b) takes h, the coordinates for n = a, to
+    those for n = b.
     """
-    u, scale, z, d = integral_element(M.poly, M.weights.x)
+    u, scale, z, d = element
     records = []
     for k, n in enumerate(ns):
         current = advance(u, z, current, ns[k - 1], n) if k else power(u, z, n)
@@ -167,10 +169,11 @@ def _sequence(M, num, den, offset, ns, advance):
         return []
     if ns[0] < 0:
         raise UsageError("sequence indices must be nonnegative")
-    _refuse_over_budget(M, ns)
+    element = integral_element(M.poly, M.weights.x)
+    _refuse_over_budget(element, ns)
     # Dominance and the limit are certified before any power is taken.
     limit = _limit_data(analyze(M.poly, M.weights), num, den)
-    records = _walk(M, num, den, offset, ns, advance)
+    records = _walk(element, num, den, offset, ns, advance)
     if all(not r.available for r in records):
         raise ZeroDenominator(
             f"denominator entry M^n[{den}] vanished at every requested n"
@@ -237,10 +240,11 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
         raise UsageError("constant-ratio families need m >= 2")
     families = constant_ratio_families(m)
     ns = range(1, int(n_max) + 1)
+    element = integral_element(M.poly, M.weights.x)
     results = []
     for fam_idx, (i, j, p, q) in enumerate(families):
         records = _walk(
-            M, (i, j), (p, q), rational(0), ns, lambda u, z, h, a, b: multiply(u, h, z)
+            element, (i, j), (p, q), rational(0), ns, lambda u, z, h, a, b: multiply(u, h, z)
         )
         values = [r.value for r in records if r.available]
         constant = values[0] if values else None

@@ -9,6 +9,16 @@ a^j * c.  This module owns the one exact kernel built on that fact:
 over any ring (Fractions for ``build``, ints for powers, exact Decimals for
 printing them).
 
+``power`` walks the bits of n from the top: it squares the accumulator
+and, on each set bit, multiplies it by the base itself, which over the
+integral generator has small coordinates, so that product takes linear
+time.  A square of degree m >= 3 whose coordinates exceed
+``_SQUARE_CUTOFF_BITS`` (3072 bits, measured where the two methods break
+even) is taken by evaluation at the 2m-1 points 0, +-1, ..., +-(m-1),
+2m-1 squarings, and interpolation with exact int divisions; smaller
+squares, and every square for m <= 2, are schoolbook.  Either way the
+result is the same exact ints.
+
 Rational f and x reach the int kernel through ``integral_element``
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, section
 4.2): over b = L*a, with L the lcm of the denominators of f's u-vector, b
@@ -69,26 +79,42 @@ def _coerce_weights(f, x):
     return w
 
 
+# Measured on CPython 3.11 (2 CPUs), multiply(u, a, a) with small u and
+# random coordinates: _square_by_interpolation breaks even with the
+# schoolbook square at about 3.5-4k bits for m = 3 and 2-3k bits for
+# m = 4-8.  It takes 0.6-1.0x the time at 4096 bits, 0.6-0.9x at 6144 and
+# 0.3-0.6x at 65536.  On the powers of perfbench's deep_powers seeds 0
+# and 1, cutoffs of 2048, 3072 and 4096 bits time the same.
+_SQUARE_CUTOFF_BITS = 3072
+
+
 def multiply(u, a, b):
     """Int coordinates of a*b modulo the monic int polynomial with u-vector u.
 
-    Schoolbook product, each cross term once when squaring, then a^k for
-    k >= m is folded down from the top with a^m = u_1 a^(m-1) + ... + u_m.
+    A square (a is b) of degree m >= 3 whose largest coordinate has more
+    than _SQUARE_CUTOFF_BITS bits goes through _square_by_interpolation:
+    2m-1 squarings of coefficient-sized ints instead of m(m+1)/2 products.
+    Every other product is schoolbook, each cross term once when squaring.
+    Then a^k for k >= m is folded down from the top with
+    a^m = u_1 a^(m-1) + ... + u_m.
     """
     m = len(u)
-    prod = [0] * (2 * m - 1)
-    if a is b:
-        for i, ai in enumerate(a):
-            if ai:
-                prod[2 * i] += ai * ai
-                twice = ai << 1
-                for j in range(i + 1, m):
-                    prod[i + j] += twice * a[j]
+    if a is b and m > 2 and max(v.bit_length() for v in a) > _SQUARE_CUTOFF_BITS:
+        prod = _square_by_interpolation(a)
     else:
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
+        prod = [0] * (2 * m - 1)
+        if a is b:
+            for i, ai in enumerate(a):
+                if ai:
+                    prod[2 * i] += ai * ai
+                    twice = ai << 1
+                    for j in range(i + 1, m):
+                        prod[i + j] += twice * a[j]
+        else:
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        prod[i + j] += ai * bj
     terms = [(s, u_s) for s, u_s in enumerate(u) if u_s]
     for k in range(2 * m - 2, m - 1, -1):
         c = prod[k]
@@ -98,16 +124,81 @@ def multiply(u, a, b):
     return tuple(prod[:m])
 
 
+def _square_by_interpolation(a):
+    """The 2m-1 int coefficients, lowest first, of a(t)^2 for a(t) = sum a_i t^i.
+
+    Evaluation and interpolation at t = 0, +-1, ..., +-(m-1) (Toom 1963,
+    Cook 1966; Knuth, *TAOCP* vol. 2, section 4.3.3).  With
+    a(t) = e(t^2) + t o(t^2) and a(t)^2 = E(t^2) + t O(t^2), the squares
+    p = a(k)^2 and q = a(-k)^2 give E(k^2) = (p + q)/2 and
+    O(k^2) = (p - q)/(2k), and a_0^2 = E(0).  So (E(y) - a_0^2)/y and O(y)
+    are each interpolated, in degree m-2, at y = 1, 4, ..., (m-1)^2.
+    Only the 2m-1 squares multiply two big ints; the rest is additions and
+    exact divisions by small ints.
+    """
+    m = len(a)
+    even, odd = a[::2][::-1], a[1::2][::-1]  # e and o, top coefficient first
+    c0 = a[0] * a[0]
+    ys = [k * k for k in range(1, m)]
+    evens, odds = [], []
+    for k, y in enumerate(ys, 1):
+        e = o = 0
+        for c in even:
+            e = e * y + c
+        for c in odd:
+            o = o * y + c
+        o *= k
+        p, q = e + o, e - o
+        p, q = p * p, q * q
+        evens.append((((p + q) >> 1) - c0) // y)
+        odds.append((p - q) // (2 * k))
+    prod = [c0] + [0] * (2 * m - 2)
+    prod[2::2] = _interpolate(ys, evens)
+    prod[1::2] = _interpolate(ys, odds)
+    return prod
+
+
+def _interpolate(ys, vs):
+    """Int coefficients, lowest first, of the polynomial of degree < len(ys) through (ys, vs).
+
+    Newton's divided differences, then the Newton form multiplied out.  The
+    nodes ys are distinct ints and the polynomial has int coefficients, so
+    every division is exact: the j-th divided difference of y^k is the
+    complete homogeneous symmetric polynomial of degree k-j in the nodes.
+    """
+    v = list(vs)
+    r = len(v)
+    for j in range(1, r):
+        for i in range(r - 1, j - 1, -1):
+            v[i] = (v[i] - v[i - 1]) // (ys[i] - ys[i - j])
+    coeffs = [v[-1]]
+    for j in range(r - 2, -1, -1):  # coeffs * (y - ys[j]) + v[j]
+        y = ys[j]
+        coeffs = (
+            [v[j] - y * coeffs[0]]
+            + [coeffs[i - 1] - y * coeffs[i] for i in range(1, len(coeffs))]
+            + [coeffs[-1]]
+        )
+    return coeffs
+
+
 def power(u, c, n):
-    """Int coordinates of c**n by square-and-multiply; n >= 0."""
-    result = (1,) + (0,) * (len(u) - 1)
-    base = tuple(c)
-    while n:
-        if n & 1:
-            result = multiply(u, result, base)
-        n >>= 1
-        if n:
-            base = multiply(u, base, base)
+    """Int coordinates of c**n; n >= 0.
+
+    Left-to-right binary powering (Knuth, *TAOCP* vol. 2, section 4.6.3):
+    walk the bits of n from the top, square the accumulator, and on each
+    set bit multiply it by c itself.  When c is small, as the z of
+    ``integral_element`` is, every product but the squarings is big times
+    small and takes time linear in the accumulator's length.
+    """
+    if not n:
+        return (1,) + (0,) * (len(u) - 1)
+    c = tuple(c)
+    result = c
+    for bit in bin(n)[3:]:
+        result = multiply(u, result, result)
+        if bit == "1":
+            result = multiply(u, result, c)
     return result
 
 

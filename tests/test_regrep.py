@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repapprox as ra
+from repapprox import regrep
 from repapprox.backends import rational
 from repapprox.errors import UsageError
 from repapprox.polynomial import Polynomial
@@ -19,6 +20,7 @@ from repapprox.regrep import (
     power,
     scaled_entries,
 )
+from repapprox.regrep import _SQUARE_CUTOFF_BITS as CUTOFF
 
 import dense
 
@@ -194,6 +196,86 @@ class TestIntegerKernel:
         # g = 1/4 + a/3 = 1/4 + b/18, so d = 36 and 36 g = 9 + 2b.
         f = Polynomial((rational(1, 2), rational(1, 3)))
         assert integral_element(f, (rational(1, 4), rational(1, 3))) == ((3, 12), 6, (9, 2), 36)
+
+
+@st.composite
+def _square_cases(draw):
+    """(u, a): a u-vector with zero and negative entries, and coordinates of
+    CUTOFF/2 to 4 CUTOFF bits, some of them zero or negative."""
+    m = draw(st.integers(1, 8))
+    u = tuple(draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    bits = draw(st.sampled_from((CUTOFF // 2, CUTOFF, CUTOFF + 64, 2 * CUTOFF, 4 * CUTOFF)))
+    signs = draw(st.lists(st.sampled_from((1, -1, 0)), min_size=m, max_size=m).filter(any))
+    return u, tuple(s * rnd.getrandbits(bits - rnd.randrange(64)) for s in signs)
+
+
+def _at_cutoff(m, above):
+    """Coordinates of alternating sign, all of CUTOFF + 1 bits (interpolated
+    square) or all of CUTOFF bits (schoolbook)."""
+    return tuple(
+        (-1) ** i * ((1 << CUTOFF) + i if above else (1 << CUTOFF) - 1 - i) for i in range(m)
+    )
+
+
+# (f, x, (L, d)): a rational f and x (L = 6 and d = 36 in integral_element), the
+# Ramanujan cubic, a degree-6 f with zero and negative u_s, the golden
+# ratio (m = 2, schoolbook squares only) and a degree-8 f.
+_POWER_CASES = (
+    (Polynomial((rational(1, 2), rational(1, 3), -2)), (rational(1, 4), rational(1, 3), -1), (6, 36)),
+    (Polynomial((-1, 2, 1)), (rational(1), rational(-2), rational(1)), (1, 1)),
+    (Polynomial((0, -3, 2, 0, 1, -1)), (1, 0, -2, 1, 0, 3), (1, 1)),
+    (Polynomial((1, 1)), (0, 1), (1, 1)),
+    (Polynomial((1, 0, -1, 2, 0, 0, 1, -1)), (2, -1, 0, 0, 1, 0, 0, 1), (1, 1)),
+)
+
+
+class TestPowerKernel:
+    """Left-to-right powering and the interpolated square, against dense.py."""
+
+    @given(_square_cases())
+    @example(((1, 0, -1), _at_cutoff(3, above=False)))
+    @example(((1, 0, -1), _at_cutoff(3, above=True)))
+    @example(((0, -2, 3, 0, -1, 1, 0, 2), _at_cutoff(8, above=False)))
+    @example(((0, -2, 3, 0, -1, 1, 0, 2), _at_cutoff(8, above=True)))
+    @example(((-3, 0, 5, -1), (0, 1 << (4 * CUTOFF), 0, -(1 << (4 * CUTOFF)))))
+    @example(((1, 1), _at_cutoff(2, above=True)))
+    @settings(max_examples=100, deadline=None)
+    def test_square_equals_rational_kernel(self, case):
+        u, a = case
+        expected = dense.multiply(Polynomial(u), a, a)
+        assert multiply(u, a, a) == expected
+        assert multiply(u, a, list(a)) == expected  # the general product path
+
+    @pytest.mark.parametrize("f, x, scale_den", _POWER_CASES)
+    def test_power_across_the_cutoff(self, f, x, scale_den):
+        u, scale, z, d = integral_element(f, x)
+        assert (scale, d) == scale_den
+        k = 1
+        while max(v.bit_length() for v in power(u, z, 1 << k)) <= 2 * CUTOFF:
+            k += 1
+        for n in (0, 1, 2, (1 << k) - 1, 1 << k, (1 << k) + 1):
+            entries = scaled_entries(matrix_of(u, power(u, z, n)), scale, d**n)
+            assert entries == matrix_of(f.u, dense.power(f, x, n)), n
+
+    def test_power_multiplies_by_the_small_base(self, monkeypatch):
+        # Each product that is not a square pairs the accumulator with z
+        # itself, so it is big times small: never two operands above CUTOFF.
+        big_pairs, squares = [], []
+
+        def recording(u, a, b):
+            big = [v for v in (a, b) if max(c.bit_length() for c in v) > CUTOFF]
+            if a is b:
+                squares.append(len(big))
+            elif len(big) == 2:
+                big_pairs.append((a, b))
+            return multiply(u, a, b)
+
+        monkeypatch.setattr(regrep, "multiply", recording)
+        u, z = (1, -2, 3, 0, -1, 2), (1, -2, 0, 3, 1, -1)
+        regrep.power(u, z, (1 << 13) - 1)
+        assert big_pairs == []
+        assert any(squares)  # the walk did reach the cutoff
 
 
 def _multiply_mod_f(f, x1, x2):
