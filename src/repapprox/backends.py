@@ -8,17 +8,17 @@ loops run on plain ints instead and make a rational only of their result:
 the matrix power kernel of ``regrep``, the iterative step kernels, root
 refinement and the polynomial algebra of ``polynomial`` (Sturm chains,
 remainders and gcds).  The step kernels reduce their result themselves and
-wrap it with ``coprime_rational``, which takes no second gcd.
+wrap it with ``coprime_rational``, which takes no second gcd.  The power
+kernel also runs, unchanged, on integer-valued Decimals under
+``exact_decimal``: an integral ``M^n`` that is printed is taken that way
+from the start, and its entries print by str() with no conversion at all.
 
 CPython before 3.12 converts an int to decimal in time quadratic in its
-length, which made printing the entries of a deep ``M^n`` cost several
-times more than computing them.  ``to_decimal`` converts in subquadratic
-time: it splits n at a power-of-two bit position and recombines the halves
-in the C ``decimal`` module, whose multiplication is subquadratic (Brent &
-Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.7; the method of
-CPython 3.12's ``Lib/_pylong.py``).  An integral ``M^n`` is printed from
-its m coordinates, converted once and multiplied out under
-``exact_decimal``; every other integer the package prints goes through
+length.  ``to_decimal`` converts in subquadratic time: it splits n at a
+power-of-two bit position and recombines the halves in the C ``decimal``
+module, whose multiplication is subquadratic (Brent & Zimmermann, *Modern
+Computer Arithmetic*, 2010, section 1.7; the method of CPython 3.12's
+``Lib/_pylong.py``).  Every other integer the package prints goes through
 ``decimal_str``, which equals ``str(n)`` and uses ``to_decimal`` above
 ``_STR_CUTOFF_BITS``.
 """

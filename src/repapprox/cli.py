@@ -18,7 +18,7 @@ import mpmath as mp
 
 from . import bench, convergence, iterative, powers
 from .backends import (
-    exact_decimal, format_rational, parse_rational, parse_rational_vector, sci_string, to_decimal,
+    exact_decimal, format_rational, parse_rational, parse_rational_vector, sci_string,
 )
 from .errors import DomainError, RepApproxError, UsageError
 from .polynomial import parse_polynomial
@@ -169,8 +169,8 @@ def _matrix(args):
 def _print_matrix(power, fmt, out):
     """Print the entries of a MatrixPower, row by row.
 
-    An integral one is rebuilt by matrix_of from its m int coordinates, each
-    converted to Decimal once, in exact Decimal arithmetic; every entry then
+    An integral one is rebuilt by matrix_of from its m Decimal coordinates
+    in exact Decimal arithmetic, with no int converted; every entry then
     prints by str() in linear time.
     """
     if power.integral is None:
@@ -178,7 +178,7 @@ def _print_matrix(power, fmt, out):
     else:
         u, coords = power.integral
         with exact_decimal():
-            rows, cell = matrix_of(u, [to_decimal(c) for c in coords]), str
+            rows, cell = matrix_of(u, coords), str
     if fmt == "pretty":
         cells = [[cell(e) for e in row] for row in rows]
         width = max(len(c) for row in cells for c in row)

@@ -1,10 +1,12 @@
 """Exact matrix powers and the rational approximation sequences they yield.
 
 M^n is the matrix of g^n, so every power here is an element power in
-Q[t]/(f), taken on int coordinates (``regrep.power`` over the integral
-generator of ``regrep.integral_element``).  Entries are read from
+Q[t]/(f), taken by the one kernel ``regrep.power`` over the integral
+generator of ``regrep.integral_element``.  Entries are read from
 ``regrep.matrix_of`` and ``regrep.scaled_entries``: ints for integral f
 and x, and a rational only where a ratio or a non-integral entry needs one.
+``mat_pow`` of an integral M takes the power over exact Decimals instead,
+for printing; ``MatrixPower.entries`` takes it again over ints when read.
 
 A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
@@ -17,8 +19,10 @@ so no floating-point noise enters the reported |value - limit| numbers.
 """
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
+from functools import cached_property
 
-from .backends import as_int_pair, decimal_digit_count, rational
+from .backends import as_int_pair, decimal_digit_count, exact_decimal, rational
 from .convergence import _limit_data, analyze, resolving_enclosure
 from .errors import UsageError, ZeroDenominator
 from .regrep import (
@@ -34,17 +38,31 @@ from .regrep import (
 
 @dataclass(frozen=True)
 class MatrixPower:
-    """M^n; entries are ints when f and x are integral, rationals otherwise.
+    """M^n.
 
-    integral is (u, c) when L = d^n = 1 (regrep.integral_element): then
-    entries == matrix_of(u, c) over the ints, so a printer can convert the
-    m coordinates c instead of the m^2 entries.  Otherwise it is None.
+    integral is (u, c) when L = d^n = 1 (regrep.integral_element): c holds
+    the m coordinates of g^n as integer-valued Decimals, taken in exact
+    Decimal arithmetic, so matrix_of(u, c) under backends.exact_decimal()
+    is M^n with entries that print by str() in linear time.  Otherwise it
+    is None and rational_entries holds M^n.
     """
 
     base: RegRepMatrix
     n: int
-    entries: tuple
     integral: tuple
+    rational_entries: tuple
+
+    @cached_property
+    def entries(self):
+        """M^n: ints when f and x are integral, rationals otherwise.
+
+        An integral power is taken again by the int kernel on first read;
+        converting the Decimal coordinates back by int() is quadratic.
+        """
+        if self.integral is None:
+            return self.rational_entries
+        u, _, z, _ = integral_element(self.base.poly, self.base.weights.x)
+        return matrix_of(u, power(u, z, self.n))
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,8 @@ class ApproximationRecord:
 # Most decimal digits, estimated, that the entries of all the powers one
 # call takes may hold: about 10 MB printed.  On the golden ratio (m = 2)
 # that admits `power --n` up to about 11.9 million, which printed 9.9 MB in
-# 8.5-9.6 s on one core of a 2-CPU VM under CPython 3.11.
+# 0.6-0.9 s, power taken in exact Decimal, on one core of a 2-CPU VM under
+# CPython 3.11 (6.4-6.7 s when the power was taken on ints and converted).
 MAX_OUTPUT_DIGITS = 10_000_000
 _PROBE_BITS = 1 << 12
 
@@ -105,9 +124,13 @@ def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
     element = integral_element(M.poly, M.weights.x)
     _refuse_over_budget(element, (n,))
     u, scale, z, d = element
-    coords, den = power(u, z, n), d**n
-    entries = scaled_entries(matrix_of(u, coords), scale, den)
-    return MatrixPower(M, n, entries, (u, coords) if scale == den == 1 else None)
+    den = d**n
+    if scale == den == 1:
+        with exact_decimal():
+            coords = power(u, [Decimal(v) for v in z], n)
+        return MatrixPower(M, n, (u, coords), None)
+    entries = scaled_entries(matrix_of(u, power(u, z, n)), scale, den)
+    return MatrixPower(M, n, None, entries)
 
 
 def _check_index(pair, m, label):

@@ -4,20 +4,26 @@ M represents multiplication by g = x_0 + x_1*a + ... + x_{m-1}*a^(m-1) on the
 power basis of Q[t]/(f), where a is a root of f.  So M^n is the matrix of
 g^n, and column j of the matrix of any element c holds the coordinates of
 a^j * c.  This module owns the one exact kernel built on that fact:
-``multiply`` and ``power`` work on int coordinate vectors, and
-``matrix_of`` materializes a matrix from coordinates by shift-and-reduce
-over any ring (Fractions for ``build``, ints for powers, exact Decimals for
-printing them).
+``multiply`` and ``power`` work on coordinate vectors over either of two
+rings, Python ints or integer-valued Decimals under
+``backends.exact_decimal()``, with the same code: they use only +, -, *,
+exact // by small ints, truth tests and comparisons.  An integral power
+that is to be printed is taken over Decimals from the start, so its
+digits come out by str() with no int-to-decimal conversion, and libmpdec
+multiplies large operands by number-theoretic transform.  ``matrix_of``
+materializes a matrix from coordinates by shift-and-reduce over any ring
+(Fractions for ``build``, ints for powers, exact Decimals for printing
+them).
 
 ``power`` walks the bits of n from the top: it squares the accumulator
 and, on each set bit, multiplies it by the base itself, which over the
 integral generator has small coordinates, so that product takes linear
-time.  A square of degree m >= 3 whose coordinates exceed
+time.  A square of degree m >= 3 with a coordinate of more than
 ``_SQUARE_CUTOFF_BITS`` (3072 bits, measured where the two methods break
 even) is taken by evaluation at the 2m-1 points 0, +-1, ..., +-(m-1),
-2m-1 squarings, and interpolation with exact int divisions; smaller
-squares, and every square for m <= 2, are schoolbook.  Either way the
-result is the same exact ints.
+2m-1 squarings, and interpolation with exact divisions by small ints;
+smaller squares, and every square for m <= 2, are schoolbook.  Either way
+the result is the same exact numbers.
 
 Rational f and x reach the int kernel through ``integral_element``
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, section
@@ -34,6 +40,7 @@ expansion, and ``build_cubic`` is the closed 3x3 form.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .backends import as_int_pair, as_integer, rational
 from .errors import UsageError
@@ -80,34 +87,51 @@ def _coerce_weights(f, x):
 
 
 # Measured on CPython 3.11 (2 CPUs), multiply(u, a, a) with small u and
-# random coordinates: _square_by_interpolation breaks even with the
+# random int coordinates: _square_by_interpolation breaks even with the
 # schoolbook square at about 3.5-4k bits for m = 3 and 2-3k bits for
 # m = 4-8.  It takes 0.6-1.0x the time at 4096 bits, 0.6-0.9x at 6144 and
 # 0.3-0.6x at 65536.  On the powers of perfbench's deep_powers seeds 0
-# and 1, cutoffs of 2048, 3072 and 4096 bits time the same.
+# and 1, cutoffs of 2048, 3072 and 4096 bits time the same.  Over exact
+# Decimals, the `power` ops of those seeds, run in process, time within 6%
+# of each other at cutoffs from 1000 to 10000 bits.
 _SQUARE_CUTOFF_BITS = 3072
 
 
-def multiply(u, a, b):
-    """Int coordinates of a*b modulo the monic int polynomial with u-vector u.
+@lru_cache(maxsize=None)
+def _square_cutoff(ring):
+    """2**_SQUARE_CUTOFF_BITS in ring (int or Decimal), made on its first use.
 
-    A square (a is b) of degree m >= 3 whose largest coordinate has more
-    than _SQUARE_CUTOFF_BITS bits goes through _square_by_interpolation:
-    2m-1 squarings of coefficient-sized ints instead of m(m+1)/2 products.
-    Every other product is schoolbook, each cross term once when squaring.
-    Then a^k for k >= m is folded down from the top with
+    Comparing a Decimal with an int converts the int every time: on each
+    square that took about 15% of the in-process time of deep_powers' ops.
+    """
+    return ring(1 << _SQUARE_CUTOFF_BITS)
+
+
+def multiply(u, a, b):
+    """Coordinates of a*b modulo the monic int polynomial with u-vector u.
+
+    a and b hold ints, or integer-valued Decimals under
+    ``backends.exact_decimal()``: only +, -, *, exact // by small ints,
+    truth tests and comparisons touch them, so the result is in their ring.
+    A square (a is b) of degree m >= 3 with a coordinate of absolute value
+    at least 2**_SQUARE_CUTOFF_BITS goes through _square_by_interpolation:
+    2m-1 squarings of coefficient-sized numbers instead of m(m+1)/2
+    products.  Every other product is schoolbook, each cross term once
+    when squaring.  Then a^k for k >= m is folded down from the top with
     a^m = u_1 a^(m-1) + ... + u_m.
     """
     m = len(u)
-    if a is b and m > 2 and max(v.bit_length() for v in a) > _SQUARE_CUTOFF_BITS:
+    if a is b and m > 2 and (
+        max(a) >= (cutoff := _square_cutoff(type(a[0]))) or -min(a) >= cutoff
+    ):
         prod = _square_by_interpolation(a)
     else:
-        prod = [0] * (2 * m - 1)
+        prod = [a[0] - a[0]] * (2 * m - 1)  # the ring's zero, never -0
         if a is b:
             for i, ai in enumerate(a):
                 if ai:
                     prod[2 * i] += ai * ai
-                    twice = ai << 1
+                    twice = ai + ai
                     for j in range(i + 1, m):
                         prod[i + j] += twice * a[j]
         else:
@@ -125,7 +149,7 @@ def multiply(u, a, b):
 
 
 def _square_by_interpolation(a):
-    """The 2m-1 int coefficients, lowest first, of a(t)^2 for a(t) = sum a_i t^i.
+    """The 2m-1 coefficients, lowest first, of a(t)^2 for a(t) = sum a_i t^i.
 
     Evaluation and interpolation at t = 0, +-1, ..., +-(m-1) (Toom 1963,
     Cook 1966; Knuth, *TAOCP* vol. 2, section 4.3.3).  With
@@ -133,8 +157,8 @@ def _square_by_interpolation(a):
     p = a(k)^2 and q = a(-k)^2 give E(k^2) = (p + q)/2 and
     O(k^2) = (p - q)/(2k), and a_0^2 = E(0).  So (E(y) - a_0^2)/y and O(y)
     are each interpolated, in degree m-2, at y = 1, 4, ..., (m-1)^2.
-    Only the 2m-1 squares multiply two big ints; the rest is additions and
-    exact divisions by small ints.
+    Only the 2m-1 squares multiply two big numbers; the rest is additions
+    and exact divisions by small ints, in the ring of a.
     """
     m = len(a)
     even, odd = a[::2][::-1], a[1::2][::-1]  # e and o, top coefficient first
@@ -142,29 +166,30 @@ def _square_by_interpolation(a):
     ys = [k * k for k in range(1, m)]
     evens, odds = [], []
     for k, y in enumerate(ys, 1):
-        e = o = 0
-        for c in even:
+        e, o = even[0], odd[0]
+        for c in even[1:]:
             e = e * y + c
-        for c in odd:
+        for c in odd[1:]:
             o = o * y + c
         o *= k
         p, q = e + o, e - o
         p, q = p * p, q * q
-        evens.append((((p + q) >> 1) - c0) // y)
+        evens.append(((p + q) // 2 - c0) // y)
         odds.append((p - q) // (2 * k))
-    prod = [c0] + [0] * (2 * m - 2)
+    prod = [c0] * (2 * m - 1)
     prod[2::2] = _interpolate(ys, evens)
     prod[1::2] = _interpolate(ys, odds)
     return prod
 
 
 def _interpolate(ys, vs):
-    """Int coefficients, lowest first, of the polynomial of degree < len(ys) through (ys, vs).
+    """Coefficients, lowest first, of the polynomial of degree < len(ys) through (ys, vs).
 
     Newton's divided differences, then the Newton form multiplied out.  The
-    nodes ys are distinct ints and the polynomial has int coefficients, so
-    every division is exact: the j-th divided difference of y^k is the
-    complete homogeneous symmetric polynomial of degree k-j in the nodes.
+    nodes ys are distinct increasing ints and the polynomial has integer
+    coefficients, so every division is exact, and by a positive int: the
+    j-th divided difference of y^k is the complete homogeneous symmetric
+    polynomial of degree k-j in the nodes.
     """
     v = list(vs)
     r = len(v)
@@ -183,7 +208,7 @@ def _interpolate(ys, vs):
 
 
 def power(u, c, n):
-    """Int coordinates of c**n; n >= 0.
+    """Coordinates of c**n, in the ring of c (see ``multiply``); n >= 0.
 
     Left-to-right binary powering (Knuth, *TAOCP* vol. 2, section 4.6.3):
     walk the bits of n from the top, square the accumulator, and on each
@@ -191,9 +216,10 @@ def power(u, c, n):
     ``integral_element`` is, every product but the squarings is big times
     small and takes time linear in the accumulator's length.
     """
-    if not n:
-        return (1,) + (0,) * (len(u) - 1)
     c = tuple(c)
+    if not n:
+        zero = c[0] - c[0]
+        return (zero + 1,) + (zero,) * (len(u) - 1)
     result = c
     for bit in bin(n)[3:]:
         result = multiply(u, result, result)

@@ -1,11 +1,12 @@
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repapprox as ra
 from repapprox import regrep
-from repapprox.backends import rational
+from repapprox.backends import exact_decimal, rational
 from repapprox.errors import UsageError
 from repapprox.polynomial import Polynomial
 from repapprox.regrep import (
@@ -276,6 +277,71 @@ class TestPowerKernel:
         regrep.power(u, z, (1 << 13) - 1)
         assert big_pairs == []
         assert any(squares)  # the walk did reach the cutoff
+
+
+@st.composite
+def _power_cases(draw):
+    """(u, z): a u-vector with zero and negative entries, and coordinates in
+    -3..3 but for a constant one of CUTOFF/8 bits.  Every root of f is
+    at most 6 in modulus, so every conjugate of the element exceeds
+    2**(CUTOFF/8 - 2) and its powers cross the cutoff within a few doublings."""
+    m = draw(st.integers(1, 8))
+    u = tuple(draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)))
+    rest = draw(st.lists(st.integers(-3, 3), min_size=m - 1, max_size=m - 1))
+    big = draw(st.integers(1 << (CUTOFF // 8 - 1), (1 << CUTOFF // 8) - 1))
+    return u, (draw(st.sampled_from((1, -1))) * big, *rest)
+
+
+def _strings(vector):
+    return [str(c) for c in vector]
+
+
+def _decimals(vector):
+    return tuple(Decimal(c) for c in vector)
+
+
+class TestDecimalRing:
+    """The same kernel over integer-valued Decimals under exact_decimal(),
+    where any rounding raises Inexact, prints as the int kernel's result.
+    Comparing printed strings also catches a Decimal -0."""
+
+    @given(_square_cases())
+    @example(((1, 0, -1), _at_cutoff(3, above=False)))
+    @example(((1, 0, -1), _at_cutoff(3, above=True)))
+    @example(((0, -2, 3, 0, -1, 1, 0, 2), _at_cutoff(8, above=True)))
+    @example(((-3, 0, 5, -1), (0, 1 << (4 * CUTOFF), 0, -(1 << (4 * CUTOFF)))))
+    @example(((0, 0, -3), (-5, 0, 0)))  # coordinates no product term reaches
+    @settings(max_examples=60, deadline=None)
+    def test_multiply_prints_as_int_kernel(self, case):
+        u, a = case
+        b = a[::-1]
+        da, db = _decimals(a), _decimals(b)
+        with exact_decimal():
+            square, product = multiply(u, da, da), multiply(u, da, db)
+        assert all(type(c) is Decimal for c in square + product)
+        assert _strings(square) == _strings(multiply(u, a, a))
+        assert _strings(product) == _strings(multiply(u, a, b))
+        assert "-0" not in _strings(square) + _strings(product)
+
+    @given(_power_cases())
+    @example(((0, 0, 0, -2), (0, 1, 0, 0)))  # zero coordinates next to u_m = -2
+    @example(((0, -3, 2, 0, 1, -1), (1 << 383, 0, -2, 1, 0, 3)))
+    @settings(max_examples=25, deadline=None)
+    def test_power_prints_as_int_kernel(self, case):
+        u, z = case
+        k = 1
+        while max(abs(v) for v in power(u, z, 1 << k)).bit_length() <= 2 * CUTOFF:
+            k += 1
+        for n in (0, 1, 2, (1 << k) - 1, 1 << k, (1 << k) + 1):
+            with exact_decimal():
+                coords = power(u, _decimals(z), n)
+                rows = matrix_of(u, coords)
+            want = power(u, z, n)
+            assert all(type(c) is Decimal for c in coords), n
+            assert _strings(coords) == _strings(want), n
+            printed = [_strings(row) for row in rows]
+            assert printed == [_strings(row) for row in matrix_of(u, want)], n
+            assert not any("-0" in row for row in printed), n
 
 
 def _multiply_mod_f(f, x1, x2):
