@@ -35,7 +35,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
-from .regrep import Weights, _coerce_weights
+from .regrep import _coerce_weights
 from .roots import (
     DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, _bracket, _certified_irreducible,
     _horner_mp, _make_mpc, all_roots, enclose_quotient, isolating_interval_for,
@@ -45,7 +45,6 @@ from .roots import (
 @dataclass(frozen=True)
 class ConvergenceReport:
     gamma: tuple  # mpc values of the element at each root, canonical order
-    gamma_radii: tuple  # rigorous moduli error bounds
     dominant_index: int
     runner_up_index: int
     c_value: object  # min over j != k of |gamma_k| / |gamma_j|
@@ -53,7 +52,6 @@ class ConvergenceReport:
     certified: bool
     roots: RootSet
     work_prec: int
-    weights: Weights
     poly: Polynomial
 
 
@@ -61,10 +59,6 @@ class ConvergenceReport:
 class LimitPrediction:
     indices: tuple  # (i, j, p, q)
     limit: object  # mpf: centre of the certified enclosure of N(alpha_k) / D(alpha_k)
-    a_k: object
-    b_k: object
-    a_l: object
-    b_l: object
     rate_constant: object  # |a_l b_k - a_k b_l| / |b_k|^2
     degenerate: bool
     limit_error: object  # certified bound on |limit - true limit|
@@ -154,7 +148,6 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
                 c = mp.inf if c_inv == 0 else 1 / c_inv
                 return ConvergenceReport(
                     gamma=tuple(gams),
-                    gamma_radii=tuple(bounds),
                     dominant_index=k,
                     runner_up_index=l,
                     c_value=c,
@@ -162,7 +155,6 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
                     certified=True,
                     roots=roots,
                     work_prec=max(prec, roots.work_prec),
-                    weights=w,
                     poly=f,
                 )
         prec *= 2
@@ -267,9 +259,7 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
         exact_degenerate = _constant_quotient(n, d, F) is not None
         degenerate = exact_degenerate or abs(disc) <= 4 * disc_bar
         rate_constant = mp.mpf(0) if exact_degenerate else abs(disc) / abs(b_k) ** 2
-    return LimitPrediction(
-        indices, limit, a_k, b_k, a_l, b_l, rate_constant, degenerate, limit_error, work_prec
-    )
+    return LimitPrediction(indices, limit, rate_constant, degenerate, limit_error, work_prec)
 
 
 def limit_enclosure(report, num, den, digits) -> Enclosure:

@@ -9,7 +9,8 @@ outgrow MAX_DEN_DIGITS decimal digits; the Noor corrector multiplies digit
 counts by roughly 21 per step on a cubic, so Table 6's Noor n = 6 is over
 it.
 
-The kernel is integer arithmetic.  For an iterate x = p/q and a form
+The kernels, ``newton_step``, ``halley_step`` and ``noor_step``, one per
+method, are integer arithmetic.  For an iterate x = p/q and a form
 F(p, q) = sum c_i p^(k-i) q^i, F, F1 and F2 are the homogenised L f, L f'
 and L f'' (L the common denominator of f's coefficients, see
 ``Polynomial.integer_forms``), each evaluated by integer Horner.  Every
@@ -30,7 +31,7 @@ from .backends import as_int_pair, coprime_rational, decimal_digit_count, ration
 from .convergence import resolving_enclosure
 from .errors import DomainError, IterationDiverged, UsageError, ZeroDenominator
 from .polynomial import Polynomial, difference, homogeneous_eval, product, resultant
-from .powers import ApproximationRecord
+from .powers import ApproximationRecord, _with_errors
 from .roots import Enclosure, isolate_real_roots
 
 METHODS = ("newton", "halley", "noor")
@@ -43,8 +44,8 @@ class IterativeState:
     x_n: object
     n: int
     y_n: object = None  # Noor's intermediate predictor value
-    # F(p, q) at x_n = p/q when the caller has it already (``_iterate`` does,
-    # from its residual check); ``step`` then skips that evaluation.
+    # F(p, q) at x_n = p/q when the caller has it already (``iterate_records``
+    # does, from its residual check); ``step`` passes it to the kernel.
     fx: int | None = field(default=None, compare=False, repr=False)
 
 
@@ -85,7 +86,12 @@ def _reduced(a, b, bound):
     return coprime_rational(a // g, b // g)
 
 
-def _newton(f, p, q, fx=None):
+def newton_step(f: Polynomial, x, fx=None):
+    """x - f(x)/f'(x), reduced: (p F1 - F) / (q F1) for x = p/q.
+
+    fx is F(p, q), passed by a caller that holds it already.
+    """
+    p, q = as_int_pair(x)
     lf, lf1, _ = f.integer_forms()
     d = homogeneous_eval(lf1, p, q)
     if d == 0:
@@ -95,7 +101,12 @@ def _newton(f, p, q, fx=None):
     return _reduced(p * d - fx, q * d, _resultant_bound(f, "newton"))
 
 
-def _halley(f, p, q, fx=None):
+def halley_step(f: Polynomial, x, fx=None):
+    """x - 2 f f' / (2 f'^2 - f f''), reduced: (p H - 2 F F1) / (q H).
+
+    H = 2 F1^2 - F F2 at x = p/q; fx is F(p, q), as for newton_step.
+    """
+    p, q = as_int_pair(x)
     lf, lf1, lf2 = f.integer_forms()
     if fx is None:
         fx = homogeneous_eval(lf, p, q)
@@ -106,8 +117,14 @@ def _halley(f, p, q, fx=None):
     return _reduced(p * h - 2 * fx * dfx, q * h, _resultant_bound(f, "halley"))
 
 
-def _noor(f, p, q, fx=None):
-    y = _newton(f, p, q, fx)
+def noor_step(f: Polynomial, x, fx=None):
+    """Predictor-corrector pair (y, next x).
+
+    y is newton_step(f, x, fx); the corrector subtracts the next Newton
+    increment and a second-order term f(y)^2 f''(y) / (2 f'(y)^3), all
+    evaluated at y = p/q: next x = (2 p F1^3 - 2 F F1^2 - F^2 F2) / (2 q F1^3).
+    """
+    y = newton_step(f, x, fx)
     p, q = as_int_pair(y)
     fy, dfy, ddfy = (homogeneous_eval(c, p, q) for c in f.integer_forms())
     if dfy == 0:
@@ -119,37 +136,14 @@ def _noor(f, p, q, fx=None):
     return y, nxt
 
 
-def newton_step(f: Polynomial, x):
-    """x - f(x)/f'(x), reduced: (p F1 - F) / (q F1) for x = p/q."""
-    return _newton(f, *as_int_pair(x))
-
-
-def halley_step(f: Polynomial, x):
-    """x - 2 f f' / (2 f'^2 - f f''), reduced: (p H - 2 F F1) / (q H).
-
-    H = 2 F1^2 - F F2 at x = p/q.
-    """
-    return _halley(f, *as_int_pair(x))
-
-
-def noor_step(f: Polynomial, x):
-    """Predictor-corrector pair (y, next x).
-
-    y is a Newton step; the corrector subtracts the next Newton increment and
-    a second-order term f(y)^2 f''(y) / (2 f'(y)^3), all evaluated at y = p/q:
-    next x = (2 p F1^3 - 2 F F1^2 - F^2 F2) / (2 q F1^3).
-    """
-    return _noor(f, *as_int_pair(x))
-
-
 def step(f: Polynomial, state: IterativeState) -> IterativeState:
-    p, q = as_int_pair(state.x_n)
+    """state advanced by one newton_step, halley_step or noor_step, passing on state.fx."""
     if state.method == "newton":
-        return IterativeState("newton", _newton(f, p, q, state.fx), state.n + 1)
+        return IterativeState("newton", newton_step(f, state.x_n, state.fx), state.n + 1)
     if state.method == "halley":
-        return IterativeState("halley", _halley(f, p, q, state.fx), state.n + 1)
+        return IterativeState("halley", halley_step(f, state.x_n, state.fx), state.n + 1)
     if state.method == "noor":
-        y, nxt = _noor(f, p, q, state.fx)
+        y, nxt = noor_step(f, state.x_n, state.fx)
         return IterativeState("noor", nxt, state.n + 1, y_n=y)
     raise UsageError(f"unknown method {state.method!r}; choose from {METHODS}")
 
@@ -176,16 +170,44 @@ def _residual_grew(cur, prev, m):
     return fc * qp**m > fp * qc**m
 
 
-def _iterate(f, method, x0, steps):
-    """One digit record per step.
+def _nearest_interval(intervals, x):
+    """The interval nearest x, the earlier on a tie, of sorted intervals with disjoint closures.
 
-    Each iterate's denominator digit count is computed once, for the budget
-    check and the record, and its F(p, q) at most once: F serves the
-    residual check and then the next step's kernel.  At the last iterate
-    (the step count reached, or the budget stopping the next step) F is
-    evaluated only when the residual check can still raise, after two
-    consecutive growths.
+    That is the first whose gap to the next has its midpoint at or right of
+    x, else the last.  Each step compares x with a small rational, with no
+    subtraction of x (a huge fraction for a late iterate).
     """
+    return next(
+        (iv for iv, nxt in zip(intervals, intervals[1:]) if x <= (iv[1] + nxt[0]) / 2),
+        intervals[-1],
+    )
+
+
+def _resolve_target(f, values) -> Enclosure:
+    """Enclosure of the real root nearest the final value, resolving every error."""
+    intervals = isolate_real_roots(f)
+    if not intervals:
+        raise DomainError("polynomial has no real root for the iteration to approach")
+    interval = _nearest_interval(intervals, values[-1])
+    # The root is N(alpha)/D(alpha) with N = t and D = 1.
+    return resolving_enclosure(f, ((1, 0), (1,), interval), values)
+
+
+def iterate_records(method, f: Polynomial, x0, steps):
+    """Iterate `method` from x0: one record per step, with digits but no errors.
+
+    Runs stop early (records list shorter than `steps`) when the next step
+    would exceed MAX_DEN_DIGITS.  Each iterate's denominator digit count is
+    computed once, for the budget check and the record, and its F(p, q) at
+    most once: F serves the residual check and then the next step's kernel.
+    At the last iterate (the step count reached, or the budget stopping the
+    next step) F is evaluated only when the residual check can still raise,
+    after two consecutive growths.
+    """
+    if method not in METHODS:
+        raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
+    if steps < 1:
+        raise UsageError("steps must be >= 1")
     lf = f.integer_forms()[0]
     factor = _growth_factor(method, f.degree)
     state = IterativeState(method, rational(x0), 0)
@@ -217,42 +239,6 @@ def _iterate(f, method, x0, steps):
     return records
 
 
-def _nearest_interval(intervals, x):
-    """The interval nearest x, the earlier on a tie, of sorted intervals with disjoint closures.
-
-    That is the first whose gap to the next has its midpoint at or right of
-    x, else the last.  Each step compares x with a small rational, with no
-    subtraction of x (a huge fraction for a late iterate).
-    """
-    return next(
-        (iv for iv, nxt in zip(intervals, intervals[1:]) if x <= (iv[1] + nxt[0]) / 2),
-        intervals[-1],
-    )
-
-
-def _resolve_target(f, values) -> Enclosure:
-    """Enclosure of the real root nearest the final value, resolving every error."""
-    intervals = isolate_real_roots(f)
-    if not intervals:
-        raise DomainError("polynomial has no real root for the iteration to approach")
-    interval = _nearest_interval(intervals, values[-1])
-    # The root is N(alpha)/D(alpha) with N = t and D = 1.
-    return resolving_enclosure(f, ((1, 0), (1,), interval), values)
-
-
-def iterate_records(method, f: Polynomial, x0, steps):
-    """Iterate `method` from x0: one record per step, with digits but no errors.
-
-    Runs stop early (records list shorter than `steps`) when the next step
-    would exceed MAX_DEN_DIGITS.
-    """
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
-    if steps < 1:
-        raise UsageError("steps must be >= 1")
-    return _iterate(f, method, x0, steps)
-
-
 def with_errors(f: Polynomial, records):
     """records with abs_error against the real root they approach.
 
@@ -262,8 +248,7 @@ def with_errors(f: Polynomial, records):
     """
     if not records:
         return []
-    target = _resolve_target(f, [r.value for r in records])
-    return [replace(r, abs_error=abs(r.value - target.center)) for r in records]
+    return _with_errors(records, _resolve_target(f, [r.value for r in records]))
 
 
 def run_method(method, f: Polynomial, x0, steps):

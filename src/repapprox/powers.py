@@ -10,12 +10,16 @@ for printing; ``MatrixPower.entries`` takes it again over ints when read.
 
 A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
+Every sequence is one walk, ``_walk``, over increasing n: each power is
+the last one times the power of the gap.  ``accelerated_sequence`` is
+ratio_sequence at n = stride^k; ``constant_ratio_check`` walks 1..n_max.
 Errors are measured exactly against one certified rational enclosure of
 the limit per sequence (an exact constant, a refined real root, or rational
 interval arithmetic on a root's bracket), from
 ``convergence.resolving_enclosure``: a value proven equal to the limit gets
 error 0, and every other value lies at least 10**20 radii from the centre,
 so no floating-point noise enters the reported |value - limit| numbers.
+``_with_errors`` attaches them, here and in ``iterative``.
 """
 
 from dataclasses import dataclass, replace
@@ -96,24 +100,25 @@ MAX_OUTPUT_DIGITS = 10_000_000
 _PROBE_BITS = 1 << 12
 
 
-def _refuse_over_budget(element, ns):
-    """UsageError if the entries of M^n, n in ns, would hold over MAX_OUTPUT_DIGITS digits.
+def _refuse_over_budget(element, n_max, n_sum):
+    """UsageError if the entries of the M^n asked for would hold over MAX_OUTPUT_DIGITS digits.
 
-    element is M's (u, L, z, d) from regrep.integral_element.  Runs before
-    any power is taken.  An entry of M^n has about n * r bits, with r read
-    off the bit growth of the kernel's first squarings: (d g)^k for the
-    first power of two k at which a coordinate reaches _PROBE_BITS bits (or
-    the last k <= max ns), plus log2 d per step for the denominator d^n.
+    n_max is the largest n asked for and n_sum the sum of them all; element
+    is M's (u, L, z, d) from regrep.integral_element.  Runs before any power
+    is taken.  An entry of M^n has about n * r bits, with r read off the
+    bit growth of the kernel's first squarings: (d g)^k for the first power
+    of two k at which a coordinate reaches _PROBE_BITS bits (or the last
+    k <= n_max), plus log2 d per step for the denominator d^n.
     """
     u, _, z, d = element
     c, k = z, 1
-    while 2 * k <= max(ns) and max(v.bit_length() for v in c) < _PROBE_BITS:
+    while 2 * k <= n_max and max(v.bit_length() for v in c) < _PROBE_BITS:
         c, k = multiply(u, c, c), 2 * k
     rate = max(v.bit_length() for v in c) + k * (d.bit_length() - 1)  # bits per k steps
-    digits = len(u) ** 2 * sum(ns) * rate * 30103 // (100000 * k)  # log10(2) = 0.30103
+    digits = len(u) ** 2 * n_sum * rate * 30103 // (100000 * k)  # log10(2) = 0.30103
     if digits > MAX_OUTPUT_DIGITS:
         raise UsageError(
-            f"powers up to n = {max(ns)} would hold about {digits} decimal digits of "
+            f"powers up to n = {n_max} would hold about {digits} decimal digits of "
             f"entries, over the cap MAX_OUTPUT_DIGITS = {MAX_OUTPUT_DIGITS}; ask for a smaller n"
         )
 
@@ -122,7 +127,7 @@ def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
     if n < 0:
         raise UsageError("matrix power requires n >= 0")
     element = integral_element(M.poly, M.weights.x)
-    _refuse_over_budget(element, (n,))
+    _refuse_over_budget(element, n, n)
     u, scale, z, d = element
     den = d**n
     if scale == den == 1:
@@ -155,91 +160,77 @@ def _record_from_entries(entries, n, num, den, offset):
     )
 
 
-def _with_errors(records, f, limit, offset):
-    """records with abs_error against resolving_enclosure."""
-    values = [r.value for r in records if r.available]
-    target = resolving_enclosure(f, limit, values, offset)
-    return [
-        replace(r, abs_error=abs(r.value - target.center)) if r.available else r
-        for r in records
-    ]
+def _with_errors(records, target):
+    """records with abs_error = |value - target.center| wherever a value is available."""
+    return [replace(r, abs_error=abs(r.value - target.center)) if r.available else r
+            for r in records]
 
 
-def _walk(element, num, den, offset, ns, advance):
+def _walk(element, num, den, offset, ns):
     """Records, without errors, of value(n) = M^n[num]/M^n[den] + offset at the increasing ns.
 
     Powers are int coordinates of (d g)^n over L*a, with element = M's
-    (u, L, z, d) from regrep.integral_element.  The first is taken for
-    ns[0]; advance(u, z, h, a, b) takes h, the coordinates for n = a, to
-    those for n = b.
+    (u, L, z, d) from regrep.integral_element.  The first is (d g)^ns[0];
+    each later one is the last times (d g)^(n - last n).
     """
     u, scale, z, d = element
     records = []
-    for k, n in enumerate(ns):
-        current = advance(u, z, current, ns[k - 1], n) if k else power(u, z, n)
-        entries = scaled_entries(matrix_of(u, current), scale, d**n)
+    for n in ns:
+        h = multiply(u, h, power(u, z, n - records[-1].n)) if records else power(u, z, n)
+        entries = scaled_entries(matrix_of(u, h), scale, d**n)
         records.append(_record_from_entries(entries, n, num, den, offset))
     return records
-
-
-def _sequence(M, num, den, offset, ns, advance):
-    """_walk's records at the increasing ns, with errors resolved as in ratio_sequence."""
-    m = M.size
-    num = _check_index(num, m, "numerator")
-    den = _check_index(den, m, "denominator")
-    offset = rational(offset)
-    if not ns:
-        return []
-    if ns[0] < 0:
-        raise UsageError("sequence indices must be nonnegative")
-    element = integral_element(M.poly, M.weights.x)
-    _refuse_over_budget(element, ns)
-    # Dominance and the limit are certified before any power is taken.
-    limit = _limit_data(analyze(M.poly, M.weights), num, den)
-    records = _walk(element, num, den, offset, ns, advance)
-    if all(not r.available for r in records):
-        raise ZeroDenominator(
-            f"denominator entry M^n[{den}] vanished at every requested n"
-        )
-    return _with_errors(records, M.poly, limit, offset)
 
 
 def ratio_sequence(M: RegRepMatrix, num, den, offset=0, n_list=()) -> list:
     """ApproximationRecords for value(n) = M^n[num]/M^n[den] + offset.
 
-    ``convergence.resolving_enclosure`` encloses the limit tightly enough
-    that every error is exactly 0 (a value proven equal to the limit) or at
-    least 10**20 radii.  Zero denominator entries mark the record
-    unavailable instead of failing the run, unless every one vanishes.
+    Index checks, the output budget and dominance come before any power is
+    taken.  Every error is exactly 0 (a value proven equal to the limit) or
+    at least 10**20 radii of ``convergence.resolving_enclosure``.  A zero
+    denominator entry marks its record unavailable, unless every one vanishes.
     """
-    ns = sorted(set(int(n) for n in n_list))
-    return _sequence(
-        M, num, den, offset, ns, lambda u, z, h, a, b: multiply(u, h, power(u, z, b - a))
-    )
+    m = M.size
+    num = _check_index(num, m, "numerator")
+    den = _check_index(den, m, "denominator")
+    offset = rational(offset)
+    # An increasing range is walked as it is: no list of its n is built.
+    if not (isinstance(n_list, range) and n_list.step > 0):
+        n_list = sorted(set(int(n) for n in n_list))
+    if not n_list:
+        return []
+    if n_list[0] < 0:
+        raise UsageError("sequence indices must be nonnegative")
+    element = integral_element(M.poly, M.weights.x)
+    _refuse_over_budget(element, n_list[-1], sum(n_list))
+    limit = _limit_data(analyze(M.poly, M.weights), num, den)
+    records = _walk(element, num, den, offset, n_list)
+    values = [r.value for r in records if r.available]
+    if not values:
+        raise ZeroDenominator(f"denominator entry M^n[{den}] vanished at every requested n")
+    return _with_errors(records, resolving_enclosure(M.poly, limit, values, offset))
 
 
 def accelerated_sequence(M: RegRepMatrix, stride, steps, num, den, offset=0) -> list:
-    """Repeated stride-th powering: records at n = stride, stride^2, ...
+    """ratio_sequence at n = stride, stride^2, ..., stride^steps (1, ..., steps at stride 1).
 
-    Step k re-raises the previous element power to the stride-th power, so
-    six steps at stride 3 reach M^729 with a handful of multiplications.
-    stride 1 degenerates to plain stepping (identical to ratio_sequence over
-    1..steps).  Errors are resolved as in ratio_sequence.
+    The largest n is capped at 10**7 before any n is listed, in at most 24
+    products at stride >= 2 (2**24 > 10**7).
     """
     if stride < 1:
         raise UsageError("stride must be >= 1")
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    if stride == 1:
-        return ratio_sequence(M, num, den, offset, range(1, steps + 1))
-    n_max = stride**steps
+    n_max, k = (steps, steps) if stride == 1 else (stride, 1)
+    while k < steps and n_max <= 10_000_000:
+        n_max, k = n_max * stride, k + 1
     if n_max > 10_000_000:
         raise UsageError(
-            f"stride**steps = {n_max} is beyond any tractable matrix power; "
-            "reduce --steps"
+            f"stride = {stride} over steps = {steps} reaches an n beyond any tractable "
+            "matrix power; reduce --steps"
         )
-    ns = [stride**k for k in range(1, steps + 1)]
-    return _sequence(M, num, den, offset, ns, lambda u, z, h, a, b: power(u, h, stride))
+    ns = range(1, steps + 1) if stride == 1 else [stride**k for k in range(1, steps + 1)]
+    return ratio_sequence(M, num, den, offset, ns)
 
 
 @dataclass(frozen=True)
@@ -266,9 +257,7 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
     element = integral_element(M.poly, M.weights.x)
     results = []
     for fam_idx, (i, j, p, q) in enumerate(families):
-        records = _walk(
-            element, (i, j), (p, q), rational(0), ns, lambda u, z, h, a, b: multiply(u, h, z)
-        )
+        records = _walk(element, (i, j), (p, q), rational(0), ns)
         values = [r.value for r in records if r.available]
         constant = values[0] if values else None
         results.append(

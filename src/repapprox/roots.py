@@ -63,7 +63,6 @@ class RootEstimate:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple
-    source: Polynomial
     work_prec: int = 0
 
     def __len__(self):
@@ -675,7 +674,7 @@ def _all_roots_cached(f, precision_bits):
     m = f.degree
     if m == 1:
         est = RootEstimate(rational(f.u[0]), rational(0), True, index=0)
-        return RootSet((est,), f, work_prec=precision_bits)
+        return RootSet((est,), work_prec=precision_bits)
 
     real_count = count_real_roots(f)
     work = max(precision_bits + 64, 128)
@@ -701,7 +700,7 @@ def _all_roots_cached(f, precision_bits):
             zs = _aberth_pass(coeffs_mp, dcoeffs_mp, zs, 60 + 6 * m, tol)
             estimates = _certify(coeffs_mp, dcoeffs_mp, zs, m, real_count, target)
             if estimates is not None:
-                return RootSet(sort_canonically(estimates), f, work_prec=work)
+                return RootSet(sort_canonically(estimates), work_prec=work)
         work *= 2
     raise RootSeparationError(
         f"could not separate roots of {f} below 2^-{precision_bits // 2} "

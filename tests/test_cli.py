@@ -307,6 +307,20 @@ class TestApprox:
         ns = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert ns == ["3", "9"]
 
+    def test_runaway_steps_refused_without_building_the_power(self, capsys):
+        # 3**1000000 is never built, nor printed in the message.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            "approx", "--poly=c:1,1,-2,-1", "--x=0,-1,1", "--num=2,1", "--den=3,1",
+            "--stride=3", "--steps=1000000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert len(err) < 300
+        assert "stride = 3" in err and "steps = 1000000" in err
+        assert "beyond any tractable matrix power; reduce --steps" in err
+
     def test_determinism(self, capsys):
         args = (
             "approx", "--poly", "c:1,1,-2,-1", "--x", "0,-1,1",

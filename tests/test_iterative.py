@@ -85,6 +85,8 @@ class TestIntegerKernels:
     @example(parse_polynomial("u:5/3"), rational(-7, 2))  # linear: f'' is empty
     @example(parse_polynomial("u:1/2,-1/3,3/4"), rational(-5, 3))  # L = 12
     def test_steps_equal_fraction_oracle(self, f, x):
+        # Each step without fx, and with fx = F(p, q) as step passes it.
+        fx = homogeneous_eval(f.integer_forms()[0], *as_int_pair(x))
         for kernel, oracle in (
             (newton_step, oracle_newton),
             (halley_step, oracle_halley),
@@ -93,11 +95,12 @@ class TestIntegerKernels:
             try:
                 want = oracle(f, x)
             except ZeroDenominator as refused:
-                with pytest.raises(ZeroDenominator) as info:
-                    kernel(f, x)
-                assert str(info.value) == str(refused)
+                for args in ((f, x), (f, x, fx)):
+                    with pytest.raises(ZeroDenominator) as info:
+                        kernel(*args)
+                    assert str(info.value) == str(refused)
             else:
-                assert kernel(f, x) == want
+                assert kernel(f, x) == kernel(f, x, fx) == want
 
     @given(squarefree_polynomials(), _points, _points)
     @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from numbers import Rational
 
 import pytest
@@ -165,18 +166,40 @@ class TestAccelerated:
         accel = accelerated_sequence(m_ref, 1, 5, (2, 1), (3, 1), -1)
         assert [(r.n, r.value) for r in plain] == [(r.n, r.value) for r in accel]
 
-    def test_equals_ratio_sequence_at_tower_indices(self, m_ref):
-        accel = accelerated_sequence(m_ref, 2, 3, (2, 1), (3, 1), -1)
-        plain = ratio_sequence(m_ref, (2, 1), (3, 1), -1, (2, 4, 8))
-        assert [(r.n, r.value) for r in accel] == [(r.n, r.value) for r in plain]
+    @pytest.mark.parametrize(
+        "stride,steps", [(stride, steps) for stride in range(1, 5) for steps in range(1, 5)]
+    )
+    def test_equals_ratio_sequence_at_tower_indices(self, m_ref, stride, steps):
+        # Whole records: n, value, abs_error, den_digits and reduced_den_digits.
+        accel = accelerated_sequence(m_ref, stride, steps, (2, 1), (3, 1), -1)
+        ns = [stride**k if stride > 1 else k for k in range(1, steps + 1)]
+        plain = ratio_sequence(m_ref, (2, 1), (3, 1), -1, ns)
+        assert accel == plain
 
     def test_bad_stride(self, m_ref):
         with pytest.raises(UsageError):
             accelerated_sequence(m_ref, 0, 3, (2, 1), (3, 1), 0)
 
-    def test_runaway_tower_rejected(self, m_ref):
-        with pytest.raises(UsageError):
-            accelerated_sequence(m_ref, 3, 20, (2, 1), (3, 1), 0)
+    def test_runaway_tower_rejected(self, m_ref, monkeypatch):
+        # Refused by the guard alone: no n is listed and no sequence is walked.
+        def no_walk(*args):
+            raise AssertionError("ratio_sequence called")
+
+        monkeypatch.setattr(powers, "ratio_sequence", no_walk)
+        for stride, steps in ((3, 20), (1, 10**9)):
+            with pytest.raises(UsageError, match=f"stride = {stride} over steps = {steps}"):
+                accelerated_sequence(m_ref, stride, steps, (2, 1), (3, 1), 0)
+
+    def test_stride_one_budget_lists_no_n(self, m_ref):
+        # The stride-1 walk is a range: the budget refuses it before any n is listed.
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="MAX_OUTPUT_DIGITS"):
+                accelerated_sequence(m_ref, 1, 10**5, (2, 1), (3, 1), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestConstantRatios:

@@ -5,9 +5,11 @@
         --name "what the change does" --out BENCH_7.json
 
 The parent side is the committed tree of --parent, extracted with
-``git archive`` into a new directory under --workdir (default: the system
-temporary directory) and removed at the end; the change side is this
-checkout as it is.  For each workload, pair k (k = 1..N) runs
+``git archive``; the change side is a copy of this checkout's tracked
+files and its untracked files that git does not ignore, so neither side
+reads a ``__pycache__`` the other lacks.  Both go in a new directory under
+--workdir (default: the system temporary directory), removed at the end.
+For each workload, pair k (k = 1..N) runs
 ``perfbench/run.py --seed k --trace 0`` on both sides back to back, and
 the side that runs first alternates from pair to pair; each run lasts the
 ``run_seconds`` of BENCHMARK.json.  Each --traced workload also gets one
@@ -48,6 +50,15 @@ def _extract(rev, dest):
     return commit
 
 
+def _copy_checkout(dest):
+    """This checkout's tracked and untracked, not ignored, files, copied into dest."""
+    for name in _git("ls-files", "-z", "-co", "--exclude-standard").decode().split("\0"):
+        src = os.path.join(ROOT, name)
+        if name and os.path.isfile(src):  # a tracked file may be deleted in the checkout
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name))
+
+
 def _run(tree, workload, seed, seconds, trace):
     """(metrics, machine block, failure or None) of one perfbench run in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -83,7 +94,7 @@ def main(argv=None):
                         help="one --trace 1 run per side of WORKLOAD")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain, if any")
     parser.add_argument("--name", default="", help="what the change does, one line")
-    parser.add_argument("--workdir", help="where the extracted trees go (default: a temp dir)")
+    parser.add_argument("--workdir", help="where the two trees go (default: a temp dir)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if not args.pairs and not args.traced:
@@ -97,8 +108,9 @@ def main(argv=None):
 
 
 def _bench(args, work):
-    trees = {"parent": os.path.join(work, "parent"), "change": ROOT}
+    trees = {side: os.path.join(work, side) for side in SIDES}
     parent_commit = _extract(args.parent, trees["parent"])
+    _copy_checkout(trees["change"])
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         seconds = json.load(fh)["run_seconds"]
 
