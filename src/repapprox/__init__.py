@@ -1,9 +1,11 @@
 """Rational approximation of algebraic numbers via regular-representation
 matrix powers, with certified convergence analysis and exact iterative-method
-baselines."""
+baselines.  M is built one way (``build``, powers by ``mat_pow``) and limits
+are taken one way (``limit_ratio``); the other constructions and the closed
+cubic forms are the tests' references."""
 
 from .backends import BACKEND, rational
-from .convergence import ConvergenceReport, LimitPrediction, analyze, cubic_limit_matrix, limit_ratio, rate_report
+from .convergence import ConvergenceReport, LimitPrediction, analyze, limit_ratio
 from .errors import DomainError, RepApproxError, UsageError
 from .iterative import halley_step, newton_step, noor_step, run_method
 from .polynomial import Polynomial, parse_polynomial
@@ -15,7 +17,7 @@ from .powers import (
     mat_pow,
     ratio_sequence,
 )
-from .regrep import RegRepMatrix, Weights, build, build_cubic, entries_via_formula, entry_multinomial
+from .regrep import RegRepMatrix, Weights, build
 from .roots import (
     Enclosure,
     RootEstimate,
@@ -35,9 +37,6 @@ __all__ = [
     "Weights",
     "RegRepMatrix",
     "build",
-    "build_cubic",
-    "entry_multinomial",
-    "entries_via_formula",
     "Enclosure",
     "RootEstimate",
     "RootSet",
@@ -54,8 +53,6 @@ __all__ = [
     "LimitPrediction",
     "analyze",
     "limit_ratio",
-    "cubic_limit_matrix",
-    "rate_report",
     "newton_step",
     "halley_step",
     "noor_step",

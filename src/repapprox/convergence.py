@@ -1,4 +1,4 @@
-"""Dominance analysis, limit ratios, and convergence rates.
+"""Dominance analysis and limit ratios.
 
 Writing gamma_j for the value of the represented element at the j-th root,
 the eigenvalues of M are exactly the gamma_j.  If one of them strictly
@@ -18,8 +18,9 @@ the integer remainder sequence of f and one polynomial, a ratio constant
 in n by two pseudo-remainders.  resolving_enclosure is the one enclosure
 loop: it decides the exact case once, then refines one int bracket from
 alpha_k's Sturm bracket across all its rounds; limit_enclosure is one
-round of it.  The closed cubic forms are kept as an independent
-cross-check path.
+round of it.  ``analyze`` returns only a certified report, and
+``limit_ratio`` is the one limit path; the paper's closed cubic forms are
+the independent reference the tests compare it against (tests/dense.py).
 """
 
 from dataclasses import dataclass
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .backends import as_int_pair, floor_log10, format_rational, mpf_to_rational, rational, to_mpf
-from .errors import (
-    DegenerateRatio,
-    DomainError,
-    DominanceUndecidable,
-    UsageError,
-    ZeroDenominator,
-)
+from .errors import DominanceUndecidable, UsageError, ZeroDenominator
 from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
 from .regrep import _coerce_weights
 from .roots import (
@@ -49,7 +44,6 @@ class ConvergenceReport:
     runner_up_index: int
     c_value: object  # min over j != k of |gamma_k| / |gamma_j|
     c_inverse: object
-    certified: bool
     roots: RootSet
     work_prec: int
     poly: Polynomial
@@ -63,18 +57,6 @@ class LimitPrediction:
     degenerate: bool
     limit_error: object  # certified bound on |limit - true limit|
     work_prec: int
-
-
-@dataclass(frozen=True)
-class RateSummary:
-    predicted_step_factor: object  # c^-1: expected per-step error factor
-    predicted_constant: object
-    predicted_slope: object  # -log10(c)
-    measured_slope: object
-    relative_deviation: object
-    n_lo: int
-    n_hi: int
-    points: int
 
 
 def _gamma_with_bound(x, root):
@@ -152,7 +134,6 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
                     runner_up_index=l,
                     c_value=c,
                     c_inverse=c_inv,
-                    certified=True,
                     roots=roots,
                     work_prec=max(prec, roots.work_prec),
                     poly=f,
@@ -207,8 +188,6 @@ def _limit_data(report, num, den):
     so it has a Sturm bracket, and B_k = 0 exactly when gcd(f, D) changes
     sign across it.
     """
-    if not report.certified:
-        raise DomainError("limit_ratio requires a certified dominance report")
     f = report.poly
     m = f.degree
     indices = tuple(int(v) for v in (*num, *den))
@@ -237,11 +216,12 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
     modulo f; this covers num == den and the two named families) is
     degenerate exactly; other degeneracies are decided numerically.
     """
-    n, d, _ = _limit_data(report, num, den)
+    data = _limit_data(report, num, den)
+    n, d, _ = data
     indices = tuple(int(v) for v in (*num, *den))
     prec = max(report.work_prec, 192)
     work_prec = 2 * prec
-    enc = limit_enclosure(report, num, den, work_prec * 30103 // 100000 + 1)
+    enc = limit_enclosure(report.poly, data, work_prec * 30103 // 100000 + 1)
     roots = report.roots.roots
     with mp.workprec(work_prec):
         limit = to_mpf(enc.center, mp)
@@ -262,9 +242,12 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
     return LimitPrediction(indices, limit, rate_constant, degenerate, limit_error, work_prec)
 
 
-def limit_enclosure(report, num, den, digits) -> Enclosure:
-    """Certified enclosure of the limit, radius <= 10**-digits: one resolving_enclosure round."""
-    return resolving_enclosure(report.poly, _limit_data(report, num, den), (), 0, digits)
+def limit_enclosure(f, limit, digits) -> Enclosure:
+    """Certified enclosure of the limit (N, D, bracket), radius <= 10**-digits.
+
+    One resolving_enclosure round, on the triple that _limit_data returned.
+    """
+    return resolving_enclosure(f, limit, (), 0, digits)
 
 
 def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
@@ -309,84 +292,3 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
         digits = max(2 * digits, -floor_log10(smallest) + 21 if smallest else 0)
         enc, ivl = enclose_quotient(f, n, d, ivl, digits)
         center = enc.center + offset
-
-
-def cubic_limit_matrix(report: ConvergenceReport, numerator):
-    """Closed-form 3x3 matrix of limits lim M^n[numerator] / M^n[h,k].
-
-    Entries involve only the dominant root and the coefficients u_1 (=p) and
-    u_3 (=r); exists as the independent cross-check of limit_ratio for
-    cubics.
-    """
-    f = report.poly
-    if f.degree != 3:
-        raise UsageError("cubic limit matrices require degree 3")
-    if numerator not in ((2, 2), (3, 3)):
-        raise UsageError("numerator entry must be (2,2) or (3,3)")
-    if not report.certified:
-        raise DomainError("cubic_limit_matrix requires a certified report")
-    if f.u[2] == 0:
-        raise DomainError("closed forms divide by r; r = 0 is not representable")
-    with mp.workprec(report.work_prec):
-        alpha = mp.re(report.roots.roots[report.dominant_index].center)
-        p = to_mpf(f.u[0], mp)
-        r = to_mpf(f.u[2], mp)
-        if numerator == (2, 2):
-            row2 = (alpha, mp.mpf(1), 1 / alpha)
-            row3 = (alpha * (alpha - p), alpha - p, (alpha - p) / alpha)
-            row1 = tuple(e * alpha / r for e in row3)
-        else:
-            row3 = (alpha**2, alpha, mp.mpf(1))
-            row2 = tuple(e / (alpha - p) for e in row3)
-            row1 = tuple(e * alpha / r for e in row3)
-        return (row1, row2, row3)
-
-
-def rate_report(prediction: LimitPrediction, report: ConvergenceReport, measured) -> RateSummary:
-    """Compare the measured log10-error slope with the predicted -log10(c).
-
-    Uses the tail half of the usable records (available, nonzero error) and a
-    least-squares fit of log10 |error| against n.  Public API (exported from
-    the package): it is how a user checks the paper's rate claim on a
-    sequence, and the acceptance tests use it for exactly that.
-    """
-    if prediction.degenerate:
-        raise DegenerateRatio(
-            f"indices {prediction.indices} give a constant ratio; "
-            "no geometric error rate exists"
-        )
-    usable = [r for r in measured if r.available and r.abs_error is not None]
-    if any(r.abs_error == 0 for r in usable):
-        raise DomainError("a record hit the limit exactly; no rate to fit")
-    usable = [r for r in usable if r.abs_error > 0]
-    if len(usable) < 5:
-        raise DomainError(f"need at least 5 usable records, got {len(usable)}")
-    usable.sort(key=lambda r: r.n)
-    tail = usable[len(usable) // 2 :]
-    with mp.workprec(64):
-        xs = [mp.mpf(r.n) for r in tail]
-        ys = [
-            (mp.log(to_mpf(r.abs_error.numerator, mp)) - mp.log(to_mpf(r.abs_error.denominator, mp)))
-            / mp.log(10)
-            for r in tail
-        ]
-        n = len(xs)
-        mean_x = mp.fsum(xs) / n
-        mean_y = mp.fsum(ys) / n
-        var = mp.fsum((u - mean_x) ** 2 for u in xs)
-        cov = mp.fsum((u - mean_x) * (v - mean_y) for u, v in zip(xs, ys))
-        slope = cov / var
-    with mp.workprec(report.work_prec):
-        predicted_slope = -mp.log10(report.c_value)
-        deviation = abs(slope - predicted_slope) / abs(predicted_slope)
-    return RateSummary(
-        predicted_step_factor=report.c_inverse,
-        predicted_constant=prediction.rate_constant,
-        predicted_slope=predicted_slope,
-        measured_slope=slope,
-        relative_deviation=deviation,
-        n_lo=tail[0].n,
-        n_hi=tail[-1].n,
-        points=len(tail),
-    )
-

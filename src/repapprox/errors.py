@@ -29,10 +29,6 @@ class DominanceUndecidable(DomainError):
     """No strictly dominant eigenvalue: a conjugate pair ties, or none is certified at the ceiling."""
 
 
-class DegenerateRatio(DomainError):
-    """The requested entry ratio is constant in n, so no geometric error rate exists."""
-
-
 class RootSeparationError(DomainError):
     """Root inclusion disks could not be made disjoint (near-multiple roots)."""
 

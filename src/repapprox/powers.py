@@ -248,13 +248,16 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
 
     For (i,j,p,q) = (m,m-1,1,m) and (m,1,1,2) the ratio of entries of M^n is
     independent of n; zero denominators at small n are skipped and reported.
+    The output budget is checked before any power is taken.
     """
     m = M.size
     if m < 2:
         raise UsageError("constant-ratio families need m >= 2")
+    n_max = int(n_max)
     families = constant_ratio_families(m)
-    ns = range(1, int(n_max) + 1)
     element = integral_element(M.poly, M.weights.x)
+    _refuse_over_budget(element, n_max, n_max * (n_max + 1) // 2)
+    ns = range(1, n_max + 1)
     results = []
     for fam_idx, (i, j, p, q) in enumerate(families):
         records = _walk(element, (i, j), (p, q), rational(0), ns)

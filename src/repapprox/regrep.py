@@ -33,9 +33,9 @@ int b-coordinates z for one common denominator d.  With Z the int matrix
 of the b-coordinates of (d g)^n, entry (i, j) of M^n (0-based) is
 Z[i][j] L^(i-j) / d^n (``scaled_entries``).
 
-Two independent construction paths are kept public to cross-validate it:
-``entries_via_formula`` goes through the explicit multinomial entry
-expansion, and ``build_cubic`` is the closed 3x3 form.
+``build`` is the one construction of M itself.  The multinomial entry
+expansion and the closed 3x3 cubic form are the independent references
+the tests compare it against (tests/dense.py).
 """
 
 import math
@@ -285,83 +285,3 @@ def build(f: Polynomial, x) -> RegRepMatrix:
     """M(x, u): the matrix of multiplication by the element with coordinates x."""
     w = _coerce_weights(f, x)
     return RegRepMatrix(matrix_of(f.u, w.x), w, f)
-
-
-def build_cubic(p, q, r, x, y, z) -> RegRepMatrix:
-    """Closed-form 3x3 regular representation for f = t^3 - p t^2 - q t - r."""
-    p, q, r = rational(p), rational(q), rational(r)
-    x, y, z = rational(x), rational(y), rational(z)
-    entries = (
-        (x, r * z, r * y + p * r * z),
-        (y, x + q * z, q * y + (p * q + r) * z),
-        (z, y + p * z, x + p * y + (p * p + q) * z),
-    )
-    return RegRepMatrix(entries, Weights((x, y, z)), Polynomial((p, q, r)))
-
-
-def _weighted_compositions(target, s):
-    """Tuples (k_1, ..., k_s) of nonnegative ints with sum of i*k_i == target."""
-    if s == 0:
-        if target == 0:
-            yield ()
-        return
-    for k in range(target // s + 1):
-        for head in _weighted_compositions(target - s * k, s - 1):
-            yield head + (k,)
-
-
-def entry_multinomial(f: Polynomial, i, j, n):
-    """Entry (i, j) of the n-th companion-matrix power, 1-based indices.
-
-    Sums over nonnegative (k_1, ..., k_m) with k_1 + 2 k_2 + ... + m k_m =
-    n - i + j the terms
-
-        (k_{m+1-i} + ... + k_m) / (k_1 + ... + k_m)
-            * multinomial(k_1, ..., k_m) * u_1^{k_1} ... u_m^{k_m}.
-
-    An empty index set (n - i + j < 0) gives 0; the all-zero solution
-    (n - i + j = 0) contributes 1, which reproduces A^0 = I.
-    """
-    m = f.degree
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise UsageError(f"indices ({i},{j}) out of range 1..{m}")
-    if n < 0:
-        raise UsageError("matrix power index n must be >= 0")
-    target = n - i + j
-    if target < 0:
-        return rational(0)
-    total = rational(0)
-    for ks in _weighted_compositions(target, m):
-        ktot = sum(ks)
-        if ktot == 0:
-            total += 1
-            continue
-        tail = sum(ks[m - i :])
-        if tail == 0:
-            continue
-        coeff = math.factorial(ktot)
-        for k in ks:
-            coeff //= math.factorial(k)
-        term = rational(tail * coeff, ktot)
-        for u_s, k in zip(f.u, ks):
-            if k:
-                term *= u_s**k
-        total += term
-    return total
-
-
-def entries_via_formula(f: Polynomial, x) -> RegRepMatrix:
-    """M built purely from the multinomial entry formula (cross-check path)."""
-    w = _coerce_weights(f, x)
-    m = f.degree
-    entries = tuple(
-        tuple(
-            sum(
-                (w.x[n] * entry_multinomial(f, i, j, n) for n in range(m)),
-                start=rational(0),
-            )
-            for j in range(1, m + 1)
-        )
-        for i in range(1, m + 1)
-    )
-    return RegRepMatrix(entries, w, f)

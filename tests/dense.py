@@ -8,6 +8,11 @@ operations, and the same element arithmetic on rationals (``multiply``,
 ``elements`` draws the random inputs that the property tests feed to both
 sides.  ``companion``, ``reflect`` and
 ``shift`` are the polynomial transforms only the tests use.
+``build_cubic`` (the closed 3x3 form) and ``entries_via_formula`` (the
+multinomial entry expansion) are the two independent constructions of M
+that ``regrep.build`` is checked against, and ``cubic_limit_matrix`` (the
+paper's closed cubic limit forms) is the reference for
+``convergence.limit_ratio`` on cubics.
 
 The second half holds the polynomial algebra and the root loops as they
 were written first, on ``Fraction`` and ``mpc`` operators: evaluation,
@@ -18,12 +23,15 @@ loops on ints and raw mpmath tuples, and the tests check that both give the
 same bits.
 """
 
+import math
+
 import mpmath as mp
 from hypothesis import strategies as st
 
-from repapprox.backends import rational
+from repapprox.backends import rational, to_mpf
 from repapprox.errors import DomainError, NotSquarefree, UsageError
 from repapprox.polynomial import Polynomial, derivative
+from repapprox.regrep import RegRepMatrix, Weights
 from repapprox.roots import Enclosure, RootEstimate, root_bound
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -173,6 +181,109 @@ def shift(f: Polynomial, c):
         for i in range(1, m + 1 - k):
             coeffs[i] += -c * coeffs[i - 1]
     return Polynomial.from_monic_coefficients(coeffs)
+
+
+def build_cubic(p, q, r, x, y, z) -> RegRepMatrix:
+    """Closed-form 3x3 regular representation for f = t^3 - p t^2 - q t - r."""
+    p, q, r = rational(p), rational(q), rational(r)
+    x, y, z = rational(x), rational(y), rational(z)
+    entries = (
+        (x, r * z, r * y + p * r * z),
+        (y, x + q * z, q * y + (p * q + r) * z),
+        (z, y + p * z, x + p * y + (p * p + q) * z),
+    )
+    return RegRepMatrix(entries, Weights((x, y, z)), Polynomial((p, q, r)))
+
+
+def _weighted_compositions(target, s):
+    """Tuples (k_1, ..., k_s) of nonnegative ints with sum of i*k_i == target."""
+    if s == 0:
+        if target == 0:
+            yield ()
+        return
+    for k in range(target // s + 1):
+        for head in _weighted_compositions(target - s * k, s - 1):
+            yield head + (k,)
+
+
+def entry_multinomial(f: Polynomial, i, j, n):
+    """Entry (i, j) of the n-th companion-matrix power, 1-based indices.
+
+    Sums over nonnegative (k_1, ..., k_m) with k_1 + 2 k_2 + ... + m k_m =
+    n - i + j the terms
+
+        (k_{m+1-i} + ... + k_m) / (k_1 + ... + k_m)
+            * multinomial(k_1, ..., k_m) * u_1^{k_1} ... u_m^{k_m}.
+
+    An empty index set (n - i + j < 0) gives 0; the all-zero solution
+    (n - i + j = 0) contributes 1, which reproduces A^0 = I.
+    """
+    m = f.degree
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise UsageError(f"indices ({i},{j}) out of range 1..{m}")
+    if n < 0:
+        raise UsageError("matrix power index n must be >= 0")
+    target = n - i + j
+    if target < 0:
+        return rational(0)
+    total = rational(0)
+    for ks in _weighted_compositions(target, m):
+        ktot = sum(ks)
+        if ktot == 0:
+            total += 1
+            continue
+        tail = sum(ks[m - i :])
+        if tail == 0:
+            continue
+        coeff = math.factorial(ktot)
+        for k in ks:
+            coeff //= math.factorial(k)
+        term = rational(tail * coeff, ktot)
+        for u_s, k in zip(f.u, ks):
+            if k:
+                term *= u_s**k
+        total += term
+    return total
+
+
+def entries_via_formula(f: Polynomial, x) -> RegRepMatrix:
+    """M built purely from the multinomial entry formula."""
+    w = Weights(x)
+    m = f.degree
+    entries = tuple(
+        tuple(
+            sum(
+                (w.x[n] * entry_multinomial(f, i, j, n) for n in range(m)),
+                start=rational(0),
+            )
+            for j in range(1, m + 1)
+        )
+        for i in range(1, m + 1)
+    )
+    return RegRepMatrix(entries, w, f)
+
+
+def cubic_limit_matrix(report, numerator):
+    """Closed-form 3x3 matrix of limits lim M^n[numerator] / M^n[h,k].
+
+    For a cubic with r != 0 and numerator (2,2) or (3,3), from a report of
+    convergence.analyze.  Entries involve only the dominant root and the
+    coefficients u_1 (=p) and u_3 (=r).
+    """
+    f = report.poly
+    with mp.workprec(report.work_prec):
+        alpha = mp.re(report.roots.roots[report.dominant_index].center)
+        p = to_mpf(f.u[0], mp)
+        r = to_mpf(f.u[2], mp)
+        if numerator == (2, 2):
+            row2 = (alpha, mp.mpf(1), 1 / alpha)
+            row3 = (alpha * (alpha - p), alpha - p, (alpha - p) / alpha)
+            row1 = tuple(e * alpha / r for e in row3)
+        else:
+            row3 = (alpha**2, alpha, mp.mpf(1))
+            row2 = tuple(e / (alpha - p) for e in row3)
+            row1 = tuple(e * alpha / r for e in row3)
+        return (row1, row2, row3)
 
 
 # ---------------------------------------------------------------------------

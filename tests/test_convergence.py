@@ -11,15 +11,11 @@ from repapprox import convergence, roots
 from repapprox.convergence import (
     _limit_data,
     analyze,
-    cubic_limit_matrix,
     limit_enclosure,
     limit_ratio,
-    rate_report,
     resolving_enclosure,
 )
 from repapprox.errors import (
-    DegenerateRatio,
-    DomainError,
     DominanceUndecidable,
     RootSeparationError,
     UsageError,
@@ -90,7 +86,6 @@ class TestAnalyze:
     )
     def test_published_c_values(self, ramanujan, x, sig, expect, root):
         report = analyze(ramanujan, x)
-        assert report.certified
         assert _nstr(report.c_value, sig) == expect
         dominant = report.roots.roots[report.dominant_index]
         assert abs(mp.re(dominant.center) - root) < 1e-5
@@ -105,7 +100,6 @@ class TestAnalyze:
         # dominance lands on 1/alpha_2 for the reciprocal-root polynomial
         reflected = dense.reflect(ramanujan)
         report = analyze(reflected, (-3, 1, -1))
-        assert report.certified
         assert _nstr(report.c_value, 3) == "2.67"
         dominant = report.roots.roots[report.dominant_index]
         assert abs(mp.re(dominant.center) - (-2.2469796)) < 1e-5
@@ -118,7 +112,6 @@ class TestAnalyze:
         a = analyze(ramanujan, (0, -1, 1))
         b = analyze(ramanujan, (0, -3, 3))
         assert a.dominant_index == b.dominant_index
-        assert a.certified and b.certified
         with mp.workprec(min(a.work_prec, b.work_prec)):
             assert abs(a.c_value - b.c_value) < mp.mpf(2) ** (-min(a.work_prec, b.work_prec) // 2)
 
@@ -227,12 +220,6 @@ class TestLimitRatio:
         assert pred.degenerate
         assert pred.rate_constant == 0
 
-    def test_requires_certified_report(self, ramanujan):
-        report = analyze(ramanujan, (0, -1, 1))
-        object.__setattr__(report, "certified", False)
-        with pytest.raises(DomainError):
-            limit_ratio(report, (2, 1), (3, 1))
-
     def test_index_validation(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
         with pytest.raises(UsageError):
@@ -304,13 +291,13 @@ class TestCubicClosedForms:
     def test_self_ratio_is_one(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
         for numerator in ((2, 2), (3, 3)):
-            mbar = cubic_limit_matrix(report, numerator)
+            mbar = dense.cubic_limit_matrix(report, numerator)
             h, k = numerator
             assert abs(mbar[h - 1][k - 1] - 1) < 1e-40
 
     def test_cube_of_root_over_r(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
-        mbar = cubic_limit_matrix(report, (3, 3))
+        mbar = dense.cubic_limit_matrix(report, (3, 3))
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(report.work_prec):
             assert abs(mbar[0][0] - alpha**3) < 1e-40  # r = 1
@@ -318,7 +305,7 @@ class TestCubicClosedForms:
     def test_remark_ratio_equals_r(self):
         f = parse_polynomial("u:1,1,4")  # r = 4, dominant real root exists
         report = analyze(f, (0, -1, 1))
-        mbar = cubic_limit_matrix(report, (2, 2))
+        mbar = dense.cubic_limit_matrix(report, (2, 2))
         with mp.workprec(report.work_prec):
             assert abs(mbar[2][0] / mbar[0][1] - 4) < 1e-30
             assert abs(mbar[2][1] / mbar[0][2] - 4) < 1e-30
@@ -326,52 +313,12 @@ class TestCubicClosedForms:
     def test_agrees_with_limit_ratio_everywhere(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
         for numerator in ((2, 2), (3, 3)):
-            mbar = cubic_limit_matrix(report, numerator)
+            mbar = dense.cubic_limit_matrix(report, numerator)
             for h in range(1, 4):
                 for k in range(1, 4):
                     pred = limit_ratio(report, numerator, (h, k))
                     with mp.workprec(report.work_prec):
                         assert abs(pred.limit - mbar[h - 1][k - 1]) < 1e-35
-
-    def test_requires_cubic(self):
-        f = parse_polynomial("c:1,0,-2")
-        report = analyze(f, (1, 1))
-        with pytest.raises(UsageError):
-            cubic_limit_matrix(report, (2, 2))
-
-    def test_rejects_zero_r(self):
-        f = parse_polynomial("u:0,1,0")  # t^3 - t, squarefree, r = 0
-        report = analyze(f, (1, 1, 1))
-        with pytest.raises(DomainError):
-            cubic_limit_matrix(report, (2, 2))
-
-
-class TestRateReport:
-    def test_reference_slope(self, ramanujan):
-        x = (0, -1, 1)
-        report = analyze(ramanujan, x)
-        pred = limit_ratio(report, (2, 1), (3, 1))
-        m = build(ramanujan, x)
-        records = ratio_sequence(m, (2, 1), (3, 1), -1, range(20, 101, 5))
-        summary = rate_report(pred, report, records)
-        assert mp.nstr(summary.predicted_slope, 4) == "-0.8949"
-        assert summary.relative_deviation < 0.005
-
-    def test_degenerate_rejected(self, ramanujan):
-        x = (0, -1, 1)
-        report = analyze(ramanujan, x)
-        pred = limit_ratio(report, (3, 1), (1, 2))
-        with pytest.raises(DegenerateRatio):
-            rate_report(pred, report, [])
-
-    def test_insufficient_records(self, ramanujan):
-        x = (0, -1, 1)
-        report = analyze(ramanujan, x)
-        pred = limit_ratio(report, (2, 1), (3, 1))
-        m = build(ramanujan, x)
-        records = ratio_sequence(m, (2, 1), (3, 1), -1, (10, 20))
-        with pytest.raises(DomainError):
-            rate_report(pred, report, records)
 
 
 class TestLimitEnclosure:
@@ -382,7 +329,7 @@ class TestLimitEnclosure:
         # contain the Vandermonde limit computed independently in mpmath.
         f = parse_polynomial(text)
         report = analyze(f, x)
-        enc = limit_enclosure(report, num, den, digits=60)
+        enc = limit_enclosure(f, _limit_data(report, num, den), digits=60)
         assert enc.radius <= rational(1, 10**60)
         v, vinv, k = _vandermonde(text, x)
         (i, j), (p, q) = num, den
@@ -398,19 +345,20 @@ class TestLimitEnclosure:
         # refined Sturm bracket, as Tables 1-5 and 7 measure against.
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        enc = resolving_enclosure(ramanujan, _limit_data(report, num, den), (), offset, 60)
+        data = _limit_data(report, num, den)
+        enc = resolving_enclosure(ramanujan, data, (), offset, 60)
         bracket = isolating_interval_for(ramanujan, report.roots.roots[report.dominant_index])
         est = refine_real_root(ramanujan, bracket, rational(1, 10**60))
         assert enc == Enclosure(est.center, est.radius)
         if offset == 0:
-            assert limit_enclosure(report, num, den, 60) == enc
+            assert limit_enclosure(ramanujan, data, 60) == enc
 
     def test_exact_constant_ratio(self):
         # (1,3)/(3,2) is -4 at every n here: N = -4 D modulo f.
         f = parse_polynomial("c:1,-3,-4,4")
         x = (-1, 0, 3)
         report = analyze(f, x)
-        enc = limit_enclosure(report, (1, 3), (3, 2), digits=60)
+        enc = limit_enclosure(f, _limit_data(report, (1, 3), (3, 2)), digits=60)
         assert enc == Enclosure(rational(-4), rational(0))
 
     def test_zero_denominator_refused_exactly(self):
@@ -418,7 +366,7 @@ class TestLimitEnclosure:
         f = parse_polynomial(text)
         report = analyze(f, x)
         with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
-            limit_enclosure(report, (1, 1), (2, 1), digits=60)
+            limit_enclosure(f, _limit_data(report, (1, 1), (2, 1)), digits=60)
 
 
 def _assert_resolved(enc, values):
@@ -558,6 +506,5 @@ def test_find_certified_weights(ramanujan):
     assert found
     for xs, c in found[:3]:
         report = analyze(ramanujan, xs)
-        assert report.certified
         assert report.dominant_index == 2
         assert c > 1

@@ -1,5 +1,5 @@
 """Every name a package module imports is used by that module (or exported),
-and every function the package defines is used by the package (or exported)."""
+and every function the package defines is used by the package itself."""
 
 import ast
 import importlib
@@ -101,11 +101,17 @@ def test_unreferenced_checker():
     assert unreferenced_definitions(sources, ()) == ["a.spare"]
 
 
+# Called by no package module, only by the tests and by perfbench, which
+# traces both by name: they move or go with the benchmark-only change
+# (ROADMAP, Do first).
+_TRACED_TEST_ONLY = {"refine_real_root", "constant_ratio_check"}
+
+
 def test_no_test_only_code_in_the_package():
     # A function only the tests call belongs in the tests (tests/dense.py
-    # holds the oracles); public API is what repapprox.__all__ lists.
+    # holds the oracles), exported or not.
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert unreferenced_definitions(sources, repapprox.__all__, _overrides) == []
+    assert unreferenced_definitions(sources, _TRACED_TEST_ONLY, _overrides) == []
 
 
 def _defs(tree):

@@ -17,7 +17,7 @@ from repapprox.powers import (
     mat_pow,
     ratio_sequence,
 )
-from repapprox.regrep import build, build_cubic
+from repapprox.regrep import build
 from repapprox.roots import Enclosure
 
 import dense
@@ -113,7 +113,7 @@ class TestRatioSequence:
 
     def test_zero_denominator_transients(self):
         # B-style matrix: M^1[2,1] = 0 but later powers fill in
-        b = build_cubic(0, 0, 2, 5, 0, 1)
+        b = dense.build_cubic(0, 0, 2, 5, 0, 1)
         records = ratio_sequence(b, (1, 1), (2, 1), 0, (1, 2, 3))
         assert not records[0].available
         assert records[1].available and records[2].available
@@ -133,7 +133,7 @@ class TestRatioSequence:
                 assert r.value == p[1][0] / p[2][0] - 1
 
     def test_all_zero_denominators_rejected(self):
-        b = build_cubic(0, 0, 2, 5, 0, 1)
+        b = dense.build_cubic(0, 0, 2, 5, 0, 1)
         with pytest.raises(ZeroDenominator):
             ratio_sequence(b, (1, 1), (2, 1), 0, (1,))
 
@@ -220,7 +220,7 @@ class TestConstantRatios:
             assert fam.constant == rational(1, 5)
 
     def test_skips_zero_denominators(self):
-        b = build_cubic(0, 0, 2, 0, 0, 1)  # x = (0,0,1): sparse powers
+        b = dense.build_cubic(0, 0, 2, 0, 0, 1)  # x = (0,0,1): sparse powers
         families = constant_ratio_check(b, 10)
         for fam in families:
             assert fam.holds
@@ -236,6 +236,16 @@ class TestConstantRatios:
         m = build(Polynomial((3,)), (2,))
         with pytest.raises(UsageError):
             constant_ratio_check(m, 5)
+
+    def test_output_budget_before_any_walk(self, m_ref, monkeypatch):
+        # M^1 ... M^2000 hold about 1.3e7 digits of entries: refused by the
+        # budget ratio_sequence applies, before any power is walked.
+        def walk(*args):
+            raise AssertionError("walked past the output budget")
+
+        monkeypatch.setattr(powers, "_walk", walk)
+        with pytest.raises(UsageError, match="MAX_OUTPUT_DIGITS"):
+            constant_ratio_check(m_ref, 2000)
 
 
 class TestExactTypes:

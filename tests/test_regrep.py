@@ -12,9 +12,6 @@ from repapprox.polynomial import Polynomial
 from repapprox.regrep import (
     Weights,
     build,
-    build_cubic,
-    entries_via_formula,
-    entry_multinomial,
     integral_element,
     matrix_of,
     multiply,
@@ -67,19 +64,19 @@ class TestBuild:
 
 class TestBuildCubic:
     def test_closed_form_entries(self):
-        m = build_cubic(-1, 2, 1, 0, -1, 1)
+        m = dense.build_cubic(-1, 2, 1, 0, -1, 1)
         assert m.entries == ((0, 1, -2), (-1, 2, -3), (1, -2, 4))
 
     def test_matches_generic_build(self):
-        m = build_cubic(-1, 2, 1, 0, -1, 1)
+        m = dense.build_cubic(-1, 2, 1, 0, -1, 1)
         assert m.entries == build(Polynomial((-1, 2, 1)), (0, -1, 1)).entries
 
     def test_b_style_matrix(self):
-        m = build_cubic(0, 0, 5, 3, 0, 1)
+        m = dense.build_cubic(0, 0, 5, 3, 0, 1)
         assert m.entries == ((3, 5, 0), (0, 3, 5), (1, 0, 3))
 
     def test_identity(self):
-        m = build_cubic(9, 9, 9, 1, 0, 0)
+        m = dense.build_cubic(9, 9, 9, 1, 0, 0)
         assert m.entries == dense.identity(3)
 
     @given(st.lists(st.fractions(min_value=-4, max_value=4), min_size=6, max_size=6))
@@ -88,7 +85,7 @@ class TestBuildCubic:
         p, q, r, x, y, z = vals
         if x == y == z == 0:
             x = 1
-        closed = build_cubic(p, q, r, x, y, z)
+        closed = dense.build_cubic(p, q, r, x, y, z)
         assert closed.entries == build(Polynomial((p, q, r)), (x, y, z)).entries
 
 
@@ -97,28 +94,28 @@ class TestEntryFormula:
         f = Polynomial((-1, 2, 1))
         for i in range(1, 4):
             for j in range(1, 4):
-                assert entry_multinomial(f, i, j, 0) == (1 if i == j else 0)
+                assert dense.entry_multinomial(f, i, j, 0) == (1 if i == j else 0)
 
     def test_power_one_is_companion(self):
         f = Polynomial((2, 3, 5))
         a = dense.companion(f)
         for i in range(1, 4):
             for j in range(1, 4):
-                assert entry_multinomial(f, i, j, 1) == a[i - 1][j - 1]
+                assert dense.entry_multinomial(f, i, j, 1) == a[i - 1][j - 1]
 
     def test_last_column_power_one(self):
         p, q, r = 2, 3, 5
         f = Polynomial((p, q, r))
-        assert entry_multinomial(f, 3, 3, 1) == p
-        assert entry_multinomial(f, 2, 3, 1) == q
-        assert entry_multinomial(f, 1, 3, 1) == r
+        assert dense.entry_multinomial(f, 3, 3, 1) == p
+        assert dense.entry_multinomial(f, 2, 3, 1) == q
+        assert dense.entry_multinomial(f, 1, 3, 1) == r
 
     def test_fifth_power_all_entries(self):
         f = Polynomial((-1, 2, 1))
         a5 = brute_power(f, 5)
         for i in range(1, 4):
             for j in range(1, 4):
-                assert entry_multinomial(f, i, j, 5) == a5[i - 1][j - 1]
+                assert dense.entry_multinomial(f, i, j, 5) == a5[i - 1][j - 1]
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_matches_powers_generic_degree(self, m):
@@ -128,24 +125,24 @@ class TestEntryFormula:
             an = brute_power(f, n)
             for i in range(1, m + 1):
                 for j in range(1, m + 1):
-                    assert entry_multinomial(f, i, j, n) == an[i - 1][j - 1]
+                    assert dense.entry_multinomial(f, i, j, n) == an[i - 1][j - 1]
 
     def test_index_validation(self):
         f = Polynomial((1, 1))
         with pytest.raises(UsageError):
-            entry_multinomial(f, 0, 1, 1)
+            dense.entry_multinomial(f, 0, 1, 1)
         with pytest.raises(UsageError):
-            entry_multinomial(f, 1, 1, -1)
+            dense.entry_multinomial(f, 1, 1, -1)
 
 
 class TestFormulaPath:
     def test_agrees_on_reference_case(self):
         f = Polynomial((-1, 2, 1))
-        assert entries_via_formula(f, (0, -1, 1)).entries == build(f, (0, -1, 1)).entries
+        assert dense.entries_via_formula(f, (0, -1, 1)).entries == build(f, (0, -1, 1)).entries
 
     def test_identity(self):
         f = Polynomial((1, 2, 3, 4, 5))
-        assert entries_via_formula(f, (1, 0, 0, 0, 0)).entries == dense.identity(5)
+        assert dense.entries_via_formula(f, (1, 0, 0, 0, 0)).entries == dense.identity(5)
 
     @given(
         st.integers(2, 4),
@@ -158,7 +155,7 @@ class TestFormulaPath:
         x = [rational(rng.randint(-4, 4)) for _ in range(m)]
         if all(c == 0 for c in x):
             x[0] = rational(1)
-        assert entries_via_formula(f, x).entries == build(f, x).entries
+        assert dense.entries_via_formula(f, x).entries == build(f, x).entries
 
 
 class TestIntegerKernel:
