@@ -12,7 +12,8 @@ sides.  ``companion``, ``reflect`` and
 multinomial entry expansion) are the two independent constructions of M
 that ``regrep.build`` is checked against, and ``cubic_limit_matrix`` (the
 paper's closed cubic limit forms) is the reference for
-``convergence.limit_ratio`` on cubics.
+``convergence.limit_ratio`` on cubics.  ``log_error_slope`` is the
+least-squares rate fit the convergence-rate tests measure sequences with.
 
 The second half holds the polynomial algebra and the root loops as they
 were written first, on ``Fraction`` and ``mpc`` operators: evaluation,
@@ -284,6 +285,18 @@ def cubic_limit_matrix(report, numerator):
             row2 = tuple(e / (alpha - p) for e in row3)
             row1 = tuple(e * alpha / r for e in row3)
         return (row1, row2, row3)
+
+
+def log_error_slope(records):
+    """Least-squares slope of log10 |error| against n, at 64 bits."""
+    with mp.workprec(64):
+        ns = [mp.mpf(r.n) for r in records]
+        logs = [mp.log10(to_mpf(r.abs_error, mp)) for r in records]
+        mean_n = mp.fsum(ns) / len(ns)
+        mean_l = mp.fsum(logs) / len(logs)
+        return mp.fsum(
+            (n - mean_n) * (l - mean_l) for n, l in zip(ns, logs)
+        ) / mp.fsum((n - mean_n) ** 2 for n in ns)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,21 @@ class TestLimitRatio:
             assert diff < mp.mpf(10) ** -170
 
 
+class TestRateReport:
+    def test_reference_slope(self, ramanujan):
+        x = (0, -1, 1)
+        report = analyze(ramanujan, x)
+        assert not limit_ratio(report, (2, 1), (3, 1)).degenerate
+        m = build(ramanujan, x)
+        records = ratio_sequence(m, (2, 1), (3, 1), -1, range(20, 101, 5))
+        tail = records[len(records) // 2 :]  # n = 60, ..., 100
+        with mp.workprec(64):
+            predicted = -mp.log10(report.c_value)  # c = 7.85086
+            assert mp.nstr(predicted, 4) == "-0.8949"
+            slope = dense.log_error_slope(tail)
+            assert abs(slope - predicted) / abs(predicted) < 0.005
+
+
 class TestSpectralStructure:
     def test_diagonalization_residual(self, ramanujan):
         roots = all_roots(ramanujan, 192)
