@@ -7,20 +7,22 @@ ratio of any two entries of M^n converges to V^-1[i,k] V[k,j] /
 (V^-1[p,k] V[k,q]), and the error shrinks like (|gamma_l| / |gamma_k|)^n
 where l is the runner-up index.
 
-Dominance is decided in mpmath at an escalating working precision.  A tie
-whose top |gamma| is at a conjugate pair of non-real roots is refused at
-the first precision, since the pair's gammas are conjugate; a +- tie or a
-real gamma tied with a non-real one escalates to MAX_PRECISION first.  The
-limit is exact algebra: it equals N(alpha_k) / D(alpha_k) for two int
-polynomials read off f, with alpha_k the real dominant root.  B_k = 0, a
-value equal to the limit and a limit equal to alpha_k are each decided by
-the integer remainder sequence of f and one polynomial, a ratio constant
-in n by two pseudo-remainders.  resolving_enclosure is the one enclosure
-loop: it decides the exact case once, then refines one int bracket from
-alpha_k's Sturm bracket across all its rounds; limit_enclosure is one
-round of it.  ``analyze`` returns only a certified report, and
-``limit_ratio`` is the one limit path; the paper's closed cubic forms are
-the independent reference the tests compare it against (tests/dense.py).
+Dominance is decided in mpmath at an escalating working precision.  Each
+doubling continues Aberth from the last round's root centres; only the
+first round starts from all_roots' circle.  A tie whose top |gamma| is at
+a conjugate pair of non-real roots is refused at the first precision,
+since the pair's gammas are conjugate; a +- tie or a real gamma tied with
+a non-real one escalates to MAX_PRECISION first.  The limit is exact
+algebra: it equals N(alpha_k) / D(alpha_k) for two int polynomials read
+off f, with alpha_k the real dominant root.  B_k = 0, a value equal to
+the limit and a limit equal to alpha_k are each decided by the integer
+remainder sequence of f and one polynomial, a ratio constant in n by two
+pseudo-remainders.  resolving_enclosure is the one enclosure loop: it
+decides the exact case once, then refines one int bracket from alpha_k's
+Sturm bracket across all its rounds; limit_enclosure is one round of it.
+``analyze`` returns only a certified report, and ``limit_ratio`` is the
+one limit path; the paper's closed cubic forms are the independent
+reference the tests compare it against (tests/dense.py).
 """
 
 from dataclasses import dataclass
@@ -88,14 +90,17 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     Precision doubles from precision_bits (at least 64) until the |gamma|
     intervals separate the maximum from everything else; no round asks
     all_roots for more than MAX_PRECISION bits, and past it the tie is refused
-    (DominanceUndecidable).  Exact ties (element is a constant: only x_0
-    nonzero) fail immediately.  So does a conjugate-pair tie, in the round
-    that finds it: f and x are rational, so gamma at conj(alpha) is the
-    conjugate of gamma at alpha, and when the largest |gamma| lies on a
-    non-real root (its lower bound above every real root's upper bound,
-    or f has no real root) its conjugate ties it at every precision.  A +-
-    tie, or a real gamma tied with a non-real one, still escalates to
-    MAX_PRECISION before it is refused.
+    (DominanceUndecidable).  The first round is all_roots(f, precision_bits),
+    started from the circle; each later round starts Aberth from the centres
+    the last round certified, so it takes a few sweeps, not a fresh solve.
+    Exact ties (element is a constant: only x_0 nonzero) fail immediately.
+    So does a conjugate-pair tie, in the round that finds it: f and x are
+    rational, so gamma at conj(alpha) is the conjugate of gamma at alpha,
+    and when the largest |gamma| lies on a non-real root (its lower bound
+    above every real root's upper bound, or f has no real root) its
+    conjugate ties it at every precision.  A +- tie, or a real gamma tied
+    with a non-real one, still escalates to MAX_PRECISION before it is
+    refused.
     """
     w = _coerce_weights(f, x)
     if all(c == 0 for c in w.x[1:]):
@@ -104,8 +109,12 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
         )
     weights = ",".join(map(format_rational, w.x))
     prec = max(int(precision_bits), 64)
+    roots = None
     while prec <= MAX_PRECISION:
-        roots = all_roots(f, prec)
+        if roots is None:
+            roots = all_roots(f, prec)
+        else:
+            roots = all_roots(f, prec, start=tuple(est.center for est in roots))
         with mp.workprec(max(prec, roots.work_prec) + 32):
             gams, bounds = [], []
             for est in roots:

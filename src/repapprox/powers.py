@@ -12,7 +12,8 @@ A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
 Every sequence is one walk, ``_walk``, over increasing n: each power is
 the last one times the power of the gap.  ``accelerated_sequence`` is
-ratio_sequence at n = stride^k; ``constant_ratio_check`` walks 1..n_max.
+ratio_sequence at n = stride^k; ``constant_ratio_check`` reads both of its
+families from one walk over 1..n_max.
 Errors are measured exactly against one certified rational enclosure of
 the limit per sequence (an exact constant, a refined real root, or rational
 interval arithmetic on a root's bracket), from
@@ -166,20 +167,24 @@ def _with_errors(records, target):
             for r in records]
 
 
-def _walk(element, num, den, offset, ns):
+def _walk(element, pairs, offset, ns):
     """Records, without errors, of value(n) = M^n[num]/M^n[den] + offset at the increasing ns.
 
-    Powers are int coordinates of (d g)^n over L*a, with element = M's
-    (u, L, z, d) from regrep.integral_element.  The first is (d g)^ns[0];
-    each later one is the last times (d g)^(n - last n).
+    One list of records per (num, den) in pairs, all read from the same
+    powers.  Powers are int coordinates of (d g)^n over L*a, with element =
+    M's (u, L, z, d) from regrep.integral_element.  The first is
+    (d g)^ns[0]; each later one is the last times (d g)^(n - last n).
     """
     u, scale, z, d = element
-    records = []
+    walks = [[] for _ in pairs]
+    last = None
     for n in ns:
-        h = multiply(u, h, power(u, z, n - records[-1].n)) if records else power(u, z, n)
+        h = power(u, z, n) if last is None else multiply(u, h, power(u, z, n - last))
         entries = scaled_entries(matrix_of(u, h), scale, d**n)
-        records.append(_record_from_entries(entries, n, num, den, offset))
-    return records
+        for records, (num, den) in zip(walks, pairs):
+            records.append(_record_from_entries(entries, n, num, den, offset))
+        last = n
+    return walks
 
 
 def ratio_sequence(M: RegRepMatrix, num, den, offset=0, n_list=()) -> list:
@@ -204,7 +209,7 @@ def ratio_sequence(M: RegRepMatrix, num, den, offset=0, n_list=()) -> list:
     element = integral_element(M.poly, M.weights.x)
     _refuse_over_budget(element, n_list[-1], sum(n_list))
     limit = _limit_data(analyze(M.poly, M.weights), num, den)
-    records = _walk(element, num, den, offset, n_list)
+    (records,) = _walk(element, [(num, den)], offset, n_list)
     values = [r.value for r in records if r.available]
     if not values:
         raise ZeroDenominator(f"denominator entry M^n[{den}] vanished at every requested n")
@@ -248,7 +253,8 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
 
     For (i,j,p,q) = (m,m-1,1,m) and (m,1,1,2) the ratio of entries of M^n is
     independent of n; zero denominators at small n are skipped and reported.
-    The output budget is checked before any power is taken.
+    The output budget is checked before any power is taken, and both
+    families are read from one walk over M^1 ... M^n_max.
     """
     m = M.size
     if m < 2:
@@ -257,10 +263,10 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
     families = constant_ratio_families(m)
     element = integral_element(M.poly, M.weights.x)
     _refuse_over_budget(element, n_max, n_max * (n_max + 1) // 2)
-    ns = range(1, n_max + 1)
+    pairs = [((i, j), (p, q)) for i, j, p, q in families]
+    walks = _walk(element, pairs, rational(0), range(1, n_max + 1))
     results = []
-    for fam_idx, (i, j, p, q) in enumerate(families):
-        records = _walk(element, (i, j), (p, q), rational(0), ns)
+    for fam_idx, ((i, j, p, q), records) in enumerate(zip(families, walks)):
         values = [r.value for r in records if r.available]
         constant = values[0] if values else None
         results.append(

@@ -656,20 +656,24 @@ def sort_canonically(estimates):
     )
 
 
-def all_roots(f: Polynomial, precision_bits=DEFAULT_PRECISION) -> RootSet:
+def all_roots(f: Polynomial, precision_bits=DEFAULT_PRECISION, start=None) -> RootSet:
     """All m roots with residual inclusion radii below 2**(-precision_bits/2).
 
-    Working precision doubles (and the Aberth iteration restarts from the
-    previous approximations) until the radii pass the threshold, the
-    inclusion disks are pairwise disjoint, and the number of real candidates
-    agrees with the exact Sturm count; past CEILING_FACTOR times the first
-    working precision the roots are refused (RootSeparationError).
+    Aberth starts from the m approximations in start (a tuple, such as the
+    centres of an earlier all_roots call at a lower precision), or from a
+    circle of radius root_bound(f) when start is None.  Working precision
+    doubles, each round continuing from the last round's approximations,
+    until the radii pass the threshold, the inclusion disks are pairwise
+    disjoint, and the number of real candidates agrees with the exact Sturm
+    count; past CEILING_FACTOR times the first working precision the roots
+    are refused (RootSeparationError).  The start changes only how many
+    sweeps that takes, never what is certified.
     """
-    return _all_roots_cached(f, int(precision_bits))
+    return _all_roots_cached(f, int(precision_bits), start)
 
 
 @lru_cache(maxsize=128)
-def _all_roots_cached(f, precision_bits):
+def _all_roots_cached(f, precision_bits, start):
     _require_squarefree(f)
     m = f.degree
     if m == 1:
@@ -680,7 +684,7 @@ def _all_roots_cached(f, precision_bits):
     work = max(precision_bits + 64, 128)
     ceiling = work * CEILING_FACTOR
     coeffs_exact = f.monic_coefficients()
-    zs = None
+    zs = start
     while work <= ceiling:
         with mp.workprec(work):
             target = mp.mpf(2) ** (-(precision_bits // 2))

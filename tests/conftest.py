@@ -17,9 +17,9 @@ def asked_precisions(monkeypatch):
     """The precision of every all_roots call analyze makes, in order."""
     asked = []
 
-    def recording(f, precision_bits):
+    def recording(f, precision_bits, start=None):
         asked.append(precision_bits)
-        return all_roots(f, precision_bits)
+        return all_roots(f, precision_bits, start=start)
 
     monkeypatch.setattr(convergence, "all_roots", recording)
     return asked

@@ -369,6 +369,33 @@ class TestCRatio:
             assert asked and max(asked) == cli.MAX_PRECISION == 65536
 
     @pytest.mark.parametrize(
+        "e, precisions",
+        [(400, [256, 512]), (1000, [256, 512, 1024]), (3000, [256, 512, 1024, 2048, 4096])],
+    )
+    def test_near_tie_escalates_then_prints_the_same_bytes(
+        self, capsys, asked_precisions, e, precisions
+    ):
+        # f = t^2 - t/2^e - 2 with gamma = alpha: |gamma| differ by 2^-e, so
+        # analyze doubles until the disks separate them, each round from the
+        # last round's roots, and prints what a cold start at each round did.
+        poly = f"--poly=c:1,-1/{2**e},-2"
+        expected = {
+            ("c-ratio",): "gamma_modulus,0,1.414213562373095049e0\n"
+                          "gamma_modulus,1,1.414213562373095049e0\n"
+                          "dominant_index,0\nrunner_up_index,1\n"
+                          "c,1.0\nc_inverse,1.0\ncertified,true\n",
+            ("c-ratio", "--format=pretty"): "|gamma_0| = 1.414213562373095049e0 <- dominant\n"
+                                            "|gamma_1| = 1.414213562373095049e0\n"
+                                            "c = 1.0\ncertified: True\n",
+            ("limits", "--indices=1,1,2,1"): "i,j,p,q,L,rate_constant,degenerate\n"
+                                             "1,1,2,1,1.4142135623730950488,2.828427125,false\n",
+        }
+        for (command, *extra), out in expected.items():
+            asked_precisions.clear()
+            assert run_cli(capsys, command, poly, "--x=0,1", *extra)[:2] == (0, out)
+            assert asked_precisions == precisions
+
+    @pytest.mark.parametrize(
         "poly,x",
         [("c:1,0,2,1", "0,1,0"), ("c:1,0,1,1", "0,1,0"), ("c:1,0,1", "0,1")],
         ids=["perfbench-seed-0", "t3+t+1", "t2+1-no-real-root"],

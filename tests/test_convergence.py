@@ -139,6 +139,55 @@ class TestAnalyze:
         assert "conjugate" not in str(info.value)
         assert asked_precisions == [256, 512, 1024, 2048]
 
+    def test_each_doubling_continues_from_the_last_roots(self, monkeypatch):
+        # The +- tie gamma = +-3 sqrt(21) doubles from 256 to 65536 bits.
+        # Each Aberth sweep takes m = 2 step sizes (_cabs); a round started
+        # from the last round's centres converges in two or three sweeps,
+        # where a start from the circle takes 7 at 256 bits and up to 12.
+        f = parse_polynomial("c:1,0,-21")
+        rounds, calls = [], []
+
+        def sweeps(*args):
+            calls.append(0)
+            try:
+                return aberth_pass(*args)
+            finally:
+                rounds[-1] += calls.pop() // f.degree
+
+        def counted_cabs(*args):
+            if calls:
+                calls[-1] += 1
+            return cabs(*args)
+
+        def round_of(*args, **kwargs):
+            rounds.append(0)
+            return all_roots(*args, **kwargs)
+
+        aberth_pass, cabs = roots._aberth_pass, roots._cabs
+        monkeypatch.setattr(roots, "_aberth_pass", sweeps)
+        monkeypatch.setattr(roots, "_cabs", counted_cabs)
+        monkeypatch.setattr(convergence, "all_roots", round_of)
+        roots._all_roots_cached.cache_clear()
+        with pytest.raises(DominanceUndecidable, match="up to 65536 bits"):
+            analyze(f, (0, 3))
+        assert len(rounds) == 9
+        assert all(n <= 3 for n in rounds[1:]), rounds
+        assert sum(rounds) <= 7 + 3 * 8, rounds
+
+    @pytest.mark.parametrize("e", [400, 1000, 3000])
+    def test_near_tie_dominant_matches_oracle(self, e):
+        # f = t^2 - t/2^e - 2, gamma = alpha: the |gamma| gap is 2^-e, and
+        # the root of larger modulus is the positive one.
+        f = parse_polynomial(f"c:1,-1/{2**e},-2")
+        report = analyze(f, (0, 1))
+        with mp.workdps(2000):
+            oracle = max(mp.polyroots([1, -mp.mpf(2) ** -e, -2], maxsteps=200, extraprec=2000),
+                         key=abs)
+            dominant = report.roots.roots[report.dominant_index]
+            assert abs(dominant.center - oracle) <= dominant.radius
+            assert all(abs(est.center - oracle) > est.radius
+                       for i, est in enumerate(report.roots) if i != report.dominant_index)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_conjugate_refusals_match_oracle(self, seed):
         # Random squarefree f of degree 2..5 with small weights, against

@@ -247,6 +247,31 @@ class TestConstantRatios:
         with pytest.raises(UsageError, match="MAX_OUTPUT_DIGITS"):
             constant_ratio_check(m_ref, 2000)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_both_families_from_one_walk(self, m_ref, monkeypatch, m):
+        # One walk takes M^1 by power() and each later M^n as M^(n-1) times
+        # power(1): n_max powers and n_max - 1 products, besides the
+        # budget's probe squarings, for both families together.
+        M = m_ref if m == 3 else build(Polynomial((-1, -1)), (0, 1))
+        n_max = 200
+        calls = {"multiply": 0, "power": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(powers, name, counted(name, getattr(powers, name)))
+        element = powers.integral_element(M.poly, M.weights.x)
+        powers._refuse_over_budget(element, n_max, n_max * (n_max + 1) // 2)
+        probe = calls["multiply"]
+        calls.update(multiply=0)
+        families = constant_ratio_check(M, n_max)
+        assert all(fam.holds for fam in families)
+        assert calls == {"multiply": probe + n_max - 1, "power": n_max}
+
 
 class TestExactTypes:
     """Entries are ints on integral input, so every ratio must be built as a

@@ -406,3 +406,30 @@ class TestAberth:
                 gamma, _ = convergence._gamma_with_bound(x, est)
                 oracle = dense.horner_mpc([to_mpf(c, mp) for c in reversed(x)], est.center)
                 assert gamma._mpc_ == oracle._mpc_
+
+
+class TestWarmStart:
+    @settings(max_examples=40, deadline=None)
+    @given(polys(max_degree=6), st.sampled_from((128, 256)))
+    @example(parse_polynomial("c:1,0,-21"), 128)
+    @example(parse_polynomial("c:1,0,0,-1"), 256)
+    def test_keeps_every_certified_property(self, f, p):
+        # analyze's later rounds: all_roots at 2p bits from the centres it
+        # certified at p bits, against a 3p-bit mpmath oracle and a cold start.
+        assume(f.degree >= 2 and dense.is_squarefree(f))
+        start = tuple(est.center for est in roots.all_roots(f, p))
+        warm = roots.all_roots(f, 2 * p, start=start)
+        cold = roots.all_roots(f, 2 * p)
+        assert len(warm) == f.degree
+        assert sum(est.is_real for est in warm) == roots.count_real_roots(f)
+        with mp.workprec(3 * p):
+            oracle = mp.polyroots([to_mpf(c, mp) for c in f.monic_coefficients()],
+                                  maxsteps=500, extraprec=3 * p)
+            for est in warm:
+                assert est.radius <= mp.mpf(2) ** -p
+                assert sum(abs(z - est.center) <= est.radius for z in oracle) == 1
+                twin = min(cold, key=lambda c: abs(c.center - est.center))
+                assert abs(twin.center - est.center) <= est.radius + twin.radius
+            for i, a in enumerate(warm.roots):
+                for b in warm.roots[i + 1:]:
+                    assert abs(a.center - b.center) > a.radius + b.radius
