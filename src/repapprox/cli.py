@@ -17,16 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath as mp
 
 from . import bench, convergence, iterative, powers
-from .backends import (
-    exact_decimal, format_rational, parse_rational, parse_rational_vector, sci_string,
-)
+from .backends import format_rational, parse_rational, parse_rational_vector, sci_string
 from .errors import DomainError, RepApproxError, UsageError
 from .polynomial import parse_polynomial
-from .regrep import build, matrix_of
+from .regrep import build
 from .roots import DEFAULT_PRECISION, MAX_PRECISION, all_roots
-
-# Options are None unless given, so --config can fill them; then these apply.
-_DEFAULTS = {"offset": "0", "methods": "newton,halley,noor", "jobs": 1, "time": False, "format": "csv"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub, output_format=False):
     sub.add_argument("--config", help="JSON file with default option values")
     if output_format:
-        sub.add_argument("--format", choices=("csv", "pretty"))
+        sub.add_argument("--format", choices=("csv", "pretty"), default="csv")
 
 
 @functools.cache
@@ -62,7 +57,7 @@ def _build_parser():
     p.add_argument("--x")
     p.add_argument("--num", help="numerator entry i,j")
     p.add_argument("--den", help="denominator entry p,q")
-    p.add_argument("--offset", help="rational or 'auto'")
+    p.add_argument("--offset", default="0", help="rational or 'auto'")
     p.add_argument("--n", help="comma-separated step indices")
     p.add_argument("--stride", type=int, help="repeated powering stride")
     p.add_argument("--steps", type=int, help="steps for --stride mode")
@@ -83,7 +78,7 @@ def _build_parser():
 
     p = subs.add_parser("compare", help="iterative baselines")
     p.add_argument("--poly")
-    p.add_argument("--methods")
+    p.add_argument("--methods", default="newton,halley,noor")
     p.add_argument("--x0", help="rational initial condition")
     p.add_argument("--steps", type=int)
     _add_common(p)
@@ -91,8 +86,8 @@ def _build_parser():
     p = subs.add_parser("tables", help="reproduce published tables")
     p.add_argument("--id", help="1..7 or 'all'")
     p.add_argument("--out", help="output directory (default: $REPAPPROX_OUT or .)")
-    p.add_argument("--jobs", type=int, help="worker processes, at most one per table")
-    p.add_argument("--time", action="store_true", default=None, help="report elapsed time per table")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per table")
+    p.add_argument("--time", action="store_true", help="report elapsed time per table")
     _add_common(p)
 
     p = subs.add_parser("roots", help="certified roots")
@@ -104,19 +99,21 @@ def _build_parser():
 
 
 def _parse(argv):
-    """Options from the command line, else from --config, else _DEFAULTS."""
+    """Options from the command line, else from --config, else their declared defaults.
+
+    The --config options go ahead of the command line's, right after the
+    command, so argparse checks every one of them and, keeping the last
+    value of an option, lets the command line win.
+    """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        args = parser.parse_args(argv + _config_argv(args, commands[args.command]))
-    for dest, value in _DEFAULTS.items():
-        if getattr(args, dest, False) is None:
-            setattr(args, dest, value)
+        args = parser.parse_args(argv[:1] + _config_argv(args, commands[args.command]) + argv[1:])
     return args
 
 
 def _config_argv(args, sub):
-    """The --config options not on the command line, as argv for argparse to check."""
+    """The --config options as argv, for argparse to check."""
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -130,8 +127,7 @@ def _config_argv(args, sub):
         action = sub._option_string_actions.get(option)
         if action is None or action.dest in ("help", "config"):
             raise UsageError(f"--config: {args.command} has no option {option}")
-        if getattr(args, action.dest) is None:
-            extra += ([option] if value else []) if action.nargs == 0 else [f"{option}={value}"]
+        extra += ([option] if value else []) if action.nargs == 0 else [f"{option}={value}"]
     return extra
 
 
@@ -167,25 +163,15 @@ def _matrix(args):
 
 
 def _print_matrix(power, fmt, out):
-    """Print the entries of a MatrixPower, row by row.
-
-    An integral one is rebuilt by matrix_of from its m Decimal coordinates
-    in exact Decimal arithmetic, with no int converted; every entry then
-    prints by str() in linear time.
-    """
-    if power.integral is None:
-        rows, cell = power.entries, format_rational
-    else:
-        u, coords = power.integral
-        with exact_decimal():
-            rows, cell = matrix_of(u, coords), str
+    """Print the rows of a MatrixPower: integral Decimals by str(), rationals by format_rational."""
+    cell = str if power.integral else format_rational
     if fmt == "pretty":
-        cells = [[cell(e) for e in row] for row in rows]
+        cells = [[cell(e) for e in row] for row in power.rows]
         width = max(len(c) for row in cells for c in row)
         for row in cells:
             print("  ".join(c.rjust(width) for c in row), file=out)
     else:
-        for row in rows:
+        for row in power.rows:
             print(",".join(map(cell, row)), file=out)
 
 
@@ -400,7 +386,7 @@ def _cmd_roots(args, out):
     f = parse_polynomial(args.poly)
     bits = _precision(args)
     roots = all_roots(f, bits)
-    with mp.workprec(max(bits, roots.work_prec)):
+    with mp.workprec(roots.work_prec):
         for est in roots:
             # A linear f's one root is exact: a rational centre, radius 0.
             c = est.center

@@ -87,12 +87,14 @@ def _gamma_with_bound(x, root):
 def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceReport:
     """Certify a strictly dominant gamma and report c = |gamma_k|/|gamma_l|.
 
-    Precision doubles from precision_bits (at least 64) until the |gamma|
-    intervals separate the maximum from everything else; no round asks
-    all_roots for more than MAX_PRECISION bits, and past it the tie is refused
-    (DominanceUndecidable).  The first round is all_roots(f, precision_bits),
-    started from the circle; each later round starts Aberth from the centres
-    the last round certified, so it takes a few sweeps, not a fresh solve.
+    Precision doubles from precision_bits (at least 64, and above
+    MAX_PRECISION a UsageError before any root is computed) until the
+    |gamma| intervals separate the maximum from everything else; no round
+    asks all_roots for more than MAX_PRECISION bits, and past it the tie is
+    refused (DominanceUndecidable).  The first round is all_roots(f,
+    precision_bits), started from the circle; each later round starts Aberth
+    from the centres the last round certified, so it takes a few sweeps, not
+    a fresh solve.
     Exact ties (element is a constant: only x_0 nonzero) fail immediately.
     So does a conjugate-pair tie, in the round that finds it: f and x are
     rational, so gamma at conj(alpha) is the conjugate of gamma at alpha,
@@ -102,20 +104,22 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     with a non-real one, still escalates to MAX_PRECISION before it is
     refused.
     """
+    prec = max(int(precision_bits), 64)
+    if prec > MAX_PRECISION:
+        raise UsageError(f"precision_bits must be <= MAX_PRECISION = {MAX_PRECISION}, got {prec}")
     w = _coerce_weights(f, x)
     if all(c == 0 for c in w.x[1:]):
         raise DominanceUndecidable(
             "element is rational: all gamma_j coincide, no strict dominance"
         )
     weights = ",".join(map(format_rational, w.x))
-    prec = max(int(precision_bits), 64)
     roots = None
     while prec <= MAX_PRECISION:
         if roots is None:
             roots = all_roots(f, prec)
         else:
             roots = all_roots(f, prec, start=tuple(est.center for est in roots))
-        with mp.workprec(max(prec, roots.work_prec) + 32):
+        with mp.workprec(roots.work_prec + 32):
             gams, bounds = [], []
             for est in roots:
                 g, b = _gamma_with_bound(w.x, est)
@@ -144,7 +148,7 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
                     c_value=c,
                     c_inverse=c_inv,
                     roots=roots,
-                    work_prec=max(prec, roots.work_prec),
+                    work_prec=roots.work_prec,
                     poly=f,
                 )
         prec *= 2

@@ -24,7 +24,7 @@ q by bit lengths or cross-multiplication, with no gcd at all.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .backends import as_int_pair, coprime_rational, decimal_digit_count, rational
@@ -43,10 +43,6 @@ class IterativeState:
     method: str
     x_n: object
     n: int
-    y_n: object = None  # Noor's intermediate predictor value
-    # F(p, q) at x_n = p/q when the caller has it already (``iterate_records``
-    # does, from its residual check); ``step`` passes it to the kernel.
-    fx: int | None = field(default=None, compare=False, repr=False)
 
 
 _X, _Y = (1, 0), (0, 1)  # the forms X and Y
@@ -136,15 +132,18 @@ def noor_step(f: Polynomial, x, fx=None):
     return y, nxt
 
 
-def step(f: Polynomial, state: IterativeState) -> IterativeState:
-    """state advanced by one newton_step, halley_step or noor_step, passing on state.fx."""
+def step(f: Polynomial, state: IterativeState, fx=None) -> IterativeState:
+    """state advanced by one newton_step, halley_step or noor_step.
+
+    fx is F(p, q) at x_n = p/q when the caller has it already
+    (``iterate_records`` does, from its residual check); it goes to the kernel.
+    """
     if state.method == "newton":
-        return IterativeState("newton", newton_step(f, state.x_n, state.fx), state.n + 1)
+        return IterativeState("newton", newton_step(f, state.x_n, fx), state.n + 1)
     if state.method == "halley":
-        return IterativeState("halley", halley_step(f, state.x_n, state.fx), state.n + 1)
+        return IterativeState("halley", halley_step(f, state.x_n, fx), state.n + 1)
     if state.method == "noor":
-        y, nxt = noor_step(f, state.x_n, state.fx)
-        return IterativeState("noor", nxt, state.n + 1, y_n=y)
+        return IterativeState("noor", noor_step(f, state.x_n, fx)[1], state.n + 1)
     raise UsageError(f"unknown method {state.method!r}; choose from {METHODS}")
 
 
@@ -217,7 +216,7 @@ def iterate_records(method, f: Polynomial, x0, steps):
     grew = 0
     while state.n < steps and digits * factor <= MAX_DEN_DIGITS:
         prev = abs(fx), q
-        state = step(f, replace(state, fx=fx))
+        state = step(f, state, fx)
         p, q = as_int_pair(state.x_n)
         digits = decimal_digit_count(q)  # reduced already
         records.append(

@@ -6,7 +6,8 @@ generator of ``regrep.integral_element``.  Entries are read from
 ``regrep.matrix_of`` and ``regrep.scaled_entries``: ints for integral f
 and x, and a rational only where a ratio or a non-integral entry needs one.
 ``mat_pow`` of an integral M takes the power over exact Decimals instead,
-for printing; ``MatrixPower.entries`` takes it again over ints when read.
+and its rows are what gets printed; ``MatrixPower.entries`` takes it
+again over ints when read.
 
 A sequence is defined by an entry-index pair for the numerator, one for the
 denominator, and an affine offset: value(n) = M^n[num] / M^n[den] + offset.
@@ -43,29 +44,28 @@ from .regrep import (
 
 @dataclass(frozen=True)
 class MatrixPower:
-    """M^n.
+    """M^n, with rows holding its entries in the form they print in.
 
-    integral is (u, c) when L = d^n = 1 (regrep.integral_element): c holds
-    the m coordinates of g^n as integer-valued Decimals, taken in exact
-    Decimal arithmetic, so matrix_of(u, c) under backends.exact_decimal()
-    is M^n with entries that print by str() in linear time.  Otherwise it
-    is None and rational_entries holds M^n.
+    integral is True when L = d^n = 1 (regrep.integral_element): rows are
+    then integer-valued Decimals, built by matrix_of from the m coordinates
+    of g^n in exact Decimal arithmetic, so each prints by str() in linear
+    time.  Otherwise rows are M^n's reduced rationals.
     """
 
     base: RegRepMatrix
     n: int
-    integral: tuple
-    rational_entries: tuple
+    rows: tuple
+    integral: bool
 
     @cached_property
     def entries(self):
         """M^n: ints when f and x are integral, rationals otherwise.
 
         An integral power is taken again by the int kernel on first read;
-        converting the Decimal coordinates back by int() is quadratic.
+        converting the Decimal rows back by int() is quadratic.
         """
-        if self.integral is None:
-            return self.rational_entries
+        if not self.integral:
+            return self.rows
         u, _, z, _ = integral_element(self.base.poly, self.base.weights.x)
         return matrix_of(u, power(u, z, self.n))
 
@@ -125,6 +125,11 @@ def _refuse_over_budget(element, n_max, n_sum):
 
 
 def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
+    """M^n, refused over MAX_OUTPUT_DIGITS before any power is taken.
+
+    For integral f and x the power and matrix_of run in exact Decimal
+    arithmetic, so the rows print without any int conversion.
+    """
     if n < 0:
         raise UsageError("matrix power requires n >= 0")
     element = integral_element(M.poly, M.weights.x)
@@ -133,10 +138,9 @@ def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
     den = d**n
     if scale == den == 1:
         with exact_decimal():
-            coords = power(u, [Decimal(v) for v in z], n)
-        return MatrixPower(M, n, (u, coords), None)
-    entries = scaled_entries(matrix_of(u, power(u, z, n)), scale, den)
-    return MatrixPower(M, n, None, entries)
+            rows = matrix_of(u, power(u, [Decimal(v) for v in z], n))
+        return MatrixPower(M, n, rows, True)
+    return MatrixPower(M, n, scaled_entries(matrix_of(u, power(u, z, n)), scale, den), False)
 
 
 def _check_index(pair, m, label):

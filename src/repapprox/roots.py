@@ -63,7 +63,7 @@ class RootEstimate:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple
-    work_prec: int = 0
+    work_prec: int
 
     def __len__(self):
         return len(self.roots)
@@ -379,18 +379,19 @@ def enclose_quotient(f: Polynomial, n, d, bracket, digits):
 def _certified_irreducible(f):
     """Whether f is certified irreducible over Q: degree 2 or 3, no rational root.
 
-    A rational root p/q of the int form F has q | lc(F), so once its Sturm
-    bracket is narrower than 1/(2 lc(F)) the one multiple of 1/lc(F) in it
-    is the only candidate.  Other degrees are not decided and give False.
+    A rational root p/q of the int form F has q | lc(F), so once
+    refine_real_root narrows its Sturm bracket below 1/(2 lc(F)) the one
+    multiple of 1/lc(F) in it is the only candidate.  Other degrees are not
+    decided and give False.
     """
     if not 2 <= f.degree <= 3 or not is_squarefree(f):
         return False
-    forms = f.integer_forms()[:2]
-    lc = abs(forms[0][0])
-    for a, b in isolate_real_roots(f):
-        lo, hi, q = _refine(forms, *_bracket(a, b), (1, 4 * lc))
-        k = -(-lo * lc // q)  # the least multiple k/lc of 1/lc at or above lo/q
-        if k * q <= hi * lc and homogeneous_eval(forms[0], k, lc) == 0:
+    F = f.integer_forms()[0]
+    lc = abs(F[0])
+    for interval in isolate_real_roots(f):
+        est = refine_real_root(f, interval, rational(1, 4 * lc))
+        k = -((est.radius - est.center) * lc // 1)  # the least k with k/lc >= the low end
+        if k <= (est.center + est.radius) * lc and homogeneous_eval(F, k, lc) == 0:
             return False
     return True
 

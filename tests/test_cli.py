@@ -438,6 +438,15 @@ class TestCRatio:
             assert f"MAX_PRECISION = {cli.MAX_PRECISION}" in err and huge in err
         assert cli.MAX_PRECISION == 1 << 16
 
+    def test_unseparable_roots_are_a_domain_error(self, capsys):
+        # (t - 1)(t - 1 - 2^-20000): all_roots refuses after 128 ... 8192 bits.
+        d = 2**20000
+        poly = f"c:1,{-(2 * d + 1)}/{d},{d + 1}/{d}"
+        argv = ["c-ratio", "--poly", poly, "--x", "0,1", "--precision", "64"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: could not separate roots")
+
     def test_negative_leading_value(self, capsys):
         # argparse alone reads "-1,1,1" as an option and has --x miss its value
         spaced = run_cli(capsys, "c-ratio", "--poly", "c:1,1,-2,-1", "--x", "-1,1,1")
@@ -699,6 +708,33 @@ class TestConfigAndErrors:
         code, out, err = run_cli(capsys, "tables", "--id", "1", "--config", str(cfg))
         assert (code, out) == (1, "")
         assert err.startswith("usage error:")
+
+    def test_declared_defaults(self):
+        # Each default sits on its option; without --config nothing fills them.
+        assert cli._parse(["approx"]).offset == "0"
+        assert cli._parse(["approx"]).format == "csv"
+        assert cli._parse(["compare"]).methods == "newton,halley,noor"
+        args = cli._parse(["tables"])
+        assert (args.jobs, args.time) == (1, False)
+
+    def test_command_line_beats_config_at_parse_level(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 3, "time": False}))
+        args = cli._parse(["tables", "--config", str(cfg)])
+        assert (args.jobs, args.time) == (3, False)
+        args = cli._parse(["tables", "--jobs", "2", "--time", "--config", str(cfg)])
+        assert (args.jobs, args.time) == (2, True)
+        cfg.write_text(json.dumps({"time": True}))
+        assert cli._parse(["tables", "--config", str(cfg)]).time is True
+
+    def test_overridden_config_value_is_still_checked(self, capsys, tmp_path):
+        # Every config option goes through argparse, even one the command line overrides.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"precision": "abc"}))
+        argv = ["c-ratio", "--poly", "c:1,1,-2,-1", "--x", "0,-1,1", "--precision", "128"]
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "abc" in err
 
     def test_config_leaves_the_shared_parser_as_it_was(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

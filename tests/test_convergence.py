@@ -90,6 +90,14 @@ class TestAnalyze:
         dominant = report.roots.roots[report.dominant_index]
         assert abs(mp.re(dominant.center) - root) < 1e-5
 
+    @pytest.mark.parametrize("bits", [roots.MAX_PRECISION + 1, 2 * roots.MAX_PRECISION])
+    def test_precision_over_the_cap_refused_first(self, ramanujan, asked_precisions, bits):
+        # A dominant input, certified at MAX_PRECISION itself: above it the
+        # refusal names the cap instead of reporting a tie.
+        with pytest.raises(UsageError, match=f"MAX_PRECISION = {roots.MAX_PRECISION}"):
+            analyze(ramanujan, (0, -1, 1), bits)
+        assert asked_precisions == []
+
     def test_c_value_with_corrected_final_digit(self, ramanujan):
         # published as 3.68141; the correctly computed value is 3.6813962...
         report = analyze(ramanujan, (1, -1, 1))

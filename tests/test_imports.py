@@ -102,9 +102,10 @@ def test_unreferenced_checker():
 
 
 # Called by no package module, only by the tests and by perfbench, which
-# traces both by name: they move or go with the benchmark-only change
-# (ROADMAP, Do first).
-_TRACED_TEST_ONLY = {"refine_real_root", "constant_ratio_check"}
+# traces it by name: it moves or goes with the benchmark-only change
+# (ROADMAP, Do first), and so does the dataclass it returns.
+_TRACED_TEST_ONLY = {"constant_ratio_check"}
+_TRACED_TEST_ONLY_CLASSES = {"ConstantRatioFamily"}
 
 
 def test_no_test_only_code_in_the_package():
@@ -141,6 +142,18 @@ def _passes(call, position, name):
     )
 
 
+def _calls_by_name(sources):
+    """Every Call node in the sources, by the name called: f for f(...) and for o.f(...)."""
+    calls = {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
 def idle_parameters(defined, callers):
     """Parameters of the defs in `defined` that no call sets or that the body never reads.
 
@@ -151,13 +164,7 @@ def idle_parameters(defined, callers):
     the call counts as passing.  Any parameter is idle if its body reads
     no Name of it.  Lambdas and the first parameter of a method are exempt.
     """
-    calls = {}
-    for source in callers.values():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+    calls = _calls_by_name(callers)
     idle = set()
     for source in defined.values():
         for qualname, node, is_method in _defs(ast.parse(source)):
@@ -200,6 +207,68 @@ def test_every_parameter_has_a_caller_and_a_reader():
     # accepted but ignored.
     defined = {path.stem: path.read_text() for path in MODULES}
     assert idle_parameters(defined, defined) == []
+
+
+def _is_dataclass(decorator):
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(func, ast.Name) and func.id == "dataclass"
+
+
+def idle_fields(defined, readers, constructors, exempt=()):
+    """Dataclass fields of `defined` that nothing reads, or whose default nothing uses.
+
+    Each argument maps module names to source texts.  A field is idle when
+    no Attribute load in `readers` carries its name, and its default is idle
+    (reported as "Class.field default") when every construction in
+    `constructors`, a call naming the class as ``K(...)`` or ``mod.K(...)``,
+    passes the field by keyword or by position.  Classes in `exempt` are
+    skipped.
+    """
+    read = {node.attr for source in readers.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    calls = _calls_by_name(constructors)
+    idle = []
+    for source in defined.values():
+        for cls in ast.parse(source).body:
+            if not (isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+                    and cls.name not in exempt):
+                continue
+            fields = [sub for sub in cls.body
+                      if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)]
+            for position, sub in enumerate(fields):
+                name = sub.target.id
+                if name not in read:
+                    idle.append(f"{cls.name}.{name}")
+                if sub.value is not None and all(
+                    _passes(c, position, name) for c in calls.get(cls.name, ())
+                ):
+                    idle.append(f"{cls.name}.{name} default")
+    return sorted(idle)
+
+
+def test_idle_field_checker():
+    defined = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\nclass K:\n    a: int\n    b: int = 0\n    c: int = 1\n"
+             "@dataclass\nclass J:\n    spare: int\n"
+             "class Plain:\n    ignored: int = 0\n",
+    }
+    readers = {"b": "def f(k):\n    k.b = k.a + k.c\n"}
+    constructors = {"c": "K(1, c=2)\nK(a=1, b=2, c=3)\n"}
+    assert idle_fields(defined, readers, constructors) == ["J.spare", "K.b", "K.c default"]
+    assert idle_fields(defined, readers, constructors, exempt=("J",)) == ["K.b", "K.c default"]
+    readers["b"] += "print(k.b)\n"
+    constructors["c"] += "mod.K(1, 2)\n"
+    assert idle_fields(defined, readers, constructors, exempt=("J",)) == []
+
+
+def test_every_field_has_a_reader_and_a_default_in_use():
+    # A field the package never reads is state carried for nothing, and a
+    # default every construction overrides is a value no input reaches.
+    package = {path.stem: path.read_text() for path in MODULES}
+    tests = {path.stem: path.read_text() for path in Path(__file__).parent.glob("*.py")}
+    everywhere = {**{f"repapprox.{k}": v for k, v in package.items()}, **tests}
+    assert idle_fields(package, package, everywhere, _TRACED_TEST_ONLY_CLASSES) == []
 
 
 # Traced names the package no longer has: they read 0 until the benchmark

@@ -4,8 +4,8 @@ from hypothesis import example, given, strategies as st
 
 import repapprox as ra
 from repapprox import roots
-from repapprox.backends import mpf_to_rational, rational
-from repapprox.errors import DomainError, NotSquarefree
+from repapprox.backends import mpf_to_rational, rational, to_mpf
+from repapprox.errors import DomainError, NotSquarefree, RootSeparationError
 from repapprox.iterative import iterate_records
 from repapprox import polynomial
 from repapprox.polynomial import (
@@ -285,6 +285,84 @@ class TestAllRoots:
     def test_rejects_non_squarefree(self):
         with pytest.raises(NotSquarefree):
             all_roots(parse_polynomial("c:1,-2,1"), 128)
+
+
+def _near_double(e):
+    """(t - 1)(t - 1 - 2^-e): two simple roots 2^-e apart."""
+    d = rational(1, 2**e)
+    return Polynomial.from_monic_coefficients([1, -(2 + d), 1 + d])
+
+
+class TestEscalation:
+    """all_roots doubles its working precision until _certify accepts, and
+    refuses past CEILING_FACTOR times the first."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """(working precision, accepted) of every _certify call, from a cleared cache."""
+        seen = []
+        certify = roots._certify
+
+        def recording(*args):
+            estimates = certify(*args)
+            seen.append((mp.mp.prec, estimates is not None))
+            return estimates
+
+        monkeypatch.setattr(roots, "_certify", recording)
+        roots._all_roots_cached.cache_clear()
+        return seen
+
+    @pytest.mark.parametrize(
+        "e,precs",
+        [
+            (200, [320, 640]),  # a radius above the target at 320 bits
+            # A radius above the target, then overlapping disks twice.
+            (1000, [320, 640, 1280, 2560]),
+        ],
+    )
+    def test_escalates_until_certified(self, rounds, e, precs):
+        found = all_roots(_near_double(e), 256)
+        work = precs[-1]
+        assert rounds == [(p, p == work) for p in precs]
+        assert found.work_prec == work
+        es = found.roots
+        with mp.workprec(2 * work):  # the centres' differences and both roots exactly
+            exact = [mp.mpf(1), 1 + mp.mpf(2) ** -e]
+            assert abs(es[0].center - es[1].center) > es[0].radius + es[1].radius
+            for est in es:
+                assert sum(abs(est.center - z) <= est.radius for z in exact) == 1
+
+    def test_refused_past_the_ceiling(self, rounds):
+        with pytest.raises(RootSeparationError, match="could not separate roots"):
+            all_roots(_near_double(20000), 64)
+        assert rounds == [(128 << k, False) for k in range(7)]  # 128 ... 8192 = 64 * 128
+
+    @staticmethod
+    def _certify(f, zs, bits=256):
+        coeffs = f.monic_coefficients()
+        with mp.workprec(bits):
+            coeffs_mp = [to_mpf(c, mp) for c in coeffs]
+            dcoeffs_mp = [to_mpf(c, mp) for c in polynomial.derivative(coeffs)]
+            target = mp.mpf(2) ** -(bits // 4)
+            return roots._certify(
+                coeffs_mp, dcoeffs_mp, [mp.mpc(z) for z in zs], f.degree,
+                count_real_roots(f), target,
+            )
+
+    def test_off_axis_real_candidate_refused(self):
+        f = parse_polynomial("c:1,0,0,-2")  # one real root
+        with mp.workprec(256):
+            real = mp.cbrt(2)
+            pair = [real * mp.exp(2j * mp.pi / 3), real * mp.exp(-2j * mp.pi / 3)]
+            assert len(self._certify(f, [real, *pair])) == 3
+            assert self._certify(f, [real + mp.mpf(10) ** -3 * 1j, *pair]) is None
+
+    def test_odd_upper_half_plane_count_refused(self):
+        f = parse_polynomial("c:1,0,0,0,1")  # no real root, two conjugate pairs
+        with mp.workprec(256):
+            zs = [mp.exp(1j * mp.pi * k / 4) for k in (1, 3, 5, 7)]
+            assert len(self._certify(f, zs)) == 4
+            assert self._certify(f, [*zs[:3], mp.conj(zs[3])]) is None
 
 
 def test_refined_center_is_exact_rational(ramanujan):
