@@ -284,7 +284,7 @@ def _cmd_c_ratio(args, out):
     report = convergence.analyze(
         f, parse_rational_vector(args.x), precision_bits=_precision(args)
     )
-    bits = report.work_prec
+    bits = report.roots.work_prec
     with mp.workprec(bits):
         if args.format == "pretty":
             for idx, g in enumerate(report.gamma):
@@ -387,12 +387,10 @@ def _cmd_roots(args, out):
     bits = _precision(args)
     roots = all_roots(f, bits)
     with mp.workprec(roots.work_prec):
-        for est in roots:
-            # A linear f's one root is exact: a rational centre, radius 0.
-            c = est.center
-            re, im = (c, 0) if hasattr(c, "numerator") else (mp.re(c), mp.im(c))
+        for index, est in enumerate(roots):
+            re, im = est.center.real, est.center.imag  # a linear f's root is a rational
             print(
-                f"{est.index},{_fmt_mp(re, bits)},{_fmt_mp(im, bits)},"
+                f"{index},{_fmt_mp(re, bits)},{_fmt_mp(im, bits)},"
                 f"{_fmt_mp(est.radius, 64)},{str(est.is_real).lower()}",
                 file=out,
             )

@@ -35,7 +35,7 @@ from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_a
 from .regrep import _coerce_weights
 from .roots import (
     DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, _bracket, _certified_irreducible,
-    _horner_mp, _make_mpc, all_roots, enclose_quotient, isolating_interval_for,
+    _horner_mp, _make_mpc, all_roots, enclose_quotient, isolate_real_roots,
 )
 
 
@@ -47,13 +47,11 @@ class ConvergenceReport:
     c_value: object  # min over j != k of |gamma_k| / |gamma_j|
     c_inverse: object
     roots: RootSet
-    work_prec: int
     poly: Polynomial
 
 
 @dataclass(frozen=True)
 class LimitPrediction:
-    indices: tuple  # (i, j, p, q)
     limit: object  # mpf: centre of the certified enclosure of N(alpha_k) / D(alpha_k)
     rate_constant: object  # |a_l b_k - a_k b_l| / |b_k|^2
     degenerate: bool
@@ -91,10 +89,10 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     MAX_PRECISION a UsageError before any root is computed) until the
     |gamma| intervals separate the maximum from everything else; no round
     asks all_roots for more than MAX_PRECISION bits, and past it the tie is
-    refused (DominanceUndecidable).  The first round is all_roots(f,
-    precision_bits), started from the circle; each later round starts Aberth
-    from the centres the last round certified, so it takes a few sweeps, not
-    a fresh solve.
+    refused (DominanceUndecidable).  Each round makes one all_roots call:
+    the first with start=None, so Aberth starts from the circle, and each
+    later one from the centres the last round certified, so it takes a few
+    sweeps, not a fresh solve.
     Exact ties (element is a constant: only x_0 nonzero) fail immediately.
     So does a conjugate-pair tie, in the round that finds it: f and x are
     rational, so gamma at conj(alpha) is the conjugate of gamma at alpha,
@@ -115,10 +113,8 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     weights = ",".join(map(format_rational, w.x))
     roots = None
     while prec <= MAX_PRECISION:
-        if roots is None:
-            roots = all_roots(f, prec)
-        else:
-            roots = all_roots(f, prec, start=tuple(est.center for est in roots))
+        start = None if roots is None else tuple(est.center for est in roots)
+        roots = all_roots(f, prec, start=start)
         with mp.workprec(roots.work_prec + 32):
             gams, bounds = [], []
             for est in roots:
@@ -148,7 +144,6 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
                     c_value=c,
                     c_inverse=c_inv,
                     roots=roots,
-                    work_prec=roots.work_prec,
                     poly=f,
                 )
         prec *= 2
@@ -199,7 +194,11 @@ def _limit_data(report, num, den):
     read off the int form L f, so both carry the factor L, which cancels
     too.  A certified dominant alpha_k is real (a conjugate would tie it),
     so it has a Sturm bracket, and B_k = 0 exactly when gcd(f, D) changes
-    sign across it.
+    sign across it.  That bracket is isolate_real_roots(f)[r], r the number
+    of real centres left of alpha_k's: all_roots' m disks are disjoint and
+    hold one root each, a real disk's root is real (a non-real one would
+    bring its conjugate in), and real disks and Sturm brackets are equally
+    many, so both run in one order.
     """
     f = report.poly
     m = f.degree
@@ -211,7 +210,10 @@ def _limit_data(report, num, den):
     F = f.integer_forms()[0]
     n = F[: m - i + 1] + (0,) * (j - 1)
     d = F[: m - p + 1] + (0,) * (q - 1)
-    bracket = isolating_interval_for(f, report.roots.roots[report.dominant_index])
+    roots = report.roots.roots
+    alpha = roots[report.dominant_index].center.real
+    rank = sum(1 for est in roots if est.is_real and est.center.real < alpha)
+    bracket = isolate_real_roots(f)[rank]
     if _shares_root(F, d, bracket):
         raise ZeroDenominator(
             f"denominator product B_k for indices {indices} is indistinguishable from zero"
@@ -231,8 +233,7 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
     """
     data = _limit_data(report, num, den)
     n, d, _ = data
-    indices = tuple(int(v) for v in (*num, *den))
-    prec = max(report.work_prec, 192)
+    prec = max(report.roots.work_prec, 192)
     work_prec = 2 * prec
     enc = limit_enclosure(report.poly, data, work_prec * 30103 // 100000 + 1)
     roots = report.roots.roots
@@ -252,7 +253,7 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
         exact_degenerate = _constant_quotient(n, d, F) is not None
         degenerate = exact_degenerate or abs(disc) <= 4 * disc_bar
         rate_constant = mp.mpf(0) if exact_degenerate else abs(disc) / abs(b_k) ** 2
-    return LimitPrediction(indices, limit, rate_constant, degenerate, limit_error, work_prec)
+    return LimitPrediction(limit, rate_constant, degenerate, limit_error, work_prec)
 
 
 def limit_enclosure(f, limit, digits) -> Enclosure:

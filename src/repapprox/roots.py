@@ -29,7 +29,7 @@ from math import gcd, lcm
 import mpmath as mp
 from mpmath.libmp import fzero, mpc_abs, mpf_gt, mpf_lt, round_nearest
 
-from .backends import as_int_pair, mpf_to_rational, rational, to_mpf
+from .backends import as_int_pair, rational, to_mpf
 from .errors import DomainError, NotSquarefree, RootSeparationError, UsageError
 from .polynomial import (
     Polynomial, derivative, homogeneous_eval, primitive, remainder_sequence, sign_at,
@@ -54,10 +54,11 @@ class Enclosure:
 
 @dataclass(frozen=True)
 class RootEstimate:
-    center: object  # exact rational (refined real root) or mpc (Aberth)
-    radius: object  # exact rational or mpf
+    """Aberth's disk, or a linear f's exact root; its index is its place in RootSet.roots."""
+
+    center: object  # mpc, or the linear root's rational
+    radius: object  # mpf, or 0
     is_real: bool
-    index: int = -1  # position in the canonical ordering; -1 if standalone
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,15 @@ def is_squarefree(f: Polynomial) -> bool:
     return len(_sturm_chain(f)[-1]) == 1
 
 
+def _size(f):
+    """f's degree and its largest coefficient part in bits, for messages."""
+    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in f.u)
+    return f"f of degree {f.degree} with coefficient parts up to {bits} bits"
+
+
 def _require_squarefree(f):
     if not is_squarefree(f):
-        raise NotSquarefree(f"gcd(f, f') is nonconstant for {f}")
+        raise NotSquarefree(f"gcd(f, f') is nonconstant for {_size(f)}")
 
 
 def root_bound(f: Polynomial):
@@ -321,8 +328,8 @@ def _refine(forms, lo, hi, q, eps):
     return lo, hi, q
 
 
-def refine_real_root(f: Polynomial, interval, eps) -> RootEstimate:
-    """Shrink a sign-change bracket to radius <= eps (exact, certified).
+def refine_real_root(f: Polynomial, interval, eps) -> Enclosure:
+    """Shrink a sign-change bracket to an Enclosure of radius <= eps (exact, certified).
 
     Bisection is the fallback; when the derivative's interval extension
     excludes zero the step switches to interval Newton, whose contraction is
@@ -337,7 +344,7 @@ def refine_real_root(f: Polynomial, interval, eps) -> RootEstimate:
     if eps <= 0:
         raise UsageError("eps must be positive")
     lo, hi, q = _refine(f.integer_forms()[:2], *_bracket(a, b), as_int_pair(eps))
-    return RootEstimate(rational(lo + hi, q << 1), rational(hi - lo, q << 1), True)
+    return Enclosure(rational(lo + hi, q << 1), rational(hi - lo, q << 1))
 
 
 # n/d pairs with d > 0, ordered by value
@@ -649,12 +656,9 @@ def _compare_estimates(a, b):
 
 
 def sort_canonically(estimates):
-    """Descending modulus, then descending real, then descending imaginary."""
-    ordered = sorted(estimates, key=cmp_to_key(_compare_estimates))
-    return tuple(
-        RootEstimate(e.center, e.radius, e.is_real, index=i)
-        for i, e in enumerate(ordered)
-    )
+    """The estimates as a tuple in descending modulus, then descending real,
+    then descending imaginary part; a root's index is its position here."""
+    return tuple(sorted(estimates, key=cmp_to_key(_compare_estimates)))
 
 
 def all_roots(f: Polynomial, precision_bits=DEFAULT_PRECISION, start=None) -> RootSet:
@@ -675,13 +679,12 @@ def all_roots(f: Polynomial, precision_bits=DEFAULT_PRECISION, start=None) -> Ro
 
 @lru_cache(maxsize=128)
 def _all_roots_cached(f, precision_bits, start):
-    _require_squarefree(f)
     m = f.degree
     if m == 1:
-        est = RootEstimate(rational(f.u[0]), rational(0), True, index=0)
+        est = RootEstimate(rational(f.u[0]), rational(0), True)
         return RootSet((est,), work_prec=precision_bits)
 
-    real_count = count_real_roots(f)
+    real_count = count_real_roots(f)  # refuses a non-squarefree f
     work = max(precision_bits + 64, 128)
     ceiling = work * CEILING_FACTOR
     coeffs_exact = f.monic_coefficients()
@@ -708,7 +711,7 @@ def _all_roots_cached(f, precision_bits, start):
                 return RootSet(sort_canonically(estimates), work_prec=work)
         work *= 2
     raise RootSeparationError(
-        f"could not separate roots of {f} below 2^-{precision_bits // 2} "
+        f"could not separate roots of {_size(f)} below 2^-{precision_bits // 2} "
         f"within the precision ceiling"
     )
 
@@ -743,22 +746,3 @@ def _certify(coeffs_mp, dcoeffs_mp, zs, m, real_count, target):
             if sep <= estimates[i].radius + estimates[j].radius:
                 return None
     return estimates
-
-
-def _to_exact(v):
-    if isinstance(v, mp.mpc):
-        v = mp.re(v)
-    return mpf_to_rational(v) if isinstance(v, mp.mpf) else rational(v)
-
-
-@lru_cache(maxsize=128)
-def isolating_interval_for(f: Polynomial, estimate: RootEstimate):
-    """The isolating interval (from Sturm isolation) containing a real root."""
-    if not estimate.is_real:
-        raise UsageError("isolating intervals exist only for real roots")
-    center, slack = _to_exact(estimate.center), _to_exact(estimate.radius)
-    for a, b in isolate_real_roots(f):
-        if a - slack <= center <= b + slack:
-            return (a, b)
-    raise DomainError("no isolating interval matches the given estimate")
-

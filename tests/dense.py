@@ -33,7 +33,7 @@ from repapprox.backends import rational, to_mpf
 from repapprox.errors import DomainError, NotSquarefree, UsageError
 from repapprox.polynomial import Polynomial, derivative
 from repapprox.regrep import RegRepMatrix, Weights
-from repapprox.roots import Enclosure, RootEstimate, root_bound
+from repapprox.roots import Enclosure, root_bound
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -272,7 +272,7 @@ def cubic_limit_matrix(report, numerator):
     coefficients u_1 (=p) and u_3 (=r).
     """
     f = report.poly
-    with mp.workprec(report.work_prec):
+    with mp.workprec(report.roots.work_prec):
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         p = to_mpf(f.u[0], mp)
         r = to_mpf(f.u[2], mp)
@@ -498,7 +498,7 @@ def dyadic_out(lo, hi, granule):
 
 
 def refine_real_root(f, interval, eps):
-    """Bisection plus interval Newton on Fractions, dyadic outward rounding."""
+    """Bisection plus interval Newton on Fractions, dyadic outward rounding: an Enclosure."""
     a, b = rational(interval[0]), rational(interval[1])
     if a > b:
         a, b = b, a
@@ -507,9 +507,9 @@ def refine_real_root(f, interval, eps):
         raise UsageError("eps must be positive")
     fa, fb = evaluate(f, a), evaluate(f, b)
     if fa == 0:
-        return RootEstimate(a, rational(0), True)
+        return Enclosure(a, rational(0))
     if fb == 0:
-        return RootEstimate(b, rational(0), True)
+        return Enclosure(b, rational(0))
     if (fa < 0) == (fb < 0):
         raise DomainError(f"no sign change on [{a}, {b}]")
     deriv = derivative(f.monic_coefficients())
@@ -519,7 +519,7 @@ def refine_real_root(f, interval, eps):
         mid = (a + b) / 2
         fmid = evaluate(f, mid)
         if fmid == 0:
-            return RootEstimate(mid, rational(0), True)
+            return Enclosure(mid, rational(0))
         dlo, dhi = interval_horner(deriv, a, b)
         stepped = False
         if dlo > 0 or dhi < 0:
@@ -532,9 +532,9 @@ def refine_real_root(f, interval, eps):
                 na, nb = max(na, a), min(nb, b)
                 fna, fnb = evaluate(f, na), evaluate(f, nb)
                 if fna == 0:
-                    return RootEstimate(na, rational(0), True)
+                    return Enclosure(na, rational(0))
                 if fnb == 0:
-                    return RootEstimate(nb, rational(0), True)
+                    return Enclosure(nb, rational(0))
                 if (fna < 0) != (fnb < 0) and nb - na <= width / 2:
                     a, b, fa, fb = na, nb, fna, fnb
                     stepped = True
@@ -544,7 +544,7 @@ def refine_real_root(f, interval, eps):
             else:
                 a, fa = mid, fmid
 
-    return RootEstimate((a + b) / 2, (b - a) / 2, True)
+    return Enclosure((a + b) / 2, (b - a) / 2)
 
 
 def enclose_quotient(f, n_poly, d_poly, bracket, digits):

@@ -20,9 +20,10 @@ from repapprox.backends import (
     mpf_to_rational,
     rational,
     sci_parts,
+    sci_string,
     to_mpf,
 )
-from repapprox.bench import TABLE6_X0, parse_expected_error, reproduce_table
+from repapprox.bench import RAMANUJAN, TABLE6_X0, parse_expected_error, reproduce_table
 from repapprox.convergence import analyze, limit_ratio
 from repapprox.errors import (
     DomainError,
@@ -109,6 +110,31 @@ def test_criterion_02_digit_tables_no_silent_mismatch():
     assert merged.count("\n") == 49  # header plus all 48 comparisons
 
 
+def _table5_n35(num, den):
+    return ratio_sequence(build(RAMANUJAN, (0, -1, 1)), num, den, 0, (35,))[0]
+
+
+def test_criterion_02_table5_n35_neighbours():
+    """Criterion 2: at n=35, (2,2)/(2,1) has 24 digits and (2,3)/(2,2) the published 25."""
+    flagged = _table5_n35((2, 2), (2, 1))
+    assert flagged.value.denominator == 793208935815715832706916
+    assert flagged.den_digits == flagged.reduced_den_digits == 24
+    neighbour = _table5_n35((2, 3), (2, 2))
+    assert neighbour.value.denominator == 1429313113823936258738797
+    assert neighbour.reduced_den_digits == 25 == bench.TABLE5_DIGITS["(2,3)/(2,2)"][2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="source prints 25 digits for (2,2)/(2,1) at n=35; the exact reduced "
+    "denominator 793208935815715832706916 has 24, reduced or not. The next row's "
+    "n=35 cell, (2,3)/(2,2), prints 25 and has 25: likely a copy slip",
+)
+def test_criterion_02_published_table5_n35_digits():
+    """Criterion 2 (literal): the published (2,2)/(2,1) n=35 digit count."""
+    assert _table5_n35((2, 2), (2, 1)).reduced_den_digits == 25
+
+
 def test_criterion_03_dominance_ratios(ramanujan):
     """Criterion 3: published dominance ratios c reproduce at printed digits."""
     for x, printed in (
@@ -117,19 +143,19 @@ def test_criterion_03_dominance_ratios(ramanujan):
         ((69, 99, -124), "1343.4"),
     ):
         report = analyze(ramanujan, x)
-        assert _matches_printed(report.c_value, printed, report.work_prec)
+        assert _matches_printed(report.c_value, printed, report.roots.work_prec)
         dominant = report.roots.roots[report.dominant_index]
         assert abs(mp.re(dominant.center) + 1.8019377) < 1e-5
 
     report = analyze(ramanujan, (10, -2, -3))
-    assert _matches_printed(report.c_value, "2.67", report.work_prec)
+    assert _matches_printed(report.c_value, "2.67", report.roots.work_prec)
     dominant = report.roots.roots[report.dominant_index]
     assert abs(mp.re(dominant.center) + 0.4450419) < 1e-5
 
     # the published 3.68141 carries a final-digit rounding error; the exact
     # value starts 3.6813962
     report = analyze(ramanujan, (1, -1, 1))
-    assert _matches_printed(report.c_value, "3.68140", report.work_prec)
+    assert _matches_printed(report.c_value, "3.68140", report.roots.work_prec)
 
 
 @pytest.mark.xfail(
@@ -140,7 +166,7 @@ def test_criterion_03_dominance_ratios(ramanujan):
 def test_criterion_03_published_c_final_digit(ramanujan):
     """Criterion 3 (literal): c(1,-1,1) as printed, including its last digit."""
     report = analyze(ramanujan, (1, -1, 1))
-    assert _matches_printed(report.c_value, "3.68141", report.work_prec)
+    assert _matches_printed(report.c_value, "3.68141", report.roots.work_prec)
 
 
 def test_criterion_04_equal_digit_rows():
@@ -247,6 +273,30 @@ def test_criterion_07_published_halley_n6_is_our_n7(ramanujan):
     by_n = {r.n: r.reduced_den_digits for r in records}
     assert by_n[6] == 5628
     assert by_n[7] == 28140 == 5 * by_n[6]
+
+
+def _newton_errors(ramanujan):
+    """{n: (error at 2 significant digits, reduced digits)} of Newton from x0 = -2."""
+    return {r.n: (sci_string(r.abs_error, 2), r.reduced_den_digits)
+            for r in run_method("newton", ramanujan, rational(-2), 5)}
+
+
+def test_criterion_07_newton_n5_digits_and_errors(ramanujan):
+    """Criterion 7: Newton's n=5 digit count is the published 80; its error is 1.5e-24."""
+    by_n = _newton_errors(ramanujan)
+    assert by_n[4] == ("1.2e-12", 27)
+    assert by_n[5] == ("1.5e-24", 80)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="source prints 9.2e-14 for Newton at n=5; the exact run from x0=-2 "
+    "has error 1.2e-12 at n=4 and 1.5e-24 at n=5 (and the published 80 digits "
+    "at n=5), so 9.2e-14 matches no step",
+)
+def test_criterion_07_published_newton_n5_error(ramanujan):
+    """Criterion 7 (literal): the published Newton n=5 error."""
+    assert _newton_errors(ramanujan)[5][0] == "9.2e-14"
 
 
 def test_criterion_08_limit_bound_suite(certified_cases):

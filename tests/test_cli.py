@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -341,6 +342,24 @@ class TestApprox:
         assert out.splitlines()[0].split() == ["n", "abs_error", "digits", "reduced"]
         assert "7.992e-5" in out.splitlines()[1]
 
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("csv", "n,value_num,value_den,abs_error,den_digits,reduced_den_digits\n"
+                    "0,,,,,\n5,-1429,793,7.99187e-5,3,3\n"),
+            ("pretty", "     n      abs_error  digits  reduced\n"
+                       "     0 (zero denominator)\n     5       7.992e-5       3        3\n"),
+        ],
+    )
+    def test_vanished_denominator_row(self, capsys, fmt, expected):
+        # M^0 = I, so the denominator entry (3,1) is 0 at n = 0.
+        code, out, err = run_cli(
+            capsys,
+            "approx", "--poly=c:1,1,-2,-1", "--x=0,-1,1", "--num=2,1", "--den=3,1",
+            "--offset=-1", "--n=0,5", "--format", fmt,
+        )
+        assert (code, out, err) == (0, expected, "")
+
 
 class TestCRatio:
     def test_published_value(self, capsys):
@@ -446,6 +465,8 @@ class TestCRatio:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("domain error: could not separate roots")
+        # The message names f's size, not its 6000-digit coefficients.
+        assert len(err.encode()) < 200 and "degree 2" in err
 
     def test_negative_leading_value(self, capsys):
         # argparse alone reads "-1,1,1" as an option and has --x miss its value
@@ -553,10 +574,18 @@ class TestRoots:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines] == ["0", "1", "2"]
         first = lines[0].split(",")
         assert first[0] == "0" and first[4] == "true"
         assert first[1].startswith("1.0000000") and "e" in first[1]
         assert lines[1].split(",")[4] == "false"
+
+    def test_non_squarefree_refusal_names_sizes(self, capsys):
+        d = 2**20000
+        code, out, err = run_cli(capsys, "roots", f"--poly=c:1,{-2 * d},{d * d}", "--precision=64")
+        assert (code, out) == (2, "")
+        assert "gcd(f, f') is nonconstant" in err  # the marker perfbench's refusals match
+        assert len(err.encode()) < 200 and "degree 2" in err
 
     def test_ramanujan_values(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--poly", "c:1,1,-2,-1", "--precision", "64")
@@ -579,6 +608,11 @@ class TestTables:
         code, _, _ = run_cli(capsys, "tables", "--id", "2")
         assert code == 0
         assert (tmp_path / "table2.csv").exists()
+
+    def test_time_reports_each_table(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "tables", "--id", "7", "--time", "--out", str(tmp_path))
+        assert code == 0
+        assert re.search(r"^table 7: \d+\.\d\ds$", err, re.M)
 
     def test_bad_id(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "tables", "--id", "9", "--out", str(tmp_path))
@@ -659,6 +693,34 @@ class TestConfigAndErrors:
         code, _, err = run_cli(capsys, "approx", "--poly", "c:1,1,-2,-1")
         assert code == 1
         assert "--x" in err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "No such file"), ("{bad", "Expecting property name"),
+         ("[1]", "--config must contain a JSON object")],
+        ids=["missing", "invalid", "array"],
+    )
+    def test_bad_config_file(self, capsys, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_cli(capsys, "roots", "--poly", "c:1,0,-2", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: --config") and message in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["approx", "--poly=c:1,1,-2,-1", "--x=0,-1,1", "--num=2,1", "--den=3,1",
+              "--stride", "3"], "--stride requires --steps"),
+            (["power", "--poly=c:1,1,-2,-1", "--x=0,-1,1", "--n=-1"], "--n must be >= 0"),
+            (["compare", "--poly=c:1,1,-2,-1", "--x0=-2", "--steps", "0"],
+             "--steps must be >= 1"),
+        ],
+        ids=["stride-without-steps", "negative-power", "zero-steps"],
+    )
+    def test_usage_errors_name_their_option(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n")
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

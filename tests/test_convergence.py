@@ -4,9 +4,10 @@ from itertools import product
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import repapprox as ra
-from repapprox.backends import rational, to_mpf
+from repapprox.backends import mpf_to_rational, rational, to_mpf
 from repapprox import convergence, roots
 from repapprox.convergence import (
     _limit_data,
@@ -30,7 +31,6 @@ from repapprox.roots import (
     _bracket,
     all_roots,
     isolate_real_roots,
-    isolating_interval_for,
     refine_real_root,
 )
 
@@ -120,8 +120,9 @@ class TestAnalyze:
         a = analyze(ramanujan, (0, -1, 1))
         b = analyze(ramanujan, (0, -3, 3))
         assert a.dominant_index == b.dominant_index
-        with mp.workprec(min(a.work_prec, b.work_prec)):
-            assert abs(a.c_value - b.c_value) < mp.mpf(2) ** (-min(a.work_prec, b.work_prec) // 2)
+        prec = min(a.roots.work_prec, b.roots.work_prec)
+        with mp.workprec(prec):
+            assert abs(a.c_value - b.c_value) < mp.mpf(2) ** (-prec // 2)
 
     def test_complex_dominance_uncertifiable(self, monkeypatch, asked_precisions):
         # the largest-modulus roots of t^3 + t + 1 are a conjugate pair, so
@@ -245,10 +246,10 @@ class TestAnalyze:
 
     def test_gamma_values_match_direct_evaluation(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
-        with mp.workprec(report.work_prec):
+        with mp.workprec(report.roots.work_prec):
             for est, g in zip(report.roots, report.gamma):
                 direct = est.center**2 - est.center
-                assert abs(direct - g) < mp.mpf(2) ** (-report.work_prec // 2)
+                assert abs(direct - g) < mp.mpf(2) ** (-report.roots.work_prec // 2)
 
 
 class TestLimitRatio:
@@ -340,7 +341,7 @@ class TestSpectralStructure:
         matrix = build(ramanujan, x)
         roots = report.roots
         m = 3
-        with mp.workprec(report.work_prec):
+        with mp.workprec(report.roots.work_prec):
             v = mp.matrix(m, m)
             for t, est in enumerate(roots):
                 for s in range(m):
@@ -355,7 +356,7 @@ class TestSpectralStructure:
                             total += vinv[i, s] * v[s, j] * report.gamma[s] ** n
                         exact = to_mpf(pn[i][j], mp)
                         assert abs(total - exact) < max(1, abs(exact)) * mp.mpf(2) ** (
-                            -report.work_prec // 3
+                            -report.roots.work_prec // 3
                         )
 
 
@@ -371,14 +372,14 @@ class TestCubicClosedForms:
         report = analyze(ramanujan, (0, -1, 1))
         mbar = dense.cubic_limit_matrix(report, (3, 3))
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
-        with mp.workprec(report.work_prec):
+        with mp.workprec(report.roots.work_prec):
             assert abs(mbar[0][0] - alpha**3) < 1e-40  # r = 1
 
     def test_remark_ratio_equals_r(self):
         f = parse_polynomial("u:1,1,4")  # r = 4, dominant real root exists
         report = analyze(f, (0, -1, 1))
         mbar = dense.cubic_limit_matrix(report, (2, 2))
-        with mp.workprec(report.work_prec):
+        with mp.workprec(report.roots.work_prec):
             assert abs(mbar[2][0] / mbar[0][1] - 4) < 1e-30
             assert abs(mbar[2][1] / mbar[0][2] - 4) < 1e-30
 
@@ -389,8 +390,60 @@ class TestCubicClosedForms:
             for h in range(1, 4):
                 for k in range(1, 4):
                     pred = limit_ratio(report, numerator, (h, k))
-                    with mp.workprec(report.work_prec):
+                    with mp.workprec(report.roots.work_prec):
                         assert abs(pred.limit - mbar[h - 1][k - 1]) < 1e-35
+
+
+def _assert_holds_dominant_root(f, report, bracket):
+    # Checked apart from the rank that picked it: f changes sign across the
+    # bracket, and the dominant root's Aberth centre lies inside it.
+    a, b = bracket
+    assert dense.evaluate(f, a) * dense.evaluate(f, b) < 0
+    assert a < mpf_to_rational(mp.re(report.roots.roots[report.dominant_index].center)) < b
+
+
+@st.composite
+def _real_rooted(draw):
+    """Squarefree f of degree 2-6 with two or more rational real roots, some
+    of them pairs +-a, times at most one quadratic with no real root."""
+    real = set()
+    for k in draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)):
+        a = rational(k, draw(st.sampled_from((1, 2, 3))))
+        real.update(draw(st.sampled_from(((a,), (-a,), (a, -a)))))
+    real = sorted(real)
+    assume(2 <= len(real) <= 6)
+    coeffs = [rational(1)]
+    for r in real:
+        coeffs = dense.poly_mul(coeffs, [rational(1), -r])
+    if len(real) <= 4 and draw(st.booleans()):
+        b = draw(st.integers(-3, 3))
+        coeffs = dense.poly_mul(coeffs, [1, b, draw(st.integers(b * b // 4 + 1, 9))])
+    return Polynomial.from_monic_coefficients(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_real_rooted(), st.data())
+def test_rank_bracket_holds_the_dominant_root(f, data):
+    m = f.degree
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    assume(any(x[1:]))
+    num, den = (data.draw(st.tuples(st.integers(1, m), st.integers(1, m))) for _ in range(2))
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convergence, "MAX_PRECISION", 1024)  # a +- tie is refused early
+            report = analyze(f, x)
+        bracket = _limit_data(report, num, den)[2]
+    except (DominanceUndecidable, ZeroDenominator):
+        assume(False)
+    assert bracket in isolate_real_roots(f)
+    a, b = bracket
+    assert dense.evaluate(f, a) * dense.evaluate(f, b) < 0
+    with mp.workprec(3 * 256):
+        found = mp.polyroots([to_mpf(c, mp) for c in f.monic_coefficients()],
+                             maxsteps=200, extraprec=3 * 256)
+        real = [mp.re(z) for z in found if abs(mp.im(z)) < mp.mpf(2) ** -200]
+        top = max(real, key=lambda r: abs(sum(c * r**i for i, c in enumerate(x))))
+        assert to_mpf(a, mp) < top < to_mpf(b, mp)
 
 
 class TestLimitEnclosure:
@@ -419,9 +472,9 @@ class TestLimitEnclosure:
         report = analyze(ramanujan, x)
         data = _limit_data(report, num, den)
         enc = resolving_enclosure(ramanujan, data, (), offset, 60)
-        bracket = isolating_interval_for(ramanujan, report.roots.roots[report.dominant_index])
-        est = refine_real_root(ramanujan, bracket, rational(1, 10**60))
-        assert enc == Enclosure(est.center, est.radius)
+        bracket = data[2]
+        _assert_holds_dominant_root(ramanujan, report, bracket)
+        assert enc == refine_real_root(ramanujan, bracket, rational(1, 10**60))
         if offset == 0:
             assert limit_enclosure(ramanujan, data, 60) == enc
 
@@ -493,14 +546,15 @@ class TestResolvingEnclosure:
 
             monkeypatch.setattr(module, name, wrapped)
 
+        x = (0, -1, 1)
+        report = analyze(ramanujan, x)
+        bracket = _limit_data(report, num, den)[2]
+        _assert_holds_dominant_root(ramanujan, report, bracket)
+        sturm = _bracket(*bracket)
         logged(roots, "_refine")
         for name in ("_constant_quotient", "_shares_root", "enclose_quotient"):
             logged(convergence, name)
-        x = (0, -1, 1)
         values = [r.value for r in ratio_sequence(build(ramanujan, x), num, den, offset, ns)]
-        report = analyze(ramanujan, x)
-        root = report.roots.roots[report.dominant_index]
-        sturm = _bracket(*isolating_interval_for(ramanujan, root))
         refines = calls["_refine"]
         starts = [args[1:4] for args, _ in refines]
         assert starts[0] == sturm and starts.count(sturm) == 1

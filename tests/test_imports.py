@@ -218,14 +218,16 @@ def idle_fields(defined, readers, constructors, exempt=()):
     """Dataclass fields of `defined` that nothing reads, or whose default nothing uses.
 
     Each argument maps module names to source texts.  A field is idle when
-    no Attribute load in `readers` carries its name, and its default is idle
+    no Attribute load in `readers` carries its name; a load from the name
+    ``args``, the CLI's argparse namespace, reads no field.  Its default is idle
     (reported as "Class.field default") when every construction in
     `constructors`, a call naming the class as ``K(...)`` or ``mod.K(...)``,
     passes the field by keyword or by position.  Classes in `exempt` are
     skipped.
     """
     read = {node.attr for source in readers.values() for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")}
     calls = _calls_by_name(constructors)
     idle = []
     for source in defined.values():
@@ -253,7 +255,7 @@ def test_idle_field_checker():
              "@dataclass\nclass J:\n    spare: int\n"
              "class Plain:\n    ignored: int = 0\n",
     }
-    readers = {"b": "def f(k):\n    k.b = k.a + k.c\n"}
+    readers = {"b": "def f(k):\n    k.b = k.a + k.c\ndef g(args):\n    return args.b + args.spare\n"}
     constructors = {"c": "K(1, c=2)\nK(a=1, b=2, c=3)\n"}
     assert idle_fields(defined, readers, constructors) == ["J.spare", "K.b", "K.c default"]
     assert idle_fields(defined, readers, constructors, exempt=("J",)) == ["K.b", "K.c default"]

@@ -241,7 +241,6 @@ class TestAllRoots:
         roots = all_roots(ramanujan, 128)
         mods = [abs(e.center) for e in roots]
         assert mods == sorted(mods, reverse=True)
-        assert [e.index for e in roots] == [0, 1, 2]
 
     def test_shifted_roots_match(self, ramanujan):
         shifted = all_roots(dense.shift(ramanujan, 1), 128)
