@@ -7,9 +7,10 @@ ratio of any two entries of M^n converges to V^-1[i,k] V[k,j] /
 (V^-1[p,k] V[k,q]), and the error shrinks like (|gamma_l| / |gamma_k|)^n
 where l is the runner-up index.
 
-Dominance is decided in mpmath at an escalating working precision.  Each
-doubling continues Aberth from the last round's root centres; only the
-first round starts from all_roots' circle.  A tie whose top |gamma| is at
+Dominance is decided in mpmath at an escalating working precision.  The
+first round starts Aberth from f's roots in doubles (roots.float_start,
+or all_roots' circle where doubles cannot start), and each doubling
+continues from the last round's root centres.  A tie whose top |gamma| is at
 a conjugate pair of non-real roots is refused at the first precision,
 since the pair's gammas are conjugate; a +- tie or a real gamma tied with
 a non-real one escalates to MAX_PRECISION first.  The limit is exact
@@ -35,7 +36,7 @@ from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_a
 from .regrep import _coerce_weights
 from .roots import (
     DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, _bracket, _certified_irreducible,
-    _horner_mp, _make_mpc, all_roots, enclose_quotient, isolate_real_roots,
+    _horner_mp, _make_mpc, all_roots, enclose_quotient, float_start, isolate_real_roots,
 )
 
 
@@ -90,9 +91,10 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     |gamma| intervals separate the maximum from everything else; no round
     asks all_roots for more than MAX_PRECISION bits, and past it the tie is
     refused (DominanceUndecidable).  Each round makes one all_roots call:
-    the first with start=None, so Aberth starts from the circle, and each
-    later one from the centres the last round certified, so it takes a few
-    sweeps, not a fresh solve.
+    the first from float_start(f), Aberth run in doubles (None, the circle,
+    where doubles cannot start), and each later one from the centres the
+    last round certified, so each takes a few sweeps, not a fresh solve.
+    The start decides no result: every round certifies as from the circle.
     Exact ties (element is a constant: only x_0 nonzero) fail immediately.
     So does a conjugate-pair tie, in the round that finds it: f and x are
     rational, so gamma at conj(alpha) is the conjugate of gamma at alpha,
@@ -113,7 +115,7 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     weights = ",".join(map(format_rational, w.x))
     roots = None
     while prec <= MAX_PRECISION:
-        start = None if roots is None else tuple(est.center for est in roots)
+        start = float_start(f) if roots is None else tuple(est.center for est in roots)
         roots = all_roots(f, prec, start=start)
         with mp.workprec(roots.work_prec + 32):
             gams, bounds = [], []

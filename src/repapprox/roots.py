@@ -7,27 +7,31 @@ real root alpha (alpha itself is N = t, D = 1) and returns the refined int
 bracket with it, so the next enclosure at more digits continues from there.
 All complex roots: Aberth simultaneous iteration in mpmath with residual
 inclusion radii m*|f(z)/f'(z)|, guarded by pairwise disjointness and
-cross-checked against the exact real-root count.
+cross-checked against the exact real-root count.  It starts from a circle,
+from given approximations, or from float_start's roots in doubles.
 
 The three hot loops avoid per-operation objects.  The Sturm chain is one
 cached polynomial.remainder_sequence of f and f' on ints per f, the same
-integer remainder sequence that decides every exact gcd of the package;
-refinement holds ints over a common denominator and reduces nothing but the
-Newton granule; the Aberth sweep holds int mantissas and exponents and
-rounds each sum and quotient as libmp's mpf_add and mpf_div round it, where
-the mpc operators round.  Their results are bit-identical to the Fraction
-and mpc versions of the same loops, which tests/dense.py keeps as oracles.
+integer remainder sequence that decides every exact gcd of the package,
+and each f's isolating intervals are cached too; refinement holds ints
+over a common denominator and reduces nothing but the Newton granule; the
+Aberth sweep holds int mantissas and exponents and rounds each sum and
+quotient as libmp's mpf_add and mpf_div round it, where the mpc operators
+round, and its stop test compares abs(mpc) with the tolerance exactly, in
+ints.  Their results are bit-identical to the Fraction and mpc versions of
+the same loops, which tests/dense.py keeps as oracles.
 
 Root ordering everywhere: descending modulus, ties broken by descending real
 part, then descending imaginary part.
 """
 
+import cmath
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, pi
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpc_abs, mpf_gt, mpf_lt, round_nearest
+from mpmath.libmp import fzero, mpc_abs, round_nearest
 
 from .backends import as_int_pair, rational, to_mpf
 from .errors import DomainError, NotSquarefree, RootSeparationError, UsageError
@@ -139,8 +143,9 @@ def _nonroot_midpoint(form, a, b):
     return mid
 
 
+@lru_cache(maxsize=128)
 def isolate_real_roots(f: Polynomial):
-    """Disjoint rational intervals, one simple real root in each."""
+    """Disjoint rational intervals, one simple real root in each, as a sorted tuple."""
     _require_squarefree(f)
     chain = _sturm_chain(f)
     form = chain[0]
@@ -166,7 +171,7 @@ def isolate_real_roots(f: Polynomial):
     for i in range(len(out) - 1):
         while out[i][1] >= out[i + 1][0]:
             out[i] = _halve_bracket(form, *out[i])
-    return out
+    return tuple(out)
 
 
 def _halve_bracket(form, a, b):
@@ -577,20 +582,45 @@ def _cabs(z, prec):
     return mpc_abs((_mpf(re), _mpf(im)), prec, round_nearest)
 
 
+def _below(z, e, prec):
+    """Whether abs(z), as mpc_abs rounds it to prec bits, is below 2**e.
+
+    mpc_abs is the square root of h = re^2 + im^2, with h rounded toward
+    zero to prec + 4 bits (mpf_hypot; _add rounds that sum as mpf_add does)
+    and the root correctly rounded to nearest.  That is below 2^e exactly
+    when h is below (2^e - 2^(e-prec-1))^2, since the midpoint rounds up to
+    2^e, and on h's grid that is h <= 2^(2e) - 2^(2e-prec).  With a part
+    0, mpc_abs is the other part's modulus rounded to prec bits; z's parts
+    have prec bits, so the same test decides that case.
+    """
+    (am, ae), (bm, be) = z
+    hm, he = _add(am * am, 2 * ae, bm * bm, 2 * be, prec + 4, True)
+    n = hm.bit_length()
+    if not hm or n + he < 2 * e:  # h < 2^(2e-1)
+        return True
+    if n + he > 2 * e:  # h >= 2^(2e)
+        return False
+    return hm << prec <= ((1 << prec) - 1) << n
+
+
 def _aberth_pass(coeffs_mp, dcoeffs_mp, zs, iterations, tol):
     """Aberth-Ehrlich sweeps from the mpc starts zs; returns the new mpc list.
 
     1/(z_i - z_j) is computed once per pair and sweep and negated for
     (j, i), which round-to-nearest makes exact.  A start with f'(z_i) = 0
     is moved by tol, and its pairs are then computed again from the moved
-    z_i.  Only the step sizes, m per sweep, go through libmp (_cabs).
+    z_i.  The sweeps stop once every step is below tol, a power of two, as
+    abs(mpc) would compare it (_below); nothing in a sweep goes through
+    libmp.
     """
     prec = mp.mp.prec
     coeffs = [_pair(c._mpf_) for c in coeffs_mp]
     dcoeffs = [_pair(c._mpf_) for c in dcoeffs_mp]
     zs = [tuple(map(_pair, z._mpc_)) for z in zs]
-    tol = tol._mpf_
-    bump = _add(*_pair(tol), 0, 0, prec)
+    sign, man, e, _ = tol._mpf_
+    if sign or man != 1:
+        raise ValueError("the Aberth tolerance must be a power of two")
+    bump = (1, e)
     m = len(zs)
     for _ in range(iterations):
         inv = [[None] * m for _ in range(m)]
@@ -616,13 +646,9 @@ def _aberth_pass(coeffs_mp, dcoeffs_mp, zs, iterations, tol):
                 s = _cadd(s, r, prec)
             denom = _csub(_CONE, _cmul(w, s, prec), prec)
             corrections.append(w if denom == _CZERO else _cdiv(w, denom, prec))
-        moved = fzero
         for i in range(m):
             zs[i] = _csub(zs[i], corrections[i], prec)
-            size = _cabs(corrections[i], prec)
-            if mpf_gt(size, moved):
-                moved = size
-        if mpf_lt(moved, tol):
+        if all(_below(c, e, prec) for c in corrections):
             break
     return [_make_mpc(z) for z in zs]
 
@@ -659,6 +685,62 @@ def sort_canonically(estimates):
     """The estimates as a tuple in descending modulus, then descending real,
     then descending imaginary part; a root's index is its position here."""
     return tuple(sorted(estimates, key=cmp_to_key(_compare_estimates)))
+
+
+def _horner_float(coeffs, z):
+    acc = 0
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+@lru_cache(maxsize=128)
+def float_start(f: Polynomial):
+    """f's m roots by Aberth in Python complex, a start for all_roots, or None.
+
+    A non-squarefree f is refused first, as all_roots refuses it, so that
+    refusal costs no float work.  The sweeps start from all_roots' circle
+    and stop after 60 + 6m, or once no step moves a point by more than a
+    few units in its last place.  The points are kept only when they are
+    finite and their disks m (|f(z)| + noise) / |f'(z)|, noise being
+    _residual_radius's floor at 53 bits, are pairwise disjoint: the
+    doubles have told every root apart.  Otherwise, or when a coefficient
+    overflows a double, the result is None and all_roots starts from its
+    circle.  In a cluster that doubles do not split, the points can sit on
+    an axis of symmetry of f that Aberth never leaves, as they do for
+    (t - 1)(t - 1 - 2^-32).  The start changes how many sweeps all_roots
+    takes, never what it certifies.
+    """
+    _require_squarefree(f)
+    m = f.degree
+    try:
+        coeffs = [float(c) for c in f.monic_coefficients()]
+        dcoeffs = derivative(coeffs)
+        radius = float(root_bound(f))
+        zs = [radius * (1 + t / (8 * m)) * cmath.exp(1j * (2 * pi * t / m + 7 / 20))
+              for t in range(m)]
+        for _ in range(60 + 6 * m):
+            moved = False
+            for i, z in enumerate(zs):
+                w = _horner_float(coeffs, z) / _horner_float(dcoeffs, z)
+                s = sum(1 / (z - zj) for j, zj in enumerate(zs) if j != i)
+                step = w / (1 - w * s)
+                zs[i] = z - step
+                moved = moved or abs(step) > 2.0**-50 * abs(z)
+            if not moved:
+                break
+        sizes = [abs(c) for c in coeffs]
+        radii = []
+        for z in zs:
+            noise = (m + 2) * 2.0**-49 * _horner_float(sizes, abs(z))
+            radii.append(m * (abs(_horner_float(coeffs, z)) + noise) / abs(_horner_float(dcoeffs, z)))
+    except (ZeroDivisionError, OverflowError):  # a zero divisor, or a value past a double
+        return None
+    if all(map(cmath.isfinite, zs)) and all(
+        abs(zs[i] - zs[j]) > radii[i] + radii[j] for i in range(m) for j in range(i)
+    ):
+        return tuple(zs)
+    return None
 
 
 def all_roots(f: Polynomial, precision_bits=DEFAULT_PRECISION, start=None) -> RootSet:

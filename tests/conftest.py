@@ -13,16 +13,29 @@ def ramanujan():
 
 
 @pytest.fixture
-def asked_precisions(monkeypatch):
-    """The precision of every all_roots call analyze makes, in order."""
-    asked = []
+def _analyze_all_roots_calls(monkeypatch):
+    """(precisions, starts) of every all_roots call analyze makes, in order."""
+    precisions, starts = [], []
 
     def recording(f, precision_bits, start=None):
-        asked.append(precision_bits)
+        precisions.append(precision_bits)
+        starts.append(start)
         return all_roots(f, precision_bits, start=start)
 
     monkeypatch.setattr(convergence, "all_roots", recording)
-    return asked
+    return precisions, starts
+
+
+@pytest.fixture
+def asked_precisions(_analyze_all_roots_calls):
+    """The precision of every all_roots call analyze makes, in order."""
+    return _analyze_all_roots_calls[0]
+
+
+@pytest.fixture
+def asked_starts(_analyze_all_roots_calls):
+    """The start of every all_roots call analyze makes, in order."""
+    return _analyze_all_roots_calls[1]
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -155,6 +155,12 @@ def companion(f: Polynomial):
     return tuple(tuple(row) for row in entries)
 
 
+def near_double(e):
+    """(t - 1)(t - 1 - 2^-e): two simple roots 2^-e apart."""
+    d = rational(1, 2**e)
+    return Polynomial.from_monic_coefficients([1, -(2 + d), 1 + d])
+
+
 def reflect(f: Polynomial):
     """Monic polynomial whose roots are the reciprocals of f's.
 

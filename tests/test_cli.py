@@ -361,6 +361,21 @@ class TestApprox:
         assert (code, out, err) == (0, expected, "")
 
 
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_stdout.json")) as _fh:
+    _GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=lambda case: f"{case['argv'][0]}:{case['argv'][2][:24]}")
+def test_stdout_is_path_independent(capsys, case):
+    # Exit code and stdout recorded when analyze's first round still
+    # started Aberth from all_roots' circle, not from float_start: a
+    # degree-32 c-ratio; (t - 1)(t - 1 - 2^-e) for e = 32, 40 and 100; a
+    # coefficient of 2^1100; and ROADMAP direction 5's two probes, one of
+    # which prints a gamma = 0 as rounding noise.
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
 class TestCRatio:
     def test_published_value(self, capsys):
         code, out, _ = run_cli(capsys, "c-ratio", "--poly", "c:1,1,-2,-1", "--x", "0,0,1")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from functools import lru_cache
 from itertools import product
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import repapprox as ra
 from repapprox.backends import mpf_to_rational, rational, to_mpf
-from repapprox import convergence, roots
+from repapprox import cli, convergence, roots
 from repapprox.convergence import (
     _limit_data,
     analyze,
@@ -18,6 +20,8 @@ from repapprox.convergence import (
 )
 from repapprox.errors import (
     DominanceUndecidable,
+    NotSquarefree,
+    RepApproxError,
     RootSeparationError,
     UsageError,
     ZeroDenominator,
@@ -150,9 +154,10 @@ class TestAnalyze:
 
     def test_each_doubling_continues_from_the_last_roots(self, monkeypatch):
         # The +- tie gamma = +-3 sqrt(21) doubles from 256 to 65536 bits.
-        # Each Aberth sweep takes m = 2 step sizes (_cabs); a round started
-        # from the last round's centres converges in two or three sweeps,
-        # where a start from the circle takes 7 at 256 bits and up to 12.
+        # Each Aberth sweep evaluates f and f' at the m = 2 points (_horner).
+        # A round started from the last round's centres converges in two or
+        # three sweeps, and so does the first, from float_start's roots in
+        # doubles; from all_roots' circle it takes 7.
         f = parse_polynomial("c:1,0,-21")
         rounds, calls = [], []
 
@@ -161,27 +166,26 @@ class TestAnalyze:
             try:
                 return aberth_pass(*args)
             finally:
-                rounds[-1] += calls.pop() // f.degree
+                rounds[-1] += calls.pop() // (2 * f.degree)
 
-        def counted_cabs(*args):
+        def counted_horner(*args):
             if calls:
                 calls[-1] += 1
-            return cabs(*args)
+            return horner(*args)
 
         def round_of(*args, **kwargs):
             rounds.append(0)
             return all_roots(*args, **kwargs)
 
-        aberth_pass, cabs = roots._aberth_pass, roots._cabs
+        aberth_pass, horner = roots._aberth_pass, roots._horner
         monkeypatch.setattr(roots, "_aberth_pass", sweeps)
-        monkeypatch.setattr(roots, "_cabs", counted_cabs)
+        monkeypatch.setattr(roots, "_horner", counted_horner)
         monkeypatch.setattr(convergence, "all_roots", round_of)
         roots._all_roots_cached.cache_clear()
         with pytest.raises(DominanceUndecidable, match="up to 65536 bits"):
             analyze(f, (0, 3))
         assert len(rounds) == 9
-        assert all(n <= 3 for n in rounds[1:]), rounds
-        assert sum(rounds) <= 7 + 3 * 8, rounds
+        assert all(n <= 3 for n in rounds), rounds
 
     @pytest.mark.parametrize("e", [400, 1000, 3000])
     def test_near_tie_dominant_matches_oracle(self, e):
@@ -250,6 +254,73 @@ class TestAnalyze:
             for est, g in zip(report.roots, report.gamma):
                 direct = est.center**2 - est.center
                 assert abs(direct - g) < mp.mpf(2) ** (-report.roots.work_prec // 2)
+
+
+def _run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _analysis(f, x):
+    """analyze's dominant and runner-up index, or its refusal."""
+    try:
+        report = analyze(f, x)
+    except RepApproxError as exc:
+        return type(exc), str(exc)
+    return report.dominant_index, report.runner_up_index
+
+
+class TestFloatStart:
+    """analyze's first round starts Aberth from roots.float_start."""
+
+    def test_first_round_starts_in_doubles(self, ramanujan, asked_starts):
+        analyze(ramanujan, (0, 1, 0))
+        assert asked_starts[0] is not None
+        assert asked_starts[0] == roots.float_start(ramanujan)
+
+    @pytest.mark.parametrize(
+        "f",
+        [parse_polynomial(f"c:1,-{2**1100},1"), dense.near_double(32), dense.near_double(100)],
+        ids=["overflow", "axis", "cluster"],
+    )
+    def test_circle_where_doubles_do_not_start(self, f, asked_starts):
+        report = analyze(f, (0, 1))
+        assert asked_starts[0] is None
+        assert (report.dominant_index, report.runner_up_index) == (0, 1)
+        assert report.roots.roots[0].center.real > report.roots.roots[1].center.real > 0
+
+    def test_non_squarefree_refused_before_float_work(self, monkeypatch):
+        def no_float_work(*args):
+            raise AssertionError("float sweep ran")
+
+        monkeypatch.setattr(roots, "_horner_float", no_float_work)
+        with pytest.raises(NotSquarefree, match="gcd"):
+            analyze(parse_polynomial("c:1,-1,-1,1"), (0, 1, 0))  # (t - 1)^2 (t + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 8).flatmap(lambda m: st.lists(st.integers(-6, 6), min_size=m, max_size=m)),
+        st.lists(st.integers(-4, 4), min_size=8, max_size=8),
+    )
+    def test_answers_as_from_the_circle(self, u, weights):
+        f = Polynomial(tuple(map(rational, u)))
+        assume(dense.is_squarefree(f))
+        x = weights[: f.degree]
+        # An exact gamma = 0 prints as rounding noise whose digits depend on
+        # Aberth's path, whatever the start (ROADMAP direction 5).
+        assume(len(dense.poly_gcd(f.monic_coefficients(), tuple(map(rational, x[::-1])))) == 1)
+        poly = "u:" + ",".join(map(str, u))
+        text = ",".join(map(str, x))
+        argvs = [
+            ["c-ratio", "--poly", poly, "--x", text],
+            ["limits", "--poly", poly, "--x", text, "--indices", f"1,1,1,2;2,1,{f.degree},1"],
+        ]
+        answers = [_analysis(f, x)] + [_run_cli(argv) for argv in argvs]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convergence, "float_start", lambda f: None)
+            assert [_analysis(f, x)] + [_run_cli(argv) for argv in argvs] == answers
 
 
 class TestLimitRatio:
@@ -400,6 +471,17 @@ def _assert_holds_dominant_root(f, report, bracket):
     a, b = bracket
     assert dense.evaluate(f, a) * dense.evaluate(f, b) < 0
     assert a < mpf_to_rational(mp.re(report.roots.roots[report.dominant_index].center)) < b
+
+
+def test_second_limit_data_isolates_nothing(ramanujan, monkeypatch):
+    # isolate_real_roots is cached per f, so every limit of one (f, x)
+    # after the first reads the Sturm brackets back.
+    report = analyze(ramanujan, (0, -1, 1))
+    first = _limit_data(report, (1, 1), (1, 2))
+    variations, counted = roots._variations, []
+    monkeypatch.setattr(roots, "_variations", lambda *args: counted.append(args) or variations(*args))
+    assert _limit_data(report, (2, 1), (1, 2))[2] == first[2]
+    assert counted == []
 
 
 @st.composite

@@ -97,11 +97,12 @@ class TestSturm:
         lo, hi = -bound if lo is None else lo, bound if hi is None else hi
         in_range = roots._variations(chain, lo) - roots._variations(chain, hi)
         assert in_range == dense.count_real_roots(f, lo, hi)
-        assert roots.isolate_real_roots(f) == dense.isolate_real_roots(f)
+        assert roots.isolate_real_roots(f) == tuple(dense.isolate_real_roots(f))
 
     def test_chain_is_built_once_per_polynomial(self):
         f = parse_polynomial("c:1,3,-7,-2,5")
         roots._sturm_chain.cache_clear()
+        roots.isolate_real_roots.cache_clear()
         roots.is_squarefree(f)
         roots.count_real_roots(f)
         roots.isolate_real_roots(f)

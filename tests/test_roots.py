@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import pytest
 from hypothesis import example, given, strategies as st
@@ -42,7 +44,7 @@ class TestIsolation:
             assert dense.evaluate(ramanujan, a) * dense.evaluate(ramanujan, b) < 0
 
     def test_no_real_roots(self):
-        assert isolate_real_roots(parse_polynomial("c:1,0,1")) == []
+        assert isolate_real_roots(parse_polynomial("c:1,0,1")) == ()
 
     def test_linear(self):
         intervals = isolate_real_roots(Polynomial((rational(1, 2),)))
@@ -286,10 +288,19 @@ class TestAllRoots:
             all_roots(parse_polynomial("c:1,-2,1"), 128)
 
 
-def _near_double(e):
-    """(t - 1)(t - 1 - 2^-e): two simple roots 2^-e apart."""
-    d = rational(1, 2**e)
-    return Polynomial.from_monic_coefficients([1, -(2 + d), 1 + d])
+class TestFloatStart:
+    """float_start: Aberth in doubles, the start of analyze's first round."""
+
+    def test_starts_near_each_root(self, ramanujan):
+        start = roots.float_start(ramanujan)
+        exact = [2 * math.cos(k * math.pi / 7) for k in (2, 4, 8)]
+        assert len(start) == 3
+        for z in start:
+            assert min(abs(z - r) for r in exact) < 1e-14
+        cold, warm = all_roots(ramanujan, 256), all_roots(ramanujan, 256, start=start)
+        with mp.workprec(warm.work_prec):
+            for a, b in zip(cold, warm):
+                assert abs(a.center - b.center) <= a.radius + b.radius
 
 
 class TestEscalation:
@@ -320,7 +331,7 @@ class TestEscalation:
         ],
     )
     def test_escalates_until_certified(self, rounds, e, precs):
-        found = all_roots(_near_double(e), 256)
+        found = all_roots(dense.near_double(e), 256)
         work = precs[-1]
         assert rounds == [(p, p == work) for p in precs]
         assert found.work_prec == work
@@ -333,7 +344,7 @@ class TestEscalation:
 
     def test_refused_past_the_ceiling(self, rounds):
         with pytest.raises(RootSeparationError, match="could not separate roots"):
-            all_roots(_near_double(20000), 64)
+            all_roots(dense.near_double(20000), 64)
         assert rounds == [(128 << k, False) for k in range(7)]  # 128 ... 8192 = 64 * 128
 
     @staticmethod
