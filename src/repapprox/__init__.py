@@ -1,8 +1,9 @@
 """Rational approximation of algebraic numbers via regular-representation
 matrix powers, with certified convergence analysis and exact iterative-method
-baselines.  M is built one way (``build``, powers by ``mat_pow``) and limits
-are taken one way (``limit_ratio``); the other constructions and the closed
-cubic forms are the tests' references."""
+baselines.  M is held as the element it represents (``build``), M and its
+powers are read off that element by ``mat_pow``, and limits are taken one
+way (``limit_ratio``); the other constructions and the closed cubic forms
+are the tests' references."""
 
 from .backends import BACKEND, rational
 from .convergence import ConvergenceReport, LimitPrediction, analyze, limit_ratio

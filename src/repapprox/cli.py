@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath as mp
 
 from . import bench, convergence, iterative, powers
-from .backends import format_rational, parse_rational, parse_rational_vector, sci_string
+from .backends import format_rational, mpf_to_rational, parse_rational, parse_rational_vector, sci_string
 from .errors import DomainError, RepApproxError, UsageError
 from .polynomial import parse_polynomial
 from .regrep import build
@@ -40,6 +40,7 @@ def _build_parser():
     """The parser and its subcommand parsers by name, built once per process."""
     parser = _Parser(prog="repapprox", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    precision = dict(type=int, default=DEFAULT_PRECISION, help=f"bits, 64..{MAX_PRECISION}")
 
     p = subs.add_parser("repr", help="print M(x,u)")
     p.add_argument("--poly", required=False)
@@ -66,14 +67,14 @@ def _build_parser():
     p = subs.add_parser("c-ratio", help="dominance analysis")
     p.add_argument("--poly")
     p.add_argument("--x")
-    p.add_argument("--precision", type=int, help=f"bits, 64..{MAX_PRECISION}")
+    p.add_argument("--precision", **precision)
     _add_common(p, output_format=True)
 
     p = subs.add_parser("limits", help="limit predictions")
     p.add_argument("--poly")
     p.add_argument("--x")
     p.add_argument("--indices", help="i,j,p,q[;i,j,p,q...]")
-    p.add_argument("--precision", type=int, help=f"bits, 64..{MAX_PRECISION}")
+    p.add_argument("--precision", **precision)
     _add_common(p)
 
     p = subs.add_parser("compare", help="iterative baselines")
@@ -92,7 +93,7 @@ def _build_parser():
 
     p = subs.add_parser("roots", help="certified roots")
     p.add_argument("--poly")
-    p.add_argument("--precision", type=int, help=f"bits, 64..{MAX_PRECISION}")
+    p.add_argument("--precision", **precision)
     _add_common(p)
 
     return parser, subs.choices
@@ -138,8 +139,7 @@ def _require(args, *names):
 
 
 def _precision(args):
-    bits = args.precision if args.precision is not None else DEFAULT_PRECISION
-    bits = int(bits)
+    bits = args.precision
     if bits < 64:
         raise UsageError(f"--precision must be >= 64 bits, got {bits}")
     if bits > MAX_PRECISION:
@@ -177,8 +177,6 @@ def _print_matrix(power, fmt, out):
 
 def _fmt_mp(x, prec_bits):
     """Scientific notation with the digit count implied by prec_bits."""
-    from .backends import mpf_to_rational
-
     digits = max(17, int(prec_bits * 0.30103))
     v = mpf_to_rational(mp.mpf(x)) if not hasattr(x, "numerator") else x
     return sci_string(v, digits)

@@ -31,12 +31,13 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .backends import as_int_pair, floor_log10, format_rational, mpf_to_rational, rational, to_mpf
-from .errors import DominanceUndecidable, UsageError, ZeroDenominator
+from .errors import DominanceUndecidable, ZeroDenominator
 from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
-from .regrep import _coerce_weights
+from .regrep import _check_index, _coerce_weights
 from .roots import (
     DEFAULT_PRECISION, MAX_PRECISION, Enclosure, RootSet, _bracket, _certified_irreducible,
-    _horner_mp, _make_mpc, all_roots, enclose_quotient, float_start, isolate_real_roots,
+    _horner_mp, _make_mpc, _require_precision, all_roots, enclose_quotient, float_start,
+    isolate_real_roots,
 )
 
 
@@ -104,9 +105,7 @@ def analyze(f: Polynomial, x, precision_bits=DEFAULT_PRECISION) -> ConvergenceRe
     with a non-real one, still escalates to MAX_PRECISION before it is
     refused.
     """
-    prec = max(int(precision_bits), 64)
-    if prec > MAX_PRECISION:
-        raise UsageError(f"precision_bits must be <= MAX_PRECISION = {MAX_PRECISION}, got {prec}")
+    prec = max(_require_precision(precision_bits), 64)
     w = _coerce_weights(f, x)
     if all(c == 0 for c in w.x[1:]):
         raise DominanceUndecidable(
@@ -188,27 +187,24 @@ def _constant_quotient(n, d, F):
 def _limit_data(report, num, den):
     """(N, D, bracket): the limit is N(alpha_k) / D(alpha_k), alpha_k in bracket.
 
-    Column k of V^-1 holds the coefficients of f(t) / ((t - alpha_k)
-    f'(alpha_k)); by synthetic division its t^(i-1) coefficient is the top
-    m-i+1 coefficients of f evaluated at alpha_k, over f'(alpha_k).  So
-    A_k = N(alpha_k) / f'(alpha_k) with N = f[:m-i+1] * t^(j-1), B_k likewise
-    with D = f[:m-p+1] * t^(q-1), and f' cancels in A_k / B_k.  N and D are
-    read off the int form L f, so both carry the factor L, which cancels
-    too.  A certified dominant alpha_k is real (a conjugate would tie it),
-    so it has a Sturm bracket, and B_k = 0 exactly when gcd(f, D) changes
-    sign across it.  That bracket is isolate_real_roots(f)[r], r the number
-    of real centres left of alpha_k's: all_roots' m disks are disjoint and
-    hold one root each, a real disk's root is real (a non-real one would
-    bring its conjugate in), and real disks and Sturm brackets are equally
-    many, so both run in one order.
+    num and den are int index pairs, checked by the caller with
+    regrep._check_index.  Column k of V^-1 holds the coefficients of f(t) /
+    ((t - alpha_k) f'(alpha_k)); by synthetic division its t^(i-1) coefficient
+    is the top m-i+1 coefficients of f evaluated at alpha_k, over f'(alpha_k).
+    So A_k = N(alpha_k) / f'(alpha_k) with N = f[:m-i+1] * t^(j-1), B_k
+    likewise with D = f[:m-p+1] * t^(q-1), and f' cancels in A_k / B_k.  N and
+    D are read off the int form L f, so both carry the factor L, which cancels
+    too.  A certified dominant alpha_k is real (a conjugate would tie it), so
+    it has a Sturm bracket, and B_k = 0 exactly when gcd(f, D) changes sign
+    across it.  That bracket is isolate_real_roots(f)[r], r the number of real
+    centres left of alpha_k's: all_roots' m disks are disjoint and hold one
+    root each, a real disk's root is real (a non-real one would bring its
+    conjugate in), and real disks and Sturm brackets are equally many, so both
+    run in one order.
     """
     f = report.poly
     m = f.degree
-    indices = tuple(int(v) for v in (*num, *den))
-    for idx in indices:
-        if not (1 <= idx <= m):
-            raise UsageError(f"index {idx} out of range 1..{m}")
-    i, j, p, q = indices
+    i, j, p, q = indices = (*num, *den)
     F = f.integer_forms()[0]
     n = F[: m - i + 1] + (0,) * (j - 1)
     d = F[: m - p + 1] + (0,) * (q - 1)
@@ -233,6 +229,8 @@ def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
     modulo f; this covers num == den and the two named families) is
     degenerate exactly; other degeneracies are decided numerically.
     """
+    m = report.poly.degree
+    num, den = _check_index(num, m, "numerator"), _check_index(den, m, "denominator")
     data = _limit_data(report, num, den)
     n, d, _ = data
     prec = max(report.roots.work_prec, 192)

@@ -69,18 +69,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial(u={self.u!r})"
 
-    def __str__(self):
-        terms = [f"t^{self.degree}"]
-        for i, c in enumerate(self.u):
-            if c == 0:
-                continue
-            power = self.degree - 1 - i
-            mag = abs(c)
-            coeff = "" if (mag == 1 and power > 0) else str(mag)
-            var = "" if power == 0 else ("t" if power == 1 else f"t^{power}")
-            terms.append(("- " if c > 0 else "+ ") + coeff + var)
-        return " ".join(terms)
-
 
 def integer_multiple(coeffs):
     """The rational coefficients times the lcm of their denominators, as ints."""

@@ -2,7 +2,8 @@
 
 M^n is the matrix of g^n, so every power here is an element power in
 Q[t]/(f), taken by the one kernel ``regrep.power`` over the integral
-generator of ``regrep.integral_element``.  Entries are read from
+generator that ``regrep.build`` stored in M.element.  M itself is
+``mat_pow(M, 1)``, and its size m is f's degree.  Entries are read from
 ``regrep.matrix_of`` and ``regrep.scaled_entries``: ints for integral f
 and x, and a rational only where a ratio or a non-integral entry needs one.
 ``mat_pow`` of an integral M takes the power over exact Decimals instead,
@@ -33,8 +34,8 @@ from .convergence import _limit_data, analyze, resolving_enclosure
 from .errors import UsageError, ZeroDenominator
 from .regrep import (
     RegRepMatrix,
+    _check_index,
     constant_ratio_families,
-    integral_element,
     matrix_of,
     multiply,
     power,
@@ -66,7 +67,7 @@ class MatrixPower:
         """
         if not self.integral:
             return self.rows
-        u, _, z, _ = integral_element(self.base.poly, self.base.weights.x)
+        u, _, z, _ = self.base.element
         return matrix_of(u, power(u, z, self.n))
 
 
@@ -105,11 +106,11 @@ def _refuse_over_budget(element, n_max, n_sum):
     """UsageError if the entries of the M^n asked for would hold over MAX_OUTPUT_DIGITS digits.
 
     n_max is the largest n asked for and n_sum the sum of them all; element
-    is M's (u, L, z, d) from regrep.integral_element.  Runs before any power
-    is taken.  An entry of M^n has about n * r bits, with r read off the
-    bit growth of the kernel's first squarings: (d g)^k for the first power
-    of two k at which a coordinate reaches _PROBE_BITS bits (or the last
-    k <= n_max), plus log2 d per step for the denominator d^n.
+    is M.element, (u, L, z, d) from regrep.integral_element.  Runs before
+    any power is taken.  An entry of M^n has about n * r bits, with r read
+    off the bit growth of the kernel's first squarings: (d g)^k for the
+    first power of two k at which a coordinate reaches _PROBE_BITS bits (or
+    the last k <= n_max), plus log2 d per step for the denominator d^n.
     """
     u, _, z, d = element
     c, k = z, 1
@@ -132,22 +133,14 @@ def mat_pow(M: RegRepMatrix, n) -> MatrixPower:
     """
     if n < 0:
         raise UsageError("matrix power requires n >= 0")
-    element = integral_element(M.poly, M.weights.x)
-    _refuse_over_budget(element, n, n)
-    u, scale, z, d = element
+    _refuse_over_budget(M.element, n, n)
+    u, scale, z, d = M.element
     den = d**n
     if scale == den == 1:
         with exact_decimal():
             rows = matrix_of(u, power(u, [Decimal(v) for v in z], n))
         return MatrixPower(M, n, rows, True)
     return MatrixPower(M, n, scaled_entries(matrix_of(u, power(u, z, n)), scale, den), False)
-
-
-def _check_index(pair, m, label):
-    i, j = pair
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise UsageError(f"{label} index {pair} out of range 1..{m}")
-    return (int(i), int(j))
 
 
 def _record_from_entries(entries, n, num, den, offset):
@@ -176,7 +169,7 @@ def _walk(element, pairs, offset, ns):
 
     One list of records per (num, den) in pairs, all read from the same
     powers.  Powers are int coordinates of (d g)^n over L*a, with element =
-    M's (u, L, z, d) from regrep.integral_element.  The first is
+    M.element, (u, L, z, d) from regrep.integral_element.  The first is
     (d g)^ns[0]; each later one is the last times (d g)^(n - last n).
     """
     u, scale, z, d = element
@@ -199,7 +192,7 @@ def ratio_sequence(M: RegRepMatrix, num, den, offset=0, n_list=()) -> list:
     at least 10**20 radii of ``convergence.resolving_enclosure``.  A zero
     denominator entry marks its record unavailable, unless every one vanishes.
     """
-    m = M.size
+    m = M.poly.degree
     num = _check_index(num, m, "numerator")
     den = _check_index(den, m, "denominator")
     offset = rational(offset)
@@ -210,10 +203,9 @@ def ratio_sequence(M: RegRepMatrix, num, den, offset=0, n_list=()) -> list:
         return []
     if n_list[0] < 0:
         raise UsageError("sequence indices must be nonnegative")
-    element = integral_element(M.poly, M.weights.x)
-    _refuse_over_budget(element, n_list[-1], sum(n_list))
+    _refuse_over_budget(M.element, n_list[-1], sum(n_list))
     limit = _limit_data(analyze(M.poly, M.weights), num, den)
-    (records,) = _walk(element, [(num, den)], offset, n_list)
+    (records,) = _walk(M.element, [(num, den)], offset, n_list)
     values = [r.value for r in records if r.available]
     if not values:
         raise ZeroDenominator(f"denominator entry M^n[{den}] vanished at every requested n")
@@ -260,15 +252,14 @@ def constant_ratio_check(M: RegRepMatrix, n_max) -> list:
     The output budget is checked before any power is taken, and both
     families are read from one walk over M^1 ... M^n_max.
     """
-    m = M.size
+    m = M.poly.degree
     if m < 2:
         raise UsageError("constant-ratio families need m >= 2")
     n_max = int(n_max)
     families = constant_ratio_families(m)
-    element = integral_element(M.poly, M.weights.x)
-    _refuse_over_budget(element, n_max, n_max * (n_max + 1) // 2)
+    _refuse_over_budget(M.element, n_max, n_max * (n_max + 1) // 2)
     pairs = [((i, j), (p, q)) for i, j, p, q in families]
-    walks = _walk(element, pairs, rational(0), range(1, n_max + 1))
+    walks = _walk(M.element, pairs, rational(0), range(1, n_max + 1))
     results = []
     for fam_idx, ((i, j, p, q), records) in enumerate(zip(families, walks)):
         values = [r.value for r in records if r.available]

@@ -12,8 +12,7 @@ that is to be printed is taken over Decimals from the start, so its
 digits come out by str() with no int-to-decimal conversion, and libmpdec
 multiplies large operands by number-theoretic transform.  ``matrix_of``
 materializes a matrix from coordinates by shift-and-reduce over any ring
-(Fractions for ``build``, ints for powers, exact Decimals for printing
-them).
+(ints for powers, exact Decimals for printing them).
 
 ``power`` walks the bits of n from the top: it squares the accumulator
 and, on each set bit, multiplies it by the base itself, which over the
@@ -33,9 +32,12 @@ int b-coordinates z for one common denominator d.  With Z the int matrix
 of the b-coordinates of (d g)^n, entry (i, j) of M^n (0-based) is
 Z[i][j] L^(i-j) / d^n (``scaled_entries``).
 
-``build`` is the one construction of M itself.  The multinomial entry
-expansion and the closed 3x3 cubic form are the independent references
-the tests compare it against (tests/dense.py).
+``build`` holds M as the element it represents: f, x and x's
+``integral_element``, taken once.  M's entries are those of
+``powers.mat_pow(M, 1)``, read off g like every other power.  The sum of
+companion-matrix powers, the multinomial entry expansion and the closed
+3x3 cubic form are the independent references the tests compare them
+against (tests/dense.py).
 """
 
 import math
@@ -70,13 +72,15 @@ class Weights:
 
 @dataclass(frozen=True)
 class RegRepMatrix:
-    entries: tuple
+    """M(x, u), held as g = sum x_i a^i: M^n is the matrix of g^n.
+
+    element is g's (u, L, z, d) from integral_element, the form every power
+    of M is taken from; M's size is poly.degree.
+    """
+
     weights: Weights
     poly: Polynomial
-
-    @property
-    def size(self):
-        return len(self.entries)
+    element: tuple
 
 
 def _coerce_weights(f, x):
@@ -84,6 +88,14 @@ def _coerce_weights(f, x):
     if len(w) != f.degree:
         raise UsageError(f"expected {f.degree} weights, got {len(w)}")
     return w
+
+
+def _check_index(pair, m, label):
+    """The entry index pair (i, j) of an m x m matrix as ints, refused unless 1 <= i, j <= m."""
+    i, j = pair
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise UsageError(f"{label} index {pair} out of range 1..{m}")
+    return (int(i), int(j))
 
 
 # Measured on CPython 3.11 (2 CPUs), multiply(u, a, a) with small u and
@@ -282,6 +294,6 @@ def constant_ratio_families(m):
 
 
 def build(f: Polynomial, x) -> RegRepMatrix:
-    """M(x, u): the matrix of multiplication by the element with coordinates x."""
+    """M(x, u): multiplication by the element with coordinates x, held as that element."""
     w = _coerce_weights(f, x)
-    return RegRepMatrix(matrix_of(f.u, w.x), w, f)
+    return RegRepMatrix(w, f, integral_element(f, w.x))

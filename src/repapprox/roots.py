@@ -40,8 +40,8 @@ from .polynomial import (
 )
 
 # Working-precision budgets in bits: the default asked of all_roots and
-# analyze, and the largest that analyze ever asks of all_roots (also the
-# largest --precision the CLI accepts).  all_roots' Aberth working
+# analyze, and the largest that either accepts (also the largest
+# --precision the CLI accepts).  all_roots' Aberth working
 # precision stops at CEILING_FACTOR times its start.
 DEFAULT_PRECISION = 256
 MAX_PRECISION = 1 << 16
@@ -105,6 +105,14 @@ def _size(f):
 def _require_squarefree(f):
     if not is_squarefree(f):
         raise NotSquarefree(f"gcd(f, f') is nonconstant for {_size(f)}")
+
+
+def _require_precision(bits):
+    """bits as an int; above MAX_PRECISION a UsageError, before any root work."""
+    bits = int(bits)
+    if bits > MAX_PRECISION:
+        raise UsageError(f"precision_bits must be <= MAX_PRECISION = {MAX_PRECISION}, got {bits}")
+    return bits
 
 
 def root_bound(f: Polynomial):
@@ -754,9 +762,10 @@ def all_roots(f: Polynomial, precision_bits=DEFAULT_PRECISION, start=None) -> Ro
     disjoint, and the number of real candidates agrees with the exact Sturm
     count; past CEILING_FACTOR times the first working precision the roots
     are refused (RootSeparationError).  The start changes only how many
-    sweeps that takes, never what is certified.
+    sweeps that takes, never what is certified.  precision_bits above
+    MAX_PRECISION is refused (UsageError) before any root work.
     """
-    return _all_roots_cached(f, int(precision_bits), start)
+    return _all_roots_cached(f, _require_precision(precision_bits), start)
 
 
 @lru_cache(maxsize=128)

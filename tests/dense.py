@@ -8,9 +8,12 @@ operations, and the same element arithmetic on rationals (``multiply``,
 ``elements`` draws the random inputs that the property tests feed to both
 sides.  ``companion``, ``reflect`` and
 ``shift`` are the polynomial transforms only the tests use.
-``build_cubic`` (the closed 3x3 form) and ``entries_via_formula`` (the
-multinomial entry expansion) are the two independent constructions of M
-that ``regrep.build`` is checked against, and ``cubic_limit_matrix`` (the
+``regular_representation`` (the sum of x_i times the i-th power of f's
+companion matrix), ``build_cubic`` (the closed 3x3 form) and
+``entries_via_formula`` (the multinomial entry expansion) are three
+independent constructions of M's entries: the first feeds M to the dense
+computations, and all three check ``powers.mat_pow(M, 1)``, the matrix the
+package prints for ``regrep.build(f, x)``.  ``cubic_limit_matrix`` (the
 paper's closed cubic limit forms) is the reference for
 ``convergence.limit_ratio`` on cubics.  ``log_error_slope`` is the
 least-squares rate fit the convergence-rate tests measure sequences with.
@@ -32,7 +35,6 @@ from hypothesis import strategies as st
 from repapprox.backends import rational, to_mpf
 from repapprox.errors import DomainError, NotSquarefree, UsageError
 from repapprox.polynomial import Polynomial, derivative
-from repapprox.regrep import RegRepMatrix, Weights
 from repapprox.roots import Enclosure, root_bound
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -190,16 +192,25 @@ def shift(f: Polynomial, c):
     return Polynomial.from_monic_coefficients(coeffs)
 
 
-def build_cubic(p, q, r, x, y, z) -> RegRepMatrix:
-    """Closed-form 3x3 regular representation for f = t^3 - p t^2 - q t - r."""
+def regular_representation(f: Polynomial, x):
+    """M(x, u) as x_0 I + x_1 C + ... + x_{m-1} C^(m-1), C = companion(f)."""
+    c = companion(f)
+    entries, c_power = mat_scale(rational(x[0]), identity(f.degree)), identity(f.degree)
+    for x_i in x[1:]:
+        c_power = mat_mul(c_power, c)
+        entries = mat_add(entries, mat_scale(rational(x_i), c_power))
+    return entries
+
+
+def build_cubic(p, q, r, x, y, z):
+    """Entries of the closed-form 3x3 regular representation for f = t^3 - p t^2 - q t - r."""
     p, q, r = rational(p), rational(q), rational(r)
     x, y, z = rational(x), rational(y), rational(z)
-    entries = (
+    return (
         (x, r * z, r * y + p * r * z),
         (y, x + q * z, q * y + (p * q + r) * z),
         (z, y + p * z, x + p * y + (p * p + q) * z),
     )
-    return RegRepMatrix(entries, Weights((x, y, z)), Polynomial((p, q, r)))
 
 
 def _weighted_compositions(target, s):
@@ -253,21 +264,19 @@ def entry_multinomial(f: Polynomial, i, j, n):
     return total
 
 
-def entries_via_formula(f: Polynomial, x) -> RegRepMatrix:
-    """M built purely from the multinomial entry formula."""
-    w = Weights(x)
+def entries_via_formula(f: Polynomial, x):
+    """Entries of M built purely from the multinomial entry formula."""
     m = f.degree
-    entries = tuple(
+    return tuple(
         tuple(
             sum(
-                (w.x[n] * entry_multinomial(f, i, j, n) for n in range(m)),
+                (rational(x[n]) * entry_multinomial(f, i, j, n) for n in range(m)),
                 start=rational(0),
             )
             for j in range(1, m + 1)
         )
         for i in range(1, m + 1)
     )
-    return RegRepMatrix(entries, w, f)
 
 
 def cubic_limit_matrix(report, numerator):

@@ -33,7 +33,7 @@ from repapprox.errors import (
 )
 from repapprox.iterative import iterate_records, run_method, sweep_initial_conditions
 from repapprox.polynomial import Polynomial, parse_polynomial
-from repapprox.powers import constant_ratio_check, ratio_sequence
+from repapprox.powers import constant_ratio_check, mat_pow, ratio_sequence
 from repapprox.regrep import build
 from repapprox.roots import (
     all_roots,
@@ -304,8 +304,7 @@ def test_criterion_08_limit_bound_suite(certified_cases):
     checked = 0
     for f, x, report in certified_cases:
         m = f.degree
-        matrix = build(f, x)
-        p60 = dense.mat_pow_entries(matrix.entries, 60)
+        p60 = dense.mat_pow_entries(dense.regular_representation(f, x), 60)
         quads = [
             (i, j, p, q)
             for i in range(1, m + 1)
@@ -365,6 +364,11 @@ def test_criterion_10_constant_ratio_families(certified_cases):
             assert set(family.checked) | set(family.skipped) == set(range(1, 21))
 
 
+def _built_entries(f, x):
+    """The entries of M(x, u) as the package prints them: mat_pow(build(f, x), 1)."""
+    return mat_pow(build(f, x), 1).entries
+
+
 def test_criterion_11_construction_equivalence():
     """Criterion 11: both construction paths (and the cubic closed form) agree exactly."""
     rng = random.Random(SEED + 1)
@@ -374,12 +378,12 @@ def test_criterion_11_construction_equivalence():
         x = [rational(rng.randint(-4, 4)) for _ in range(m)]
         if all(c == 0 for c in x):
             x[0] = rational(1)
-        built = build(f, x)
-        assert built.entries == dense.entries_via_formula(f, x).entries
+        built = _built_entries(f, x)
+        assert built == dense.entries_via_formula(f, x)
         if m == 3:
             closed = dense.build_cubic(*f.u, *x)
-            assert built.entries == closed.entries
-        assert tuple(row[0] for row in built.entries) == tuple(x)
+            assert built == closed
+        assert tuple(row[0] for row in built) == tuple(x)
 
     for _ in range(50):
         m = rng.choice((2, 3, 4))
@@ -400,18 +404,18 @@ def test_criterion_11_construction_equivalence():
             for s in range(m):
                 prod[k - 1 - s] += c * f.u[s]
         x12 = prod[:m]
-        lhs = dense.mat_mul(build(f, x1).entries, build(f, x2).entries)
+        lhs = dense.mat_mul(_built_entries(f, x1), _built_entries(f, x2))
         if any(c != 0 for c in x12):
-            assert lhs == build(f, x12).entries
+            assert lhs == _built_entries(f, x12)
         # linearity
         a, b = rational(rng.randint(1, 4)), rational(rng.randint(-4, -1))
         combo = [a * c1 + b * c2 for c1, c2 in zip(x1, x2)]
         if any(c != 0 for c in combo):
             expected = dense.mat_add(
-                dense.mat_scale(a, build(f, x1).entries),
-                dense.mat_scale(b, build(f, x2).entries),
+                dense.mat_scale(a, _built_entries(f, x1)),
+                dense.mat_scale(b, _built_entries(f, x2)),
             )
-            assert build(f, combo).entries == expected
+            assert _built_entries(f, combo) == expected
 
 
 ORACLE_POLYS = (

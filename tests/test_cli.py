@@ -117,8 +117,8 @@ class TestPrintedMatrixBytes:
         ],
     )
     def test_power_and_repr_match_rational_entries(self, capsys, poly, x, n, fmt):
-        m = build(parse_polynomial(poly), parse_rational_vector(x))
-        want = _printed(dense.mat_pow_entries(m.entries, n), fmt == "pretty")
+        m = dense.regular_representation(parse_polynomial(poly), parse_rational_vector(x))
+        want = _printed(dense.mat_pow_entries(m, n), fmt == "pretty")
         argv = ["--poly", poly, "--x", x, "--format", fmt]
         assert run_cli(capsys, "power", *argv, "--n", str(n)) == (0, want, "")
         if n == 1:
@@ -793,6 +793,8 @@ class TestConfigAndErrors:
         assert cli._parse(["compare"]).methods == "newton,halley,noor"
         args = cli._parse(["tables"])
         assert (args.jobs, args.time) == (1, False)
+        for command in ("roots", "c-ratio", "limits"):
+            assert cli._parse([command]).precision == cli.DEFAULT_PRECISION == 256
 
     def test_command_line_beats_config_at_parse_level(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -354,6 +354,19 @@ class TestLimitRatio:
         with pytest.raises(UsageError):
             limit_ratio(report, (4, 1), (3, 1))
 
+    def test_index_refusal_has_one_message(self, ramanujan):
+        # limit_ratio and ratio_sequence refuse an index outside 1..m alike,
+        # each before any limit data or power.
+        report = analyze(ramanujan, (0, -1, 1))
+        M = build(ramanujan, (0, -1, 1))
+        for num, den, refused in (((4, 1), (3, 1), "numerator index (4, 1)"),
+                                  ((2, 1), (3, 0), "denominator index (3, 0)")):
+            for call in (lambda: limit_ratio(report, num, den),
+                         lambda: ratio_sequence(M, num, den, 0, (5,))):
+                with pytest.raises(UsageError) as info:
+                    call()
+                assert str(info.value) == f"{refused} out of range 1..3"
+
     def test_zero_denominator_refused_exactly(self):
         text, x = ZERO_B_K
         f = parse_polynomial(text)

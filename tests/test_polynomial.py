@@ -250,6 +250,3 @@ def test_shift_moves_roots():
             nearest = min(abs(e.center + 1 - e_moved.center) for e in base)
             assert nearest <= 1e-30
 
-
-def test_str_rendering():
-    assert str(parse_polynomial("c:1,1,-2,-1")) == "t^3 + t^2 - 2t - 1"

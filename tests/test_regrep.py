@@ -9,6 +9,8 @@ from repapprox import regrep
 from repapprox.backends import exact_decimal, rational
 from repapprox.errors import UsageError
 from repapprox.polynomial import Polynomial
+from repapprox import powers
+from repapprox.powers import constant_ratio_check, mat_pow, ratio_sequence
 from repapprox.regrep import (
     Weights,
     build,
@@ -27,6 +29,11 @@ def brute_power(f, n):
     return dense.mat_pow_entries(dense.companion(f), n)
 
 
+def built_entries(f, x):
+    """The entries of M(x, u) as the package prints them: mat_pow(build(f, x), 1)."""
+    return mat_pow(build(f, x), 1).entries
+
+
 class TestWeights:
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -39,13 +46,13 @@ class TestWeights:
 
 class TestBuild:
     def test_khovanskii_matrix(self):
-        m = build(Polynomial((0, 0, 7)), (4, 1, 1))
-        assert m.entries == ((4, 7, 7), (1, 4, 7), (1, 1, 4))
+        m = built_entries(Polynomial((0, 0, 7)), (4, 1, 1))
+        assert m == ((4, 7, 7), (1, 4, 7), (1, 1, 4))
 
     def test_simultaneous_matrix(self):
         p, q, r = 2, 3, 5
-        m = build(Polynomial((p, q, r)), (9, 0, 1))
-        assert m.entries == (
+        m = built_entries(Polynomial((p, q, r)), (9, 0, 1))
+        assert m == (
             (9, r, p * r),
             (0, q + 9, p * q + r),
             (1, p, p * p + q + 9),
@@ -53,31 +60,55 @@ class TestBuild:
 
     def test_identity_weights(self):
         f = Polynomial((4, -2, 7, 1))
-        assert build(f, (1, 0, 0, 0)).entries == dense.identity(4)
+        assert built_entries(f, (1, 0, 0, 0)) == dense.identity(4)
+
+    def test_m_is_held_as_its_element(self, monkeypatch):
+        # build takes x's integral element once and materializes no matrix;
+        # every power, sequence and family check on M reads that element.
+        def no_matrix(*args):
+            raise AssertionError("build materialized a matrix")
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integral_element(*args)
+
+        monkeypatch.setattr(regrep, "matrix_of", no_matrix)
+        for module in (regrep, powers):
+            if hasattr(module, "integral_element"):
+                monkeypatch.setattr(module, "integral_element", counted)
+        f, x = Polynomial((rational(1, 2), 2, -3)), (0, rational(-1, 3), 1)
+        M = build(f, x)
+        assert M.element == integral_element(f, M.weights.x)
+        mat_pow(M, 5)
+        ratio_sequence(M, (2, 1), (3, 1), -1, (3, 8))
+        constant_ratio_check(M, 6)
+        assert len(calls) == 1
 
     def test_first_column_is_weights(self):
         f = Polynomial((2, -3, 1))
         x = (rational(5), rational(-1, 2), rational(7))
-        m = build(f, x)
-        assert tuple(row[0] for row in m.entries) == x
+        m = built_entries(f, x)
+        assert tuple(row[0] for row in m) == x
 
 
 class TestBuildCubic:
     def test_closed_form_entries(self):
         m = dense.build_cubic(-1, 2, 1, 0, -1, 1)
-        assert m.entries == ((0, 1, -2), (-1, 2, -3), (1, -2, 4))
+        assert m == ((0, 1, -2), (-1, 2, -3), (1, -2, 4))
 
     def test_matches_generic_build(self):
         m = dense.build_cubic(-1, 2, 1, 0, -1, 1)
-        assert m.entries == build(Polynomial((-1, 2, 1)), (0, -1, 1)).entries
+        assert m == built_entries(Polynomial((-1, 2, 1)), (0, -1, 1))
 
     def test_b_style_matrix(self):
         m = dense.build_cubic(0, 0, 5, 3, 0, 1)
-        assert m.entries == ((3, 5, 0), (0, 3, 5), (1, 0, 3))
+        assert m == ((3, 5, 0), (0, 3, 5), (1, 0, 3))
 
     def test_identity(self):
         m = dense.build_cubic(9, 9, 9, 1, 0, 0)
-        assert m.entries == dense.identity(3)
+        assert m == dense.identity(3)
 
     @given(st.lists(st.fractions(min_value=-4, max_value=4), min_size=6, max_size=6))
     @settings(max_examples=40)
@@ -86,7 +117,7 @@ class TestBuildCubic:
         if x == y == z == 0:
             x = 1
         closed = dense.build_cubic(p, q, r, x, y, z)
-        assert closed.entries == build(Polynomial((p, q, r)), (x, y, z)).entries
+        assert closed == built_entries(Polynomial((p, q, r)), (x, y, z))
 
 
 class TestEntryFormula:
@@ -138,11 +169,11 @@ class TestEntryFormula:
 class TestFormulaPath:
     def test_agrees_on_reference_case(self):
         f = Polynomial((-1, 2, 1))
-        assert dense.entries_via_formula(f, (0, -1, 1)).entries == build(f, (0, -1, 1)).entries
+        assert dense.entries_via_formula(f, (0, -1, 1)) == built_entries(f, (0, -1, 1))
 
     def test_identity(self):
         f = Polynomial((1, 2, 3, 4, 5))
-        assert dense.entries_via_formula(f, (1, 0, 0, 0, 0)).entries == dense.identity(5)
+        assert dense.entries_via_formula(f, (1, 0, 0, 0, 0)) == dense.identity(5)
 
     @given(
         st.integers(2, 4),
@@ -155,7 +186,7 @@ class TestFormulaPath:
         x = [rational(rng.randint(-4, 4)) for _ in range(m)]
         if all(c == 0 for c in x):
             x[0] = rational(1)
-        assert dense.entries_via_formula(f, x).entries == build(f, x).entries
+        assert dense.entries_via_formula(f, x) == built_entries(f, x)
 
 
 class TestIntegerKernel:
@@ -374,11 +405,11 @@ class TestAlgebraicStructure:
                 x1[1] = 1
             if all(c == 0 for c in x2):
                 x2[1] = 1
-            product = dense.mat_mul(build(f, x1).entries, build(f, x2).entries)
+            product = dense.mat_mul(built_entries(f, x1), built_entries(f, x2))
             x12 = _multiply_mod_f(f, x1, x2)
             if all(c == 0 for c in x12):
                 continue  # zero divisors can occur for reducible f
-            assert product == build(f, x12).entries
+            assert product == built_entries(f, x12)
 
     def test_linearity(self):
         rng = random.Random(11)
@@ -395,10 +426,10 @@ class TestAlgebraicStructure:
             combo = [a * c1 + b * c2 for c1, c2 in zip(x1, x2)]
             if all(c == 0 for c in combo):
                 continue
-            lhs = build(f, combo).entries
+            lhs = built_entries(f, combo)
             rhs = dense.mat_add(
-                dense.mat_scale(a, build(f, x1).entries),
-                dense.mat_scale(b, build(f, x2).entries),
+                dense.mat_scale(a, built_entries(f, x1)),
+                dense.mat_scale(b, built_entries(f, x2)),
             )
             assert lhs == rhs
 
@@ -407,9 +438,4 @@ class TestAlgebraicStructure:
     @settings(max_examples=40, deadline=None)
     def test_sum_of_companion_powers(self, element):
         f, x = element
-        expected = dense.mat_scale(x[0], dense.identity(f.degree))
-        for n in range(1, f.degree):
-            expected = dense.mat_add(
-                expected, dense.mat_scale(x[n], brute_power(f, n))
-            )
-        assert build(f, x).entries == expected
+        assert built_entries(f, x) == dense.regular_representation(f, x)

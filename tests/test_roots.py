@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 import repapprox as ra
 from repapprox import roots
 from repapprox.backends import mpf_to_rational, rational, to_mpf
-from repapprox.errors import DomainError, NotSquarefree, RootSeparationError
+from repapprox.errors import DomainError, NotSquarefree, RootSeparationError, UsageError
 from repapprox.iterative import iterate_records
 from repapprox import polynomial
 from repapprox.polynomial import (
@@ -286,6 +286,20 @@ class TestAllRoots:
     def test_rejects_non_squarefree(self):
         with pytest.raises(NotSquarefree):
             all_roots(parse_polynomial("c:1,-2,1"), 128)
+
+    def test_precision_over_the_cap_refused_before_any_root_work(self, ramanujan, monkeypatch):
+        # Library callers get the cap that analyze and the CLI apply: above
+        # MAX_PRECISION no Aberth sweep runs, at it the roots are answered.
+        def sweep(*args):
+            raise AssertionError("Aberth ran for a refused precision")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(roots, "_aberth_pass", sweep)
+            for bits in (roots.MAX_PRECISION + 1, 2 * roots.MAX_PRECISION):
+                with pytest.raises(UsageError, match=f"MAX_PRECISION = {roots.MAX_PRECISION}"):
+                    all_roots(ramanujan, bits)
+        answered = all_roots(parse_polynomial("c:1,0,-2"), roots.MAX_PRECISION)
+        assert answered.work_prec >= roots.MAX_PRECISION and len(answered) == 2
 
 
 class TestFloatStart:
