@@ -43,6 +43,11 @@ def rational(num, den=1):
     return Fraction(num, den)
 
 
+def decimal_rational(text):
+    """Exact rational value of a decimal literal such as '-2.8e-20', as mp.nstr prints."""
+    return Fraction(text)
+
+
 def coprime_rational(num, den):
     """num/den for ints already in lowest terms with den > 0, taking no gcd.
 

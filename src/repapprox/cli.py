@@ -17,7 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath as mp
 
 from . import bench, convergence, iterative, powers
-from .backends import format_rational, mpf_to_rational, parse_rational, parse_rational_vector, sci_string
+from .backends import (
+    format_rational, mpf_to_rational, parse_rational, parse_rational_vector, rational, sci_parts,
+    sci_string, to_mpf,
+)
 from .errors import DomainError, RepApproxError, UsageError
 from .polynomial import parse_polynomial
 from .regrep import build
@@ -301,6 +304,18 @@ def _cmd_c_ratio(args, out):
     return 0
 
 
+# `limits` prints each L to this many significant digits, and limit_ratio
+# encloses it just closely enough for them.
+_LIMIT_DIGITS = 20
+
+
+def _rounded_up(value, sig):
+    """The least rational >= value >= 0 with `sig` significant digits."""
+    mant, e = sci_parts(value, sig)
+    unit = rational(10) ** (e - sig + 1)
+    return mant * unit + unit if mant * unit < value else mant * unit
+
+
 def _cmd_limits(args, out):
     _require(args, "poly", "x", "indices")
     f = parse_polynomial(args.poly)
@@ -309,11 +324,11 @@ def _cmd_limits(args, out):
     report = convergence.analyze(f, x, precision_bits=_precision(args))
     print("i,j,p,q,L,rate_constant,degenerate", file=out)
     for i, j, p, q in quads:
-        pred = convergence.limit_ratio(report, (i, j), (p, q))
+        pred = convergence.limit_ratio(report, (i, j), (p, q), _LIMIT_DIGITS)
         with mp.workprec(pred.work_prec):
-            l_str = mp.nstr(pred.limit, 20)
+            l_str = mp.nstr(pred.limit, _LIMIT_DIGITS)
             rc = mp.nstr(pred.rate_constant, 10)
-            bar = mp.nstr(pred.limit_error, 3)
+            bar = mp.nstr(to_mpf(_rounded_up(pred.limit_error, 3), mp), 3)
         print(f"L[{i},{j},{p},{q}] error bar <= {bar}", file=sys.stderr)
         print(f"{i},{j},{p},{q},{l_str},{rc},{str(pred.degenerate).lower()}", file=out)
     return 0

@@ -18,19 +18,26 @@ algebra: it equals N(alpha_k) / D(alpha_k) for two int polynomials read
 off f, with alpha_k the real dominant root.  B_k = 0, a value equal to
 the limit and a limit equal to alpha_k are each decided by the integer
 remainder sequence of f and one polynomial, a ratio constant in n by two
-pseudo-remainders.  resolving_enclosure is the one enclosure loop: it
-decides the exact case once, then refines one int bracket from alpha_k's
-Sturm bracket across all its rounds; limit_enclosure is one round of it.
-``analyze`` returns only a certified report, and ``limit_ratio`` is the
-one limit path; the paper's closed cubic forms are the independent
-reference the tests compare it against (tests/dense.py).
+pseudo-remainders.  Each enclosure loop decides the exact cases once, then
+refines one int bracket from alpha_k's Sturm bracket across all its rounds:
+resolving_enclosure until every given value's error is resolved
+(limit_enclosure is one round of it), and limit_ratio's until both ends of
+the enclosure print the same digits (Ziv's rounding test: Ziv, "Fast
+evaluation of elementary functions with guaranteed precision", ACM TOMS 17,
+1991), so a limit printed to 20 digits is enclosed to about 20 digits, not
+to twice the roots' precision.  ``analyze`` returns only a certified
+report, and ``limit_ratio`` is the one limit path; the paper's closed cubic
+forms are the independent reference the tests compare it against
+(tests/dense.py).
 """
 
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .backends import as_int_pair, floor_log10, format_rational, mpf_to_rational, rational, to_mpf
+from .backends import (
+    as_int_pair, decimal_rational, floor_log10, format_rational, rational, to_mpf,
+)
 from .errors import DominanceUndecidable, ZeroDenominator
 from .polynomial import Polynomial, pseudo_remainder, remainder_sequence, sign_at
 from .regrep import _check_index, _coerce_weights
@@ -57,7 +64,7 @@ class LimitPrediction:
     limit: object  # mpf: centre of the certified enclosure of N(alpha_k) / D(alpha_k)
     rate_constant: object  # |a_l b_k - a_k b_l| / |b_k|^2
     degenerate: bool
-    limit_error: object  # certified bound on |limit - true limit|
+    limit_error: object  # exact rational bound on |nstr(limit, digits) - true limit|
     work_prec: int
 
 
@@ -168,6 +175,19 @@ def _shares_root(F, g, bracket):
     return len(h) > 1 and (sign_at(h, bracket[0]) < 0) != (sign_at(h, bracket[1]) < 0)
 
 
+def _quotient(F, limit, offset):
+    """(N, D, offset) to enclose for limit + offset, given that N/D is not constant.
+
+    If alpha is a root of gcd(f, N + (offset - t) D), limit + offset is
+    alpha itself, enclosed as N = t, D = 1 with offset 0; otherwise limit's
+    own N, D and the offset.
+    """
+    n, d, bracket = limit
+    if _shares_root(F, _shifted(n, d, offset, 1), bracket):
+        return (1, 0), (1,), rational(0)
+    return n, d, offset
+
+
 def _constant_quotient(n, d, F):
     """c with N = c*D modulo F, so that the ratio is c at every n; else None.
 
@@ -219,41 +239,82 @@ def _limit_data(report, num, den):
     return n, d, bracket
 
 
-def limit_ratio(report: ConvergenceReport, num, den) -> LimitPrediction:
+def limit_ratio(report: ConvergenceReport, num, den, digits) -> LimitPrediction:
     """Limit of M^n[num]/M^n[den] under certified dominance, plus rate data.
 
-    `limit` and `limit_error` come from limit_enclosure at twice the report's
-    precision, so the error bar is certified.  A = N/f' and B = D/f' at the
-    dominant and runner-up roots are evaluated at the report's root centres
-    and only feed the rate constant.  A ratio that is constant in n (N = c*D
-    modulo f; this covers num == den and the two named families) is
-    degenerate exactly; other degeneracies are decided numerically.
+    `digits` is the number of significant digits the caller prints the limit
+    to.  `limit` is the centre of an enclosure whose ends, rounded outward to
+    mpfs, print the same mp.nstr(., digits) string as the centre
+    (_printed_limit), so every value inside prints it too, and `limit_error`
+    bounds |that printed value - the limit| exactly.  A = N/f' and B = D/f'
+    at the dominant and runner-up roots are evaluated at the report's root
+    centres, at the report's precision (at least the 192 bits that `eps`
+    assumes), and only feed the rate constant.  A ratio that is constant in
+    n (N = c*D modulo f; this covers num == den and the two named families)
+    is degenerate exactly, and its limit is c; other degeneracies are
+    decided numerically.
     """
-    m = report.poly.degree
-    num, den = _check_index(num, m, "numerator"), _check_index(den, m, "denominator")
+    f = report.poly
+    num, den = _check_index(num, f.degree, "numerator"), _check_index(den, f.degree, "denominator")
     data = _limit_data(report, num, den)
     n, d, _ = data
     prec = max(report.roots.work_prec, 192)
     work_prec = 2 * prec
-    enc = limit_enclosure(report.poly, data, work_prec * 30103 // 100000 + 1)
-    roots = report.roots.roots
+    F, F_prime = f.integer_forms()[:2]
+    c = _constant_quotient(n, d, F)
     with mp.workprec(work_prec):
-        limit = to_mpf(enc.center, mp)
-        slack = enc.radius + abs(mpf_to_rational(limit) - enc.center)
-        limit_error = mp.fdiv(slack.numerator, slack.denominator, rounding="u")
-        F, F_prime = report.poly.integer_forms()[:2]
-        *polys, f_prime = [[to_mpf(c, mp) for c in p] for p in (n, d, F_prime)]
-        (a_k, b_k), (a_l, b_l) = (
-            [mp.polyval(p, z) / mp.polyval(f_prime, z) for p in polys]
-            for z in (roots[report.dominant_index].center, roots[report.runner_up_index].center)
-        )
+        if c is None:
+            limit, lo, hi = _printed_limit(f, data, digits, work_prec * 30103 // 100000 + 1)
+        else:
+            limit, lo, hi = to_mpf(c, mp), c, c
+        printed = decimal_rational(mp.nstr(limit, digits))
+    limit_error = max(printed - lo, hi - printed)
+    roots = report.roots.roots
+    with mp.workprec(prec):
+        *polys, f_prime = [[to_mpf(a, mp) for a in p] for p in (n, d, F_prime)]
+        ab = []
+        for est in (roots[report.dominant_index], roots[report.runner_up_index]):
+            fz = mp.polyval(f_prime, est.center)
+            ab.append([mp.polyval(p, est.center) / fz for p in polys])
+        (a_k, b_k), (a_l, b_l) = ab
         eps = mp.mpf(2) ** (-prec // 2)
         disc = a_l * b_k - a_k * b_l
         disc_bar = eps * (1 + abs(a_l * b_k) + abs(a_k * b_l))
-        exact_degenerate = _constant_quotient(n, d, F) is not None
-        degenerate = exact_degenerate or abs(disc) <= 4 * disc_bar
-        rate_constant = mp.mpf(0) if exact_degenerate else abs(disc) / abs(b_k) ** 2
+        degenerate = c is not None or abs(disc) <= 4 * disc_bar
+        rate_constant = mp.mpf(0) if c is not None else abs(disc) / abs(b_k) ** 2
     return LimitPrediction(limit, rate_constant, degenerate, limit_error, work_prec)
+
+
+def _prints_alike(values, digits):
+    """Whether the mpfs all print the same mp.nstr(., digits) string."""
+    return len({mp.nstr(v, digits) for v in values}) == 1
+
+
+def _printed_limit(f, limit, digits, cap):
+    """(centre, low end, high end) of an enclosure of a limit that is not constant.
+
+    `limit` is (N, D, bracket) as from _limit_data; the ends are exact
+    rationals, the centre an mpf at the working precision.  The first round
+    encloses the limit to digits + 4 decimal places, and each later round
+    continues refining the int bracket the last one returned, at twice the
+    places, until the low end rounded down, the centre and the high end
+    rounded up print the same `digits` significant digits.  mp.nstr is
+    monotone, so every value between the ends then prints that string too.
+    The places stop at `cap`, where the centre is returned as it prints.
+    Whether the limit is alpha itself is decided once, before the rounds.
+    """
+    n, d, _ = _quotient(f.integer_forms()[0], limit, 0)
+    ivl = _bracket(*limit[2])
+    places = digits + 4
+    while True:
+        places = min(places, cap)
+        enc, ivl = enclose_quotient(f, n, d, ivl, places)
+        lo, hi = enc.center - enc.radius, enc.center + enc.radius
+        centre = to_mpf(enc.center, mp)
+        ends = (mp.fdiv(*as_int_pair(lo), rounding="f"), mp.fdiv(*as_int_pair(hi), rounding="c"))
+        if places == cap or _prints_alike((ends[0], centre, ends[1]), digits):
+            return centre, lo, hi
+        places *= 2
 
 
 def limit_enclosure(f, limit, digits) -> Enclosure:
@@ -268,20 +329,22 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
     """Certified enclosure of limit + offset that resolves every value's error.
 
     `limit` is (N, D, bracket) as from _limit_data: the limit is
-    N(alpha)/D(alpha) for the root alpha of f in bracket.  The exact case is
-    decided once: N = c*D modulo f gives c + offset with radius 0, and if
-    alpha is a root of gcd(f, N + (offset - t) D), limit + offset is alpha,
-    enclosed as N = t, D = 1.  Every round then continues refining the int
-    bracket that roots.enclose_quotient returned the round before.  The
-    first round works at `digits`; a value inside it that is exactly limit +
-    offset (alpha is a root of gcd(f, N + (offset - v) D)) is returned with
-    radius 0, so its error is exactly 0.  That test is skipped when f is
-    certified irreducible: then alpha is irrational, and so is N(alpha) /
-    D(alpha) + offset, since a rational value c would make f divide
-    N - (c - offset) D, which the constant case rules out.  Otherwise the
-    digits grow until every value lies at least 10**20 radii from the
-    centre, so each |value - centre| is its true error to about 20
-    significant digits.
+    N(alpha)/D(alpha) for the root alpha of f in bracket.  The exact cases
+    are decided once: N = c*D modulo f gives c + offset with radius 0, and
+    a limit + offset that is alpha is enclosed as alpha (_quotient).  Every
+    round then continues refining the int bracket that
+    roots.enclose_quotient returned the round before.  The first round works
+    at `digits`; a value inside it that is exactly limit + offset (alpha is
+    a root of gcd(f, N + (offset - v) D)) is returned with radius 0, so its
+    error is exactly 0.  That test is skipped when f is certified
+    irreducible: then alpha is irrational, and so is N(alpha) / D(alpha) +
+    offset, since a rational value c would make f divide N - (c - offset) D,
+    which the constant case rules out.  Otherwise the digits grow until
+    every value lies at least 10**20 radii from the centre, so each
+    |value - centre| is its true error to about 20 significant digits.  The
+    rounds refine nested brackets, and interval Horner is
+    inclusion-isotone, so the enclosures nest: a value once 10**20 radii
+    away stays so, and only the values still closer are measured again.
     """
     n, d, bracket = limit
     offset = rational(offset)
@@ -289,8 +352,7 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
     c = _constant_quotient(n, d, F)
     if c is not None:
         return Enclosure(c + offset, rational(0))
-    if _shares_root(F, _shifted(n, d, offset, 1), bracket):
-        n, d, offset = (1, 0), (1,), rational(0)
+    n, d, offset = _quotient(F, limit, offset)
     enc, ivl = enclose_quotient(f, n, d, _bracket(*bracket), digits)
     center = enc.center + offset
     for v in () if _certified_irreducible(f) else values:
@@ -299,10 +361,10 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
             return Enclosure(v, rational(0))
     while True:
         margin = enc.radius * 10**20
-        close = [e for e in (abs(v - center) for v in values) if e < margin]
+        close = [(gap, v) for gap, v in ((abs(v - center), v) for v in values) if gap < margin]
         if not close:
             return Enclosure(center, enc.radius)
-        smallest = min(close)
+        smallest, values = min(gap for gap, _ in close), [v for _, v in close]
         digits = max(2 * digits, -floor_log10(smallest) + 21 if smallest else 0)
         enc, ivl = enclose_quotient(f, n, d, ivl, digits)
         center = enc.center + offset

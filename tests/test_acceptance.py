@@ -322,7 +322,8 @@ def test_criterion_08_limit_bound_suite(certified_cases):
             if p60[p - 1][q - 1] == 0:
                 continue
             try:
-                pred = limit_ratio(report, (i, j), (p, q))
+                # The bounds reach 10**-154: enclose the limit to the cap.
+                pred = limit_ratio(report, (i, j), (p, q), 200)
             except (ZeroDenominator, RootSeparationError, DomainError):
                 continue
             if pred.degenerate:
@@ -341,7 +342,7 @@ def test_criterion_09_rate_slopes(ramanujan):
     """Criterion 9: measured log-error slopes match -log10(c) within 2%."""
     for x in ((0, 0, 1), (1, -1, 1), (0, -1, 1), (69, 99, -124)):
         report = analyze(ramanujan, x)
-        assert not limit_ratio(report, (2, 1), (3, 1)).degenerate
+        assert not limit_ratio(report, (2, 1), (3, 1), 20).degenerate
         matrix = build(ramanujan, x)
         records = ratio_sequence(matrix, (2, 1), (3, 1), -1, range(20, 101, 5))
         assert all(r.abs_error > 0 for r in records)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -504,6 +505,51 @@ class TestLimits:
         assert lines[1].startswith("2,1,3,1,-0.8019377")
         assert lines[2].endswith("true")
         assert "error bar" in err  # diagnostics stay off the data stream
+
+    RAMANUJAN = ("limits", "--poly=c:1,1,-2,-1", "--x=0,-1,1")
+
+    @pytest.fixture
+    def asked_digits(self, monkeypatch):
+        asked, enclose = [], cli.convergence.enclose_quotient
+
+        def recording(f, n, d, bracket, digits):
+            asked.append(digits)
+            return enclose(f, n, d, bracket, digits)
+
+        monkeypatch.setattr(cli.convergence, "enclose_quotient", recording)
+        return asked
+
+    def test_encloses_to_the_printed_digits(self, capsys, asked_digits):
+        # L prints to 20 digits, so its enclosure starts at 24 decimal places
+        # and doubles only while its ends print differently: never the
+        # 193 places of twice the roots' 320 bits.
+        code, out, _ = run_cli(capsys, *self.RAMANUJAN, "--indices=2,2,2,1")
+        assert (code, out.splitlines()[1]) == (0, "2,2,2,1,-1.8019377358048382525,1.692021472,false")
+        assert asked_digits and max(asked_digits) <= 48
+
+    def test_error_bar_bounds_the_printed_value(self, capsys):
+        from repapprox.convergence import _limit_data, analyze, limit_enclosure
+
+        code, out, err = run_cli(capsys, *self.RAMANUJAN, "--indices=2,2,2,1")
+        printed = Fraction(out.splitlines()[1].split(",")[4])
+        bar = re.fullmatch(r"L\[2,2,2,1\] error bar <= (\S+)\n", err).group(1)
+        f = parse_polynomial("c:1,1,-2,-1")
+        enc = limit_enclosure(f, _limit_data(analyze(f, (0, -1, 1)), (2, 2), (2, 1)), 60)
+        # |printed - L| is about 2.8e-20, and the bar covers it, rounded up.
+        assert abs(printed - enc.center) + enc.radius <= Fraction(bar)
+        assert bar == "2.78e-20"
+
+    def test_cap_prints_the_parent_bytes(self, capsys, asked_digits, monkeypatch):
+        # With the rounding test failing every round, the places double up
+        # to the cap, twice the roots' 320 bits in digits, and L prints from
+        # the centre there, as it did when every limit was enclosed that far.
+        monkeypatch.setattr(cli.convergence, "_prints_alike", lambda values, digits: False)
+        code, out, _ = run_cli(capsys, *self.RAMANUJAN, "--indices=2,1,3,1;1,1,2,1;2,2,2,1")
+        assert (code, out) == (0, "i,j,p,q,L,rate_constant,degenerate\n"
+                                  "2,1,3,1,-0.80193773580483825247,2.445041868,false\n"
+                                  "1,1,2,1,0.69202147163009586963,5.911854,false\n"
+                                  "2,2,2,1,-1.8019377358048382525,1.692021472,false\n")
+        assert asked_digits == [24, 48, 96, 192, 193] * 3
 
     def test_format_not_accepted(self, capsys):
         # limits has one output layout, so it takes no --format

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -327,7 +328,7 @@ class TestLimitRatio:
     def test_offset_recovery(self, ramanujan):
         # (2,1)/(3,1) converges to root - u_1; here u_1 = -1
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(report, (2, 1), (3, 1))
+        pred = limit_ratio(report, (2, 1), (3, 1), 20)
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(pred.work_prec):
             assert abs(pred.limit - (alpha + 1)) < 1e-40
@@ -336,7 +337,7 @@ class TestLimitRatio:
     @pytest.mark.parametrize("num,den", [((2, 2), (2, 1)), ((2, 3), (2, 2)), ((3, 3), (3, 2))])
     def test_adjacent_column_ratios_hit_root(self, ramanujan, num, den):
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(report, num, den)
+        pred = limit_ratio(report, num, den, 20)
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(pred.work_prec):
             assert abs(pred.limit - alpha) < 1e-40
@@ -345,14 +346,14 @@ class TestLimitRatio:
     def test_constant_families_degenerate(self, ramanujan, indices):
         report = analyze(ramanujan, (0, -1, 1))
         i, j, p, q = indices
-        pred = limit_ratio(report, (i, j), (p, q))
+        pred = limit_ratio(report, (i, j), (p, q), 20)
         assert pred.degenerate
         assert pred.rate_constant == 0
 
     def test_index_validation(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
         with pytest.raises(UsageError):
-            limit_ratio(report, (4, 1), (3, 1))
+            limit_ratio(report, (4, 1), (3, 1), 20)
 
     def test_index_refusal_has_one_message(self, ramanujan):
         # limit_ratio and ratio_sequence refuse an index outside 1..m alike,
@@ -361,7 +362,7 @@ class TestLimitRatio:
         M = build(ramanujan, (0, -1, 1))
         for num, den, refused in (((4, 1), (3, 1), "numerator index (4, 1)"),
                                   ((2, 1), (3, 0), "denominator index (3, 0)")):
-            for call in (lambda: limit_ratio(report, num, den),
+            for call in (lambda: limit_ratio(report, num, den, 20),
                          lambda: ratio_sequence(M, num, den, 0, (5,))):
                 with pytest.raises(UsageError) as info:
                     call()
@@ -372,11 +373,11 @@ class TestLimitRatio:
         f = parse_polynomial(text)
         report = analyze(f, x)
         with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
-            limit_ratio(report, (1, 1), (2, 1))
+            limit_ratio(report, (1, 1), (2, 1), 20)
 
     def test_measured_ratio_approaches_limit(self, ramanujan):
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(report, (2, 1), (3, 1))
+        pred = limit_ratio(report, (2, 1), (3, 1), 170)  # digits for the 10**-170 below
         m = build(ramanujan, (0, -1, 1))
         p200 = ra.mat_pow(m, 200).entries
         measured = rational(p200[1][0]) / p200[2][0]
@@ -385,11 +386,41 @@ class TestLimitRatio:
             assert diff < mp.mpf(10) ** -170
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda m: st.lists(st.integers(-6, 6), min_size=m, max_size=m)),
+    st.data(),
+)
+def test_printed_limit_is_the_capped_centre_printed(u, data):
+    # Enclosed only until its ends print alike, L prints as the centre of
+    # the enclosure at the cap (twice the roots' precision, in digits) does.
+    f = Polynomial(tuple(map(rational, u)))
+    assume(dense.is_squarefree(f))
+    m = f.degree
+    x = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    assume(any(x[1:]))
+    num, den = (data.draw(st.tuples(st.integers(1, m), st.integers(1, m))) for _ in range(2))
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convergence, "MAX_PRECISION", 1024)  # a +- tie is refused early
+            report = analyze(f, x)
+        pred = limit_ratio(report, num, den, 20)
+    except (DominanceUndecidable, ZeroDenominator):
+        assume(False)
+    cap = pred.work_prec * 30103 // 100000 + 1
+    enc = limit_enclosure(f, _limit_data(report, num, den), cap)
+    with mp.workprec(pred.work_prec):
+        printed = mp.nstr(pred.limit, 20)
+        assert printed == mp.nstr(to_mpf(enc.center, mp), 20)
+    # The bar covers the printed value's distance to the limit.
+    assert abs(Fraction(printed) - enc.center) <= pred.limit_error + enc.radius
+
+
 class TestRateReport:
     def test_reference_slope(self, ramanujan):
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
-        assert not limit_ratio(report, (2, 1), (3, 1)).degenerate
+        assert not limit_ratio(report, (2, 1), (3, 1), 20).degenerate
         m = build(ramanujan, x)
         records = ratio_sequence(m, (2, 1), (3, 1), -1, range(20, 101, 5))
         tail = records[len(records) // 2 :]  # n = 60, ..., 100
@@ -473,7 +504,7 @@ class TestCubicClosedForms:
             mbar = dense.cubic_limit_matrix(report, numerator)
             for h in range(1, 4):
                 for k in range(1, 4):
-                    pred = limit_ratio(report, numerator, (h, k))
+                    pred = limit_ratio(report, numerator, (h, k), 20)
                     with mp.workprec(report.roots.work_prec):
                         assert abs(pred.limit - mbar[h - 1][k - 1]) < 1e-35
 

@@ -15,8 +15,9 @@ per-table wall time that ``tables`` prints to stderr ("table N: 1.23s").
 perfbench itself checks output digests only at seed 0; this covers any
 seed.
 
-Prints one line per (workload, seed) and one per differing op, and exits
-1 if any op differs.
+Prints one line per (workload, seed) and one per differing op, then the
+count of ops that differ in rc, stdout or files and the count that differ
+only in stderr, and exits 1 if any op differs.
 """
 
 import argparse
@@ -122,7 +123,7 @@ def main(argv=None):
         parent = os.path.join(work, "parent")
         commit = _extract(args.parent, parent)
         print(f"# parent {commit}, change: working tree of {ROOT}")
-        differing = total = 0
+        output = stderr_only = total = 0
         for workload, seeds in args.specs:
             for seed in seeds:
                 sides = [_side(tree, workload, seed, tempfile.mkdtemp(dir=work))
@@ -133,16 +134,19 @@ def main(argv=None):
                     if fields:
                         diffs.append(f"  op {a['id']} differs in {', '.join(fields)}: "
                                      f"{' '.join(a['argv'])}")
+                        stderr_only += fields == ["stderr"]
+                        output += fields != ["stderr"]
                 if len(sides[0]) != len(sides[1]):
                     diffs.append(f"  op counts differ: {len(sides[0])} vs {len(sides[1])}")
+                    output += abs(len(sides[0]) - len(sides[1]))
                 total += len(sides[1])
-                differing += len(diffs)
                 print(f"{workload} seed={seed}: {len(sides[1])} ops, "
                       f"{'identical' if not diffs else f'{len(diffs)} differ'}")
                 for line in diffs:
                     print(line)
-        print(f"# {total} ops, {differing} differ")
-        return 1 if differing else 0
+        print(f"# {total} ops, {output + stderr_only} differ")
+        print(f"# {output} differ in rc, stdout or files; {stderr_only} differ only in stderr")
+        return 1 if output + stderr_only else 0
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
