@@ -20,15 +20,14 @@ the limit and a limit equal to alpha_k are each decided by the integer
 remainder sequence of f and one polynomial, a ratio constant in n by two
 pseudo-remainders.  Each enclosure loop decides the exact cases once, then
 refines one int bracket from alpha_k's Sturm bracket across all its rounds:
-resolving_enclosure until every given value's error is resolved
-(limit_enclosure is one round of it), and limit_ratio's until both ends of
-the enclosure print the same digits (Ziv's rounding test: Ziv, "Fast
-evaluation of elementary functions with guaranteed precision", ACM TOMS 17,
-1991), so a limit printed to 20 digits is enclosed to about 20 digits, not
-to twice the roots' precision.  ``analyze`` returns only a certified
-report, and ``limit_ratio`` is the one limit path; the paper's closed cubic
-forms are the independent reference the tests compare it against
-(tests/dense.py).
+resolving_enclosure until every given value's error is resolved, and
+limit_enclosure, limit_ratio's loop, until both ends of the enclosure
+print the same digits (Ziv's rounding test: Ziv, "Fast evaluation of
+elementary functions with guaranteed precision", ACM TOMS 17, 1991), so a
+limit printed to 20 digits is enclosed to about 20 digits, not to twice
+the roots' precision.  ``analyze`` returns only a certified report, and
+``limit_ratio`` is the one limit path; the paper's closed cubic forms are
+the independent reference the tests compare it against (tests/dense.py).
 """
 
 from dataclasses import dataclass
@@ -245,7 +244,7 @@ def limit_ratio(report: ConvergenceReport, num, den, digits) -> LimitPrediction:
     `digits` is the number of significant digits the caller prints the limit
     to.  `limit` is the centre of an enclosure whose ends, rounded outward to
     mpfs, print the same mp.nstr(., digits) string as the centre
-    (_printed_limit), so every value inside prints it too, and `limit_error`
+    (limit_enclosure), so every value inside prints it too, and `limit_error`
     bounds |that printed value - the limit| exactly.  A = N/f' and B = D/f'
     at the dominant and runner-up roots are evaluated at the report's root
     centres, at the report's precision (at least the 192 bits that `eps`
@@ -264,11 +263,12 @@ def limit_ratio(report: ConvergenceReport, num, den, digits) -> LimitPrediction:
     c = _constant_quotient(n, d, F)
     with mp.workprec(work_prec):
         if c is None:
-            limit, lo, hi = _printed_limit(f, data, digits, work_prec * 30103 // 100000 + 1)
+            enc = limit_enclosure(f, data, digits, work_prec * 30103 // 100000 + 1)
         else:
-            limit, lo, hi = to_mpf(c, mp), c, c
+            enc = Enclosure(c, rational(0))
+        limit = to_mpf(enc.center, mp)
         printed = decimal_rational(mp.nstr(limit, digits))
-    limit_error = max(printed - lo, hi - printed)
+    limit_error = abs(printed - enc.center) + enc.radius
     roots = report.roots.roots
     with mp.workprec(prec):
         *polys, f_prime = [[to_mpf(a, mp) for a in p] for p in (n, d, F_prime)]
@@ -290,18 +290,18 @@ def _prints_alike(values, digits):
     return len({mp.nstr(v, digits) for v in values}) == 1
 
 
-def _printed_limit(f, limit, digits, cap):
-    """(centre, low end, high end) of an enclosure of a limit that is not constant.
+def limit_enclosure(f, limit, digits, cap) -> Enclosure:
+    """Certified enclosure of a limit that is not constant, to the digits it prints.
 
-    `limit` is (N, D, bracket) as from _limit_data; the ends are exact
-    rationals, the centre an mpf at the working precision.  The first round
-    encloses the limit to digits + 4 decimal places, and each later round
-    continues refining the int bracket the last one returned, at twice the
-    places, until the low end rounded down, the centre and the high end
-    rounded up print the same `digits` significant digits.  mp.nstr is
-    monotone, so every value between the ends then prints that string too.
-    The places stop at `cap`, where the centre is returned as it prints.
-    Whether the limit is alpha itself is decided once, before the rounds.
+    `limit` is (N, D, bracket) as from _limit_data, and the working
+    precision is the caller's.  The first round encloses the limit to
+    digits + 4 decimal places, and each later round continues refining the
+    int bracket the last one returned, at twice the places, until the low
+    end rounded down, the centre and the high end rounded up print the same
+    `digits` significant digits.  mp.nstr is monotone, so every value
+    between the ends then prints that string too.  The places stop at
+    `cap`, where the centre is returned as it prints.  Whether the limit is
+    alpha itself is decided once, before the rounds.
     """
     n, d, _ = _quotient(f.integer_forms()[0], limit, 0)
     ivl = _bracket(*limit[2])
@@ -309,23 +309,20 @@ def _printed_limit(f, limit, digits, cap):
     while True:
         places = min(places, cap)
         enc, ivl = enclose_quotient(f, n, d, ivl, places)
-        lo, hi = enc.center - enc.radius, enc.center + enc.radius
-        centre = to_mpf(enc.center, mp)
-        ends = (mp.fdiv(*as_int_pair(lo), rounding="f"), mp.fdiv(*as_int_pair(hi), rounding="c"))
-        if places == cap or _prints_alike((ends[0], centre, ends[1]), digits):
-            return centre, lo, hi
+        ends = (
+            mp.fdiv(*as_int_pair(enc.center - enc.radius), rounding="f"),
+            mp.fdiv(*as_int_pair(enc.center + enc.radius), rounding="c"),
+        )
+        if places == cap or _prints_alike((ends[0], to_mpf(enc.center, mp), ends[1]), digits):
+            return enc
         places *= 2
 
 
-def limit_enclosure(f, limit, digits) -> Enclosure:
-    """Certified enclosure of the limit (N, D, bracket), radius <= 10**-digits.
-
-    One resolving_enclosure round, on the triple that _limit_data returned.
-    """
-    return resolving_enclosure(f, limit, (), 0, digits)
+# Decimal places of resolving_enclosure's first round.
+_FIRST_DIGITS = 30
 
 
-def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
+def resolving_enclosure(f, limit, values, offset=0) -> Enclosure:
     """Certified enclosure of limit + offset that resolves every value's error.
 
     `limit` is (N, D, bracket) as from _limit_data: the limit is
@@ -334,17 +331,14 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
     a limit + offset that is alpha is enclosed as alpha (_quotient).  Every
     round then continues refining the int bracket that
     roots.enclose_quotient returned the round before.  The first round works
-    at `digits`; a value inside it that is exactly limit + offset (alpha is
-    a root of gcd(f, N + (offset - v) D)) is returned with radius 0, so its
-    error is exactly 0.  That test is skipped when f is certified
+    at _FIRST_DIGITS places; a value inside it that is exactly limit +
+    offset (alpha is a root of gcd(f, N + (offset - v) D)) is returned with
+    radius 0, so its error is exactly 0.  That test is skipped when f is certified
     irreducible: then alpha is irrational, and so is N(alpha) / D(alpha) +
     offset, since a rational value c would make f divide N - (c - offset) D,
     which the constant case rules out.  Otherwise the digits grow until
     every value lies at least 10**20 radii from the centre, so each
-    |value - centre| is its true error to about 20 significant digits.  The
-    rounds refine nested brackets, and interval Horner is
-    inclusion-isotone, so the enclosures nest: a value once 10**20 radii
-    away stays so, and only the values still closer are measured again.
+    |value - centre| is its true error to about 20 significant digits.
     """
     n, d, bracket = limit
     offset = rational(offset)
@@ -353,6 +347,7 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
     if c is not None:
         return Enclosure(c + offset, rational(0))
     n, d, offset = _quotient(F, limit, offset)
+    digits = _FIRST_DIGITS
     enc, ivl = enclose_quotient(f, n, d, _bracket(*bracket), digits)
     center = enc.center + offset
     for v in () if _certified_irreducible(f) else values:
@@ -361,10 +356,10 @@ def resolving_enclosure(f, limit, values, offset=0, digits=30) -> Enclosure:
             return Enclosure(v, rational(0))
     while True:
         margin = enc.radius * 10**20
-        close = [(gap, v) for gap, v in ((abs(v - center), v) for v in values) if gap < margin]
+        close = [e for e in (abs(v - center) for v in values) if e < margin]
         if not close:
             return Enclosure(center, enc.radius)
-        smallest, values = min(gap for gap, _ in close), [v for _, v in close]
+        smallest = min(close)
         digits = max(2 * digits, -floor_log10(smallest) + 21 if smallest else 0)
         enc, ivl = enclose_quotient(f, n, d, ivl, digits)
         center = enc.center + offset

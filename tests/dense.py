@@ -15,7 +15,9 @@ independent constructions of M's entries: the first feeds M to the dense
 computations, and all three check ``powers.mat_pow(M, 1)``, the matrix the
 package prints for ``regrep.build(f, x)``.  ``cubic_limit_matrix`` (the
 paper's closed cubic limit forms) is the reference for
-``convergence.limit_ratio`` on cubics.  ``log_error_slope`` is the
+``convergence.limit_ratio`` on cubics, and ``limit_to_places`` (the first
+round of ``convergence.resolving_enclosure``, at any number of places)
+encloses a limit for the tests that compare against one.  ``log_error_slope`` is the
 least-squares rate fit the convergence-rate tests measure sequences with.
 
 The second half holds the polynomial algebra and the root loops as they
@@ -33,8 +35,10 @@ import mpmath as mp
 from hypothesis import strategies as st
 
 from repapprox.backends import rational, to_mpf
+from repapprox.convergence import _constant_quotient, _quotient
 from repapprox.errors import DomainError, NotSquarefree, UsageError
 from repapprox.polynomial import Polynomial, derivative
+from repapprox import roots
 from repapprox.roots import Enclosure, root_bound
 
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -300,6 +304,22 @@ def cubic_limit_matrix(report, numerator):
             row2 = tuple(e / (alpha - p) for e in row3)
             row1 = tuple(e * alpha / r for e in row3)
         return (row1, row2, row3)
+
+
+def limit_to_places(f, limit, places):
+    """Certified enclosure of the limit (N, D, bracket), radius <= 10**-places.
+
+    The first round of convergence.resolving_enclosure on the triple that
+    convergence._limit_data returned: its exact cases, then one
+    roots.enclose_quotient from the Sturm bracket.
+    """
+    n, d, bracket = limit
+    F = f.integer_forms()[0]
+    c = _constant_quotient(n, d, F)
+    if c is not None:
+        return Enclosure(c, rational(0))
+    n, d, _ = _quotient(F, limit, 0)
+    return roots.enclose_quotient(f, n, d, roots._bracket(*bracket), places)[0]
 
 
 def log_error_slope(records):

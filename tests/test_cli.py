@@ -528,13 +528,13 @@ class TestLimits:
         assert asked_digits and max(asked_digits) <= 48
 
     def test_error_bar_bounds_the_printed_value(self, capsys):
-        from repapprox.convergence import _limit_data, analyze, limit_enclosure
+        from repapprox.convergence import _limit_data, analyze
 
         code, out, err = run_cli(capsys, *self.RAMANUJAN, "--indices=2,2,2,1")
         printed = Fraction(out.splitlines()[1].split(",")[4])
         bar = re.fullmatch(r"L\[2,2,2,1\] error bar <= (\S+)\n", err).group(1)
         f = parse_polynomial("c:1,1,-2,-1")
-        enc = limit_enclosure(f, _limit_data(analyze(f, (0, -1, 1)), (2, 2), (2, 1)), 60)
+        enc = dense.limit_to_places(f, _limit_data(analyze(f, (0, -1, 1)), (2, 2), (2, 1)), 60)
         # |printed - L| is about 2.8e-20, and the bar covers it, rounded up.
         assert abs(printed - enc.center) + enc.radius <= Fraction(bar)
         assert bar == "2.78e-20"

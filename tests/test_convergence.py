@@ -15,7 +15,6 @@ from repapprox import cli, convergence, roots
 from repapprox.convergence import (
     _limit_data,
     analyze,
-    limit_enclosure,
     limit_ratio,
     resolving_enclosure,
 )
@@ -328,7 +327,7 @@ class TestLimitRatio:
     def test_offset_recovery(self, ramanujan):
         # (2,1)/(3,1) converges to root - u_1; here u_1 = -1
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(report, (2, 1), (3, 1), 20)
+        pred = limit_ratio(report, (2, 1), (3, 1), 40)  # digits for the 1e-40 below
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(pred.work_prec):
             assert abs(pred.limit - (alpha + 1)) < 1e-40
@@ -337,7 +336,7 @@ class TestLimitRatio:
     @pytest.mark.parametrize("num,den", [((2, 2), (2, 1)), ((2, 3), (2, 2)), ((3, 3), (3, 2))])
     def test_adjacent_column_ratios_hit_root(self, ramanujan, num, den):
         report = analyze(ramanujan, (0, -1, 1))
-        pred = limit_ratio(report, num, den, 20)
+        pred = limit_ratio(report, num, den, 40)  # digits for the 1e-40 below
         alpha = mp.re(report.roots.roots[report.dominant_index].center)
         with mp.workprec(pred.work_prec):
             assert abs(pred.limit - alpha) < 1e-40
@@ -408,7 +407,7 @@ def test_printed_limit_is_the_capped_centre_printed(u, data):
     except (DominanceUndecidable, ZeroDenominator):
         assume(False)
     cap = pred.work_prec * 30103 // 100000 + 1
-    enc = limit_enclosure(f, _limit_data(report, num, den), cap)
+    enc = dense.limit_to_places(f, _limit_data(report, num, den), cap)
     with mp.workprec(pred.work_prec):
         printed = mp.nstr(pred.limit, 20)
         assert printed == mp.nstr(to_mpf(enc.center, mp), 20)
@@ -504,7 +503,7 @@ class TestCubicClosedForms:
             mbar = dense.cubic_limit_matrix(report, numerator)
             for h in range(1, 4):
                 for k in range(1, 4):
-                    pred = limit_ratio(report, numerator, (h, k), 20)
+                    pred = limit_ratio(report, numerator, (h, k), 35)  # for the 1e-35 below
                     with mp.workprec(report.roots.work_prec):
                         assert abs(pred.limit - mbar[h - 1][k - 1]) < 1e-35
 
@@ -580,7 +579,7 @@ class TestLimitEnclosure:
         # contain the Vandermonde limit computed independently in mpmath.
         f = parse_polynomial(text)
         report = analyze(f, x)
-        enc = limit_enclosure(f, _limit_data(report, num, den), digits=60)
+        enc = dense.limit_to_places(f, _limit_data(report, num, den), places=60)
         assert enc.radius <= rational(1, 10**60)
         v, vinv, k = _vandermonde(text, x)
         (i, j), (p, q) = num, den
@@ -591,25 +590,26 @@ class TestLimitEnclosure:
             assert miss <= mp.mpf(10) ** -140
 
     @pytest.mark.parametrize("num,den,offset", [((2, 1), (3, 1), -1), ((2, 2), (2, 1), 0)])
-    def test_root_limit_is_the_refined_root(self, ramanujan, num, den, offset):
+    def test_root_limit_is_the_refined_root(self, ramanujan, num, den, offset, monkeypatch):
         # limit + offset = alpha_k exactly, so the enclosure is the root's own
         # refined Sturm bracket, as Tables 1-5 and 7 measure against.
         x = (0, -1, 1)
         report = analyze(ramanujan, x)
         data = _limit_data(report, num, den)
-        enc = resolving_enclosure(ramanujan, data, (), offset, 60)
+        monkeypatch.setattr(convergence, "_FIRST_DIGITS", 60)
+        enc = resolving_enclosure(ramanujan, data, (), offset)
         bracket = data[2]
         _assert_holds_dominant_root(ramanujan, report, bracket)
         assert enc == refine_real_root(ramanujan, bracket, rational(1, 10**60))
         if offset == 0:
-            assert limit_enclosure(ramanujan, data, 60) == enc
+            assert dense.limit_to_places(ramanujan, data, 60) == enc
 
     def test_exact_constant_ratio(self):
         # (1,3)/(3,2) is -4 at every n here: N = -4 D modulo f.
         f = parse_polynomial("c:1,-3,-4,4")
         x = (-1, 0, 3)
         report = analyze(f, x)
-        enc = limit_enclosure(f, _limit_data(report, (1, 3), (3, 2)), digits=60)
+        enc = dense.limit_to_places(f, _limit_data(report, (1, 3), (3, 2)), places=60)
         assert enc == Enclosure(rational(-4), rational(0))
 
     def test_zero_denominator_refused_exactly(self):
@@ -617,7 +617,7 @@ class TestLimitEnclosure:
         f = parse_polynomial(text)
         report = analyze(f, x)
         with pytest.raises(ZeroDenominator, match="is indistinguishable from zero"):
-            limit_enclosure(f, _limit_data(report, (1, 1), (2, 1)), digits=60)
+            dense.limit_to_places(f, _limit_data(report, (1, 1), (2, 1)), places=60)
 
 
 def _assert_resolved(enc, values):

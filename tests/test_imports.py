@@ -102,12 +102,11 @@ def test_unreferenced_checker():
 
 
 # Read by no package module, only by the tests and by perfbench:
-# constant_ratio_check and limit_enclosure, which perfbench traces by name
-# (limit_ratio runs its own rounds since it encloses to the printed digits),
-# and MatrixPower.entries, which perfbench's _out_bits reads.  Each moves or
+# constant_ratio_check, which perfbench traces by name, and
+# MatrixPower.entries, which perfbench's _out_bits reads.  Each moves or
 # goes with the benchmark-only change (ROADMAP, Do first), and so does the
 # dataclass constant_ratio_check returns.
-_TRACED_TEST_ONLY = {"constant_ratio_check", "limit_enclosure", "MatrixPower.entries"}
+_TRACED_TEST_ONLY = {"constant_ratio_check", "MatrixPower.entries"}
 _TRACED_TEST_ONLY_CLASSES = {"ConstantRatioFamily"}
 
 
